@@ -76,8 +76,8 @@ class AttackWorkload(abc.ABC):
 
         Detected from whether :meth:`observe_response` is overridden.
         Adaptive attacks need the per-request feedback loop, so the
-        batched simulation protocol degrades them to batches of one
-        write; non-adaptive streams batch freely.
+        simulation engine always serves them through its per-write loop;
+        non-adaptive streams batch freely.
         """
         return type(self).observe_response is not AttackWorkload.observe_response
 

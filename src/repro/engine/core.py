@@ -8,12 +8,15 @@ fast-forward and overhead modules in :mod:`repro.sim` are thin
 configurations of this one loop — none of them implements stepping or
 failure detection of its own.
 
-Two data paths, selected by ``batch_size``:
+Two data paths, selected by ``batch_size`` and the driver:
 
-* ``batch_size == 1`` (legacy, the default) delegates each chunk to the
-  driver's per-write hot loop (:meth:`WorkloadDriver.drive`), whose
-  locals-bound Python loop is the fastest way to serve writes one at a
-  time;
+* the per-write path (``batch_size == 1``, the default) delegates each
+  chunk to the driver's per-write hot loop
+  (:meth:`WorkloadDriver.drive`), whose locals-bound Python loop is the
+  fastest way to serve writes one at a time.  Feedback-bound drivers
+  (:attr:`WorkloadDriver.adaptive` — an attack that steers on each
+  response time) always run this loop, whatever ``batch_size`` is: a
+  batch of them could only ever hold one write;
 * ``batch_size > 1`` runs the batched write protocol: the driver yields
   logical-address arrays (:meth:`WorkloadDriver.next_batch`), the scheme
   serves them in one call (:meth:`WearLeveler.write_batch`), and the
@@ -83,8 +86,9 @@ class SimulationEngine:
     driver:
         The workload driver producing demand writes.
     batch_size:
-        Demand writes per engine step.  1 selects the legacy per-write
-        path; larger values select the batched write protocol.
+        Demand writes per engine step.  1 selects the per-write path;
+        larger values select the batched write protocol, except for
+        feedback-bound drivers, which always run the per-write path.
     observers:
         :class:`EngineObserver` instances notified per batch and at run
         boundaries.  A non-``critical`` observer that raises is detached
@@ -217,7 +221,7 @@ class SimulationEngine:
         driver = self.driver
         array = scheme.array
         injector = self._soft_errors
-        batched = self.batch_size > 1
+        batched = self.batch_size > 1 and not driver.adaptive
         write_cycles = float(self.timing.write_cycles)
         served_total = 0
         plan = self._snapshots

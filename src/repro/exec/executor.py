@@ -27,7 +27,9 @@ across a :class:`concurrent.futures.ProcessPoolExecutor` when
 * **Observable progress.**  Each completed cell emits one line —
   ``[12/40] twl_swp×scan seed=3 … 1.8s (cached)`` — through the
   ``progress`` callback (default: stderr), with per-cell wall-clock
-  timing collected in the returned :class:`CellOutcome` records.
+  timing collected in the returned :class:`CellOutcome` records.  The
+  time is taken inside the worker around the cell's own run, so queue
+  wait in a busy pool is never counted.
 
 Resilience is governed by a :class:`~repro.exec.policy.FailurePolicy`
 (retries with deterministic backoff, per-cell wall-clock timeout,
@@ -126,8 +128,12 @@ def _progress_line(
 
 def _execute_one(
     cell: ExperimentCell, timeout: Optional[float] = None
-) -> CellResult:
+) -> Tuple[CellResult, float]:
     """Worker entry point (module-level so it pickles under spawn).
+
+    Returns the cell's result and the wall-clock seconds its run took
+    in this process (queue wait before a pool worker picked it up is
+    excluded).
 
     When ``timeout`` is set, a :class:`~repro.exec.deadline.CellDeadline`
     watchdog guards the cell: expiry raises
@@ -139,19 +145,22 @@ def _execute_one(
     without the CPython async-exception hook degrade to unenforced
     (with a one-line warning from :meth:`CellDeadline.arm`).
     """
+    start = time.perf_counter()
     if timeout is None:
         with error_context(f"cell {cell.describe()}", CellExecutionError):
             # Pool workers are reused across cells: a kill armed for a
             # previous cell (but never reached) must not leak.
             engine_interrupt.clear()
             maybe_inject(cell)
-            return run_cell(cell)
+            result = run_cell(cell)
+        return result, time.perf_counter() - start
     try:
         with CellDeadline(timeout):
             with error_context(f"cell {cell.describe()}", CellExecutionError):
                 engine_interrupt.clear()
                 maybe_inject(cell)
-                return run_cell(cell)
+                result = run_cell(cell)
+        return result, time.perf_counter() - start
     except DeadlineReached:
         # A timed-out cell abandons its run: any snapshot it emitted
         # (plus stray atomic-write temp files) is dead state that
@@ -200,7 +209,6 @@ def execute_cells(
     failures: List[CellFailure] = []
     attempts: Dict[int, int] = {}
     pending: List[int] = []
-    start_times: Dict[int, float] = {}
     done = 0
 
     def note(line: str) -> None:
@@ -275,9 +283,8 @@ def execute_cells(
     def run_serial(indices: Sequence[int]) -> None:
         for index in indices:
             while True:
-                start = time.perf_counter()
                 try:
-                    result = _execute_one(cells[index], policy.timeout)
+                    result, seconds = _execute_one(cells[index], policy.timeout)
                 except CellExecutionError as error:
                     if grant_retry(index, error):
                         continue
@@ -286,7 +293,7 @@ def execute_cells(
                         break
                     raise
                 else:
-                    finish(index, result, time.perf_counter() - start)
+                    finish(index, result, seconds)
                     break
 
     def run_pool(indices: Sequence[int]) -> List[int]:
@@ -297,7 +304,6 @@ def execute_cells(
         futures: Dict[Future, int] = {}
 
         def submit(index: int) -> None:
-            start_times[index] = time.perf_counter()
             futures[pool.submit(_execute_one, cells[index], policy.timeout)] = index
 
         def drain_on_abort() -> None:
@@ -312,14 +318,14 @@ def execute_cells(
                 index = futures[future]
                 if future.cancelled() or future.exception() is not None:
                     continue
-                finish(index, future.result(), time.perf_counter() - start_times[index])
+                finish(index, *future.result())
 
         for index in indices:
             submit(index)
         try:
             while futures:
                 settled, _ = wait(set(futures), return_when=FIRST_COMPLETED)
-                successes: List[Tuple[int, CellResult]] = []
+                successes: List[Tuple[int, Tuple[CellResult, float]]] = []
                 errors: List[Tuple[int, BaseException]] = []
                 broken: List[int] = []
                 for future in settled:
@@ -337,8 +343,8 @@ def execute_cells(
                 # Drain every finished sibling first: their results hit
                 # the cache/journal even when another future in this
                 # same batch is about to abort the campaign.
-                for index, result in successes:
-                    finish(index, result, time.perf_counter() - start_times[index])
+                for index, (result, seconds) in successes:
+                    finish(index, result, seconds)
                 for index, error in errors:
                     if not isinstance(error, CellExecutionError):
                         # An exception that escaped the worker wrapper

@@ -835,7 +835,7 @@ class CampaignServer:
             if future.cancelled() or future.exception() is not None:
                 return
             with contextlib.suppress(Exception):
-                cache.put(cell, future.result())
+                cache.put(cell, future.result()[0])
 
         pool_future.add_done_callback(bank)
 
@@ -873,11 +873,15 @@ class CampaignServer:
                 )
                 wrapped = asyncio.wrap_future(pool_future, loop=loop)
                 try:
+                    # The worker's own run time is dropped: a response's
+                    # ``seconds`` is the server-side time of the request.
                     if deadline is not None:
-                        return await asyncio.wait_for(
+                        result, _ = await asyncio.wait_for(
                             wrapped, timeout=deadline + DEADLINE_GRACE
                         )
-                    return await wrapped
+                    else:
+                        result, _ = await wrapped
+                    return result
                 except asyncio.TimeoutError:
                     # The worker failed to enforce its own budget
                     # (wedged in a C call); answer the client now,

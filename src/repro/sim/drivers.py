@@ -11,7 +11,8 @@ simulation engine in two granularities:
 * :meth:`WorkloadDriver.next_batch` yields the next ``n`` logical
   addresses as an array without serving them, for the batched write
   protocol (:mod:`repro.engine`); :meth:`WorkloadDriver.observe_batch`
-  feeds the per-request response costs back afterwards.
+  feeds the per-request response costs back afterwards.  Feedback-bound
+  (:attr:`WorkloadDriver.adaptive`) drivers only ever run the first.
 
 :class:`StreamDriver` is the streaming-first workload path: it pulls
 ``(ops, pages)`` chunks from a :class:`~repro.traces.stream.TraceStream`
@@ -56,9 +57,9 @@ class WorkloadDriver(abc.ABC):
     def next_batch(self, n: int) -> np.ndarray:
         """The next (up to) ``n`` logical addresses, without serving them.
 
-        Drivers may return fewer than ``n`` addresses (an adaptive
-        attack that needs per-request feedback returns one at a time);
-        an empty array means the stream is exhausted.  When a batch is
+        Drivers may return fewer than ``n`` addresses (a stream at a
+        chunk boundary); an empty array means the stream is exhausted.
+        Never called on an :attr:`adaptive` driver.  When a batch is
         cut short by a failure, the unserved tail is *not* rewound —
         the engine stops at first failure, so only post-failure driver
         state (trace position, loop counter) can drift from a serial
@@ -72,6 +73,14 @@ class WorkloadDriver(abc.ABC):
 
     def observe_batch(self, physical_write_counts: np.ndarray) -> None:
         """Feed back the per-request physical write counts of a batch."""
+
+    @property
+    def adaptive(self) -> bool:
+        """Whether each write's address depends on the previous write's
+        response.  Such a driver has no batch to plan ahead, so the
+        engine serves it through the per-write :meth:`drive` loop at
+        every ``batch_size``."""
+        return False
 
     def snapshot(self) -> dict:
         """The driver's mutable position state as a plain state tree.
@@ -328,27 +337,21 @@ class AttackDriver(WorkloadDriver):
             served += 1
         return served
 
+    @property
+    def adaptive(self) -> bool:
+        return self.attack.is_adaptive
+
     def next_batch(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("batch size must be non-negative")
-        attack = self.attack
-        if attack.is_adaptive and n > 1:
-            # Adaptive attacks steer on per-request response times, so
-            # later addresses of a batch would be computed on stale
-            # feedback.  Degrade to one-write batches: slower, but
-            # exactly the serial decision sequence.
-            n = 1
-        return attack.next_writes(n)
-
-    def observe_batch(self, physical_write_counts: np.ndarray) -> None:
-        attack = self.attack
-        if not attack.is_adaptive:
-            # observe_response is the no-op base implementation.
-            return
-        observe = attack.observe_response
-        write_cycles = float(self.timing.write_cycles)
-        for physical_writes in physical_write_counts.tolist():
-            observe(write_cycles * physical_writes)
+        if self.attack.is_adaptive:
+            # Later addresses of a batch would be computed on stale
+            # response-time feedback.
+            raise SimulationError(
+                f"attack {self.attack.name!r} steers on per-write feedback "
+                "and cannot be batched; serve it through drive()"
+            )
+        return self.attack.next_writes(n)
 
     def snapshot(self) -> dict:
         return {"attack": self.attack.snapshot()}

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.attacks.registry import attack_names, make_attack
 from repro.config import SoftErrorConfig
-from repro.engine import InvariantCheckObserver
+from repro.engine import InvariantCheckObserver, SimulationEngine
+from repro.errors import SimulationError
 from repro.pcm.array import PCMArray
 from repro.sim.drivers import AttackDriver, StreamDriver, TraceDriver
 from repro.sim.lifetime import run_to_failure
@@ -229,11 +231,70 @@ def test_ftl_stream_chunk_and_batch_invariance(scheme_name):
         assert other[2] == reference[2]
 
 
-def test_adaptive_attack_degrades_to_per_write_batches():
-    """Adaptive attacks keep their feedback loop under batching."""
-    attack = make_attack("inconsistent", _N_PAGES, seed=11)
-    if not attack.is_adaptive:
-        pytest.skip("inconsistent attack is not adaptive in this build")
-    driver = AttackDriver(attack)
-    batch = driver.next_batch(64)
-    assert len(batch) == 1
+# --- feedback-bound drivers -----------------------------------------
+#
+# An adaptive attack picks each address from the previous write's
+# response time, so it has no batch to plan ahead: the engine serves it
+# through the per-write loop at every batch size.
+
+
+def _adaptive_engine(batch_size, **kwargs):
+    array = PCMArray.uniform(_N_PAGES, _ENDURANCE)
+    scheme = make_scheme("twl", array, seed=11)
+    attack = make_attack("inconsistent", scheme.logical_pages, seed=11)
+    return SimulationEngine(scheme, AttackDriver(attack), batch_size=batch_size, **kwargs)
+
+
+def test_adaptive_driver_never_reaches_the_batched_protocol(monkeypatch):
+    engine = _adaptive_engine(4096, chunk_demand=1000)
+    assert engine.driver.adaptive
+
+    def unreachable(*_args):
+        raise AssertionError("adaptive driver entered the batched protocol")
+
+    monkeypatch.setattr(engine.driver, "next_batch", unreachable)
+    monkeypatch.setattr(engine.scheme, "write_batch", unreachable)
+    oracle = _adaptive_engine(1, chunk_demand=1000)
+    assert engine.drive(5500) == oracle.drive(5500) == 5500
+    assert engine.batches == oracle.batches == 6
+    assert np.array_equal(
+        engine.scheme.array.write_counts(), oracle.scheme.array.write_counts()
+    )
+
+
+def test_adaptive_next_batch_raises():
+    driver = AttackDriver(make_attack("inconsistent", _N_PAGES, seed=11))
+    with pytest.raises(SimulationError, match="per-write feedback"):
+        driver.next_batch(64)
+    assert not AttackDriver(make_attack("scan", _N_PAGES, seed=11)).adaptive
+
+
+@given(
+    scheme_name=st.sampled_from(scheme_names()),
+    batch_size=st.sampled_from([2, 64, 4096]),
+    rate=st.sampled_from([0.0, 2e-4]),
+)
+@settings(max_examples=10, deadline=None)
+def test_adaptive_attack_identical_at_any_batch_size(scheme_name, batch_size, rate):
+    """The inconsistent attack under any scheme, batch size and
+    soft-error rate, with the invariant checker attached, equals the
+    ``batch_size=1`` oracle (parity repair keeps faulted runs
+    consistent, so the checker passes)."""
+
+    def run(size):
+        checker = InvariantCheckObserver(every=3)
+        state = _run_attack(
+            scheme_name,
+            "inconsistent",
+            size,
+            soft_errors=SoftErrorConfig(rate=rate, seed=11, protection="parity"),
+            observers=[checker],
+        )
+        assert checker.checks > 0
+        return state
+
+    oracle, oracle_counts, oracle_stats = run(1)
+    batched, batched_counts, batched_stats = run(batch_size)
+    assert batched == oracle
+    assert np.array_equal(batched_counts, oracle_counts)
+    assert batched_stats == oracle_stats

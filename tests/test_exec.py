@@ -1,5 +1,7 @@
 """Tests for the parallel experiment executor and on-disk result cache."""
 
+import time
+
 import pytest
 
 from repro.config import ScaledArrayConfig, TWLConfig
@@ -82,6 +84,17 @@ class TestParallelIdentity:
         for outcome in outcomes:
             assert outcome.seconds >= 0.0
             assert not outcome.cached
+
+    def test_pool_seconds_exclude_queue_wait(self):
+        """Per-cell seconds time the run in the worker, not the wait
+        behind busy workers: two workers can fit at most two seconds of
+        cell time into one second of wall time."""
+        scaled = ScaledArrayConfig(n_pages=128, endurance_mean=1024.0)
+        cells = [attack_cell("twl", "repeat", scaled=scaled, seed=seed) for seed in range(6)]
+        start = time.perf_counter()
+        outcomes = execute_cells(cells, jobs=2, progress=False)
+        wall = time.perf_counter() - start
+        assert sum(outcome.seconds for outcome in outcomes) <= 2 * wall
 
 
 class TestCache:

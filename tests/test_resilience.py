@@ -584,7 +584,7 @@ class TestTimeoutOutsideMainThread:
 
         def work():
             try:
-                outcome["result"] = _execute_one(cell, timeout=0.3)
+                outcome["result"], _ = _execute_one(cell, timeout=0.3)
             except BaseException as error:  # noqa: B036 - recording for assert
                 outcome["error"] = error
 
@@ -605,13 +605,13 @@ class TestTimeoutOutsideMainThread:
         from repro.exec.executor import _execute_one
 
         cell = attack_cell("nowl", "scan", scaled=SCALED, seed=11)
-        expected = _execute_one(cell, timeout=None)
+        expected, _ = _execute_one(cell, timeout=None)
         outcome = {}
 
         def work():
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                outcome["result"] = _execute_one(cell, timeout=30.0)
+                outcome["result"], _ = _execute_one(cell, timeout=30.0)
                 outcome["messages"] = [str(w.message) for w in caught]
 
         thread = threading.Thread(target=work)

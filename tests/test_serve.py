@@ -736,9 +736,10 @@ class TestServerRobustnessRegressions:
             try:
                 # A future nobody awaits completes: its result lands in
                 # the shared cache (the done callback fires inline here).
+                # Pool futures carry the worker's (result, seconds).
                 abandoned = Future()
                 server._bank_abandoned(abandoned, cell)
-                abandoned.set_result(result)
+                abandoned.set_result((result, 0.5))
                 # Cancelled / failed futures bank nothing.
                 cancelled = Future()
                 server._bank_abandoned(cancelled, cell)

@@ -58,13 +58,18 @@ def _ftl_factory(n_pages: int):
     return make_stream("ftl", n_pages, seed=SEED, chunk_size=CHUNK)
 
 
-def _attack_engine(scheme_name: str, plan: SnapshotPlan) -> SimulationEngine:
-    """A fresh scan-attack engine matching ``measure_attack_lifetime``."""
+def _attack_engine(
+    scheme_name: str,
+    plan: SnapshotPlan,
+    attack_name: str = "scan",
+    batch_size: int = 16,
+) -> SimulationEngine:
+    """A fresh attack engine matching ``measure_attack_lifetime``."""
     array = build_array(SCALED)
     scheme = make_scheme(scheme_name, array, seed=SEED)
-    attack = make_attack("scan", scheme.logical_pages, seed=SEED)
+    attack = make_attack(attack_name, scheme.logical_pages, seed=SEED)
     return SimulationEngine(
-        scheme, AttackDriver(attack), batch_size=16, snapshots=plan
+        scheme, AttackDriver(attack), batch_size=batch_size, snapshots=plan
     )
 
 
@@ -200,18 +205,20 @@ class TestEmissionInert:
 class TestKillResumeIdentity:
     """Crash at an arbitrary demand index; resume; compare bit-exactly."""
 
-    def _crash_and_resume(self, scheme_name, build_engine, measure, tmp_path):
+    def _crash_and_resume(
+        self, scheme_name, build_engine, measure, tmp_path, every=EVERY
+    ):
         path = str(tmp_path / "cell.snap")
-        emit_plan = SnapshotPlan(path=path, every=EVERY, resume=False)
+        emit_plan = SnapshotPlan(path=path, every=every, resume=False)
         dying = build_engine(scheme_name, emit_plan)
         # "Crash" partway between two snapshot boundaries: the last
-        # durable state is the EVERY*2 boundary, and everything the
+        # durable state is the every*2 boundary, and everything the
         # engine did after it is lost — exactly what SIGKILL leaves.
-        dying.drive(EVERY * 2 + 517)
+        dying.drive(every * 2 + 517)
         assert dying.snapshots_written >= 2
         _meta, saved = read_snapshot(path)
-        assert saved["demand_served"] == EVERY * 2
-        resume_plan = SnapshotPlan(path=path, every=EVERY, resume=True)
+        assert saved["demand_served"] == every * 2
+        resume_plan = SnapshotPlan(path=path, every=every, resume=True)
         return measure(scheme_name, snapshots=resume_plan)
 
     def _measure_attack(self, scheme_name, snapshots=None):
@@ -241,6 +248,32 @@ class TestKillResumeIdentity:
         clean = self._measure_attack(scheme_name)
         resumed = self._crash_and_resume(
             scheme_name, _attack_engine, self._measure_attack, tmp_path
+        )
+        assert resumed == clean
+
+    @pytest.mark.parametrize("scheme_name", scheme_names())
+    def test_adaptive_attack_resume_is_bit_identical(self, scheme_name, tmp_path):
+        """The inconsistent attack's own state (pass schedule, swap
+        detector, pending flip) survives a resume on a batched engine,
+        which serves the feedback-bound attack per write.  The short
+        cadence lands both snapshots before the quickest death."""
+
+        def build(name, plan):
+            return _attack_engine(name, plan, "inconsistent", batch_size=4096)
+
+        def measure(name, snapshots=None):
+            return measure_attack_lifetime(
+                name,
+                "inconsistent",
+                scaled=SCALED,
+                seed=SEED,
+                batch_size=4096,
+                snapshots=snapshots,
+            )
+
+        clean = measure(scheme_name)
+        resumed = self._crash_and_resume(
+            scheme_name, build, measure, tmp_path, every=1000
         )
         assert resumed == clean
 
