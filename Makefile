@@ -1,6 +1,6 @@
 # Convenience targets for the TWL reproduction.
 
-.PHONY: install test lint typecheck bench bench-quick bench-trajectory quick-parallel quick-resilient quick-sanitized quick-softerrors quick-stream quick-chaos quick-serve examples report clean
+.PHONY: install test lint typecheck bench bench-quick quick-parallel quick-resilient quick-sanitized quick-softerrors quick-stream quick-chaos quick-serve examples report clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -38,14 +38,6 @@ bench:
 
 bench-quick:
 	REPRO_QUICK=1 pytest benchmarks/ --benchmark-only
-
-# The committed benchmark trajectory (docs/performance.md): smoke-size
-# run of every engine scenario, machine-normalized, gated against the
-# best committed BENCH_*.json at the repo root.  This is what the CI
-# bench job runs; a full-size artifact for committing is
-#   PYTHONPATH=src python benchmarks/bench_trajectory.py --tag PRn --output BENCH_PRn.json
-bench-trajectory:
-	PYTHONPATH=src python benchmarks/bench_trajectory.py --smoke --check
 
 # Smoke the parallel executor path end-to-end (also covered by
 # tests/test_exec.py so it stays green under tier-1).

@@ -74,9 +74,9 @@ def test_batched_vs_per_write_throughput(record):
 
     nowl/startgap have fully vectorized ``write_batch`` overrides; TWL
     vectorizes its quiet runs when triggers are sparse and degrades to
-    the scalar path when they are dense; ``sr`` exercises the default
-    per-write fallback (expected parity, it rides along as the
-    control).
+    the scalar path when they are dense; ``sr`` vectorizes the runs
+    between its refresh triggers and steps the scalar refresh only at
+    trigger positions.
     """
     table = ResultTable(
         columns=["scheme", "per_write_wps", "batched_wps", "speedup"]

@@ -13,7 +13,6 @@ from .extrapolate import (
     fraction_to_full_scale_years,
     targeted_attack_full_scale_seconds,
 )
-from .timeline import TimelinePoint, WearTimeline
 from .svg import svg_grouped_bars, svg_line_chart, svg_wear_heatmap, save_svg
 from .models import (
     choose_a_probability,
@@ -41,8 +40,6 @@ __all__ = [
     "grouped_bar_chart",
     "fraction_to_full_scale_years",
     "targeted_attack_full_scale_seconds",
-    "TimelinePoint",
-    "WearTimeline",
     "svg_grouped_bars",
     "svg_line_chart",
     "svg_wear_heatmap",

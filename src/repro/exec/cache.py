@@ -32,7 +32,7 @@ import threading
 from typing import Dict, Optional, Tuple
 
 from ..errors import ConfigError
-from ..sim.cache import deserialize_result, serialize_result
+from ..pcm.faults import FirstFailure
 from ..sim.lifetime import LifetimeResult
 from ..sim.metrics import SchemeOverheads
 from .cells import CellResult, ExperimentCell
@@ -71,6 +71,54 @@ def default_cache_dir() -> str:
     return os.path.join(base, "twl-repro")
 
 
+def _serialize_lifetime(result: LifetimeResult) -> Dict:
+    # The failure record is reduced to its three integers; soft-error
+    # counters are key-sorted so equal results encode identically.
+    record = {
+        "scheme": result.scheme,
+        "workload": result.workload,
+        "n_pages": result.n_pages,
+        "endurance_mean": result.endurance_mean,
+        "demand_writes": result.demand_writes,
+        "device_writes": result.device_writes,
+        "failed": result.failed,
+        "estimation": result.estimation,
+    }
+    if result.failure is not None:
+        record["failure"] = {
+            "physical_page": result.failure.physical_page,
+            "device_writes": result.failure.device_writes,
+            "page_endurance": result.failure.page_endurance,
+        }
+    if result.soft_errors is not None:
+        record["soft_errors"] = {
+            key: result.soft_errors[key] for key in sorted(result.soft_errors)
+        }
+    return record
+
+
+def _deserialize_lifetime(record: Dict) -> LifetimeResult:
+    failure = None
+    if "failure" in record:
+        failure = FirstFailure(
+            physical_page=record["failure"]["physical_page"],
+            device_writes=record["failure"]["device_writes"],
+            page_endurance=record["failure"]["page_endurance"],
+        )
+    return LifetimeResult(
+        scheme=record["scheme"],
+        workload=record["workload"],
+        n_pages=record["n_pages"],
+        endurance_mean=record["endurance_mean"],
+        demand_writes=record["demand_writes"],
+        device_writes=record["device_writes"],
+        failed=record["failed"],
+        failure=failure,
+        estimation=record.get("estimation", "exact"),
+        soft_errors=record.get("soft_errors"),
+    )
+
+
 def _serialize_overheads(result: SchemeOverheads) -> Dict:
     return {
         "scheme": result.scheme,
@@ -101,7 +149,7 @@ def encode_result(result: CellResult) -> Tuple[str, Dict]:
     resumed campaigns rides on this.
     """
     if isinstance(result, LifetimeResult):
-        return "lifetime", serialize_result(result)
+        return "lifetime", _serialize_lifetime(result)
     return "overheads", _serialize_overheads(result)
 
 
@@ -109,7 +157,7 @@ def decode_result(kind: str, payload: Dict) -> CellResult:
     """Inverse of :func:`encode_result`."""
     if kind == "overheads":
         return _deserialize_overheads(payload)
-    return deserialize_result(payload)
+    return _deserialize_lifetime(payload)
 
 
 class CellCache:

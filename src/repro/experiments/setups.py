@@ -15,11 +15,11 @@ journal.  ``active_setup`` reads them from ``REPRO_JOBS`` /
 ``REPRO_CACHE_DIR`` / ``REPRO_BATCH_SIZE`` / ``REPRO_RETRIES`` /
 ``REPRO_CELL_TIMEOUT`` / ``REPRO_KEEP_GOING`` / ``REPRO_RESUME`` /
 ``REPRO_TRACE`` / ``REPRO_CHUNK_SIZE`` / ``REPRO_SNAPSHOT_EVERY`` so
-the benchmark harness can be hardened without touching code; the CLI
-sets them from ``--jobs`` / ``--cache-dir`` / ``--no-cache`` /
-``--batch-size`` / ``--retries`` / ``--cell-timeout`` /
-``--keep-going`` / ``--resume`` / ``--trace`` / ``--chunk-size`` /
-``--snapshot-every``.
+the benchmark harness can be hardened without touching code.  The CLI
+does not go through the environment: it builds its setup directly from
+``--jobs`` / ``--cache-dir`` / ``--no-cache`` / ``--batch-size`` /
+``--retries`` / ``--cell-timeout`` / ``--keep-going`` / ``--resume`` /
+``--trace`` / ``--chunk-size`` / ``--snapshot-every``.
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Optional, Set
 
 from ..errors import CellTimeoutError, ConfigError, ReproError
-from ..exec.cache import CellCache
+from ..exec.cache import CellCache, encode_result
 from ..exec.cells import CellResult, ExperimentCell
 from ..exec.executor import _execute_one
 from ..exec.hashing import cell_fingerprint
@@ -72,7 +72,6 @@ from .protocol import (
     MAX_FRAME_BYTES,
     OP_PING,
     OP_STATS,
-    OP_SUBMIT,
     PROTOCOL_VERSION,
     ProtocolError,
     decode_cell,
@@ -203,8 +202,6 @@ class _ExecutionCancelled(ReproError):
 
 def encode_result_payload(result: CellResult) -> Dict[str, Any]:
     """``{"kind": ..., "payload": ...}`` via the shared result codec."""
-    from ..exec.cache import encode_result
-
     kind, payload = encode_result(result)
     return {"kind": kind, "payload": payload}
 

@@ -28,7 +28,6 @@ from .replicates import (
     replicate_attack_lifetime,
     replicate_trace_lifetime,
 )
-from .cache import ResultCache, cache_key
 
 __all__ = [
     "WorkloadDriver",
@@ -49,6 +48,4 @@ __all__ = [
     "ReplicatedLifetime",
     "replicate_attack_lifetime",
     "replicate_trace_lifetime",
-    "ResultCache",
-    "cache_key",
 ]

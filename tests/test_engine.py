@@ -172,6 +172,19 @@ class TestObservers:
         with pytest.raises(ValueError):
             WearTimelineObserver(every=0)
 
+    def test_wear_timeline_samples_the_failing_step(self):
+        # Steps of 10 writes with a stride of 3 sample indices 0 and 3;
+        # the repeat attack kills a 50-write page in step 4, off the
+        # stride, and that step must still leave a final sample.
+        timeline = WearTimelineObserver(every=3)
+        engine = _engine(attack_name="repeat", n_pages=4, endurance=50,
+                         batch_size=10, observers=(timeline,))
+        outcome = engine.run(10_000)
+        assert outcome.failed
+        assert outcome.batches == 5
+        assert [demand for demand, _ in timeline.samples] == [10, 40, 50]
+        assert timeline.samples[-1][1].max() >= 1.0
+
     def test_overheads_observer_matches_measure_function(self):
         observer = SchemeOverheadsObserver()
         engine = _engine("twl", endurance=10**7, observers=(observer,))

@@ -1,5 +1,6 @@
 """Tests for the parallel experiment executor and on-disk result cache."""
 
+import json
 import time
 
 import pytest
@@ -11,14 +12,34 @@ from repro.exec import (
     ExperimentCell,
     attack_cell,
     cell_fingerprint,
+    encode_result,
     execute_cells,
     overheads_cell,
     run_cells,
     trace_cell,
 )
+from repro.pcm.faults import FirstFailure
+from repro.sim.lifetime import LifetimeResult
 from repro.sim.replicates import replicate_attack_lifetime
 
 SCALED = ScaledArrayConfig(n_pages=64, endurance_mean=768.0)
+
+_FAILED = LifetimeResult(
+    scheme="twl_swp", workload="scan", n_pages=64, endurance_mean=768.0,
+    demand_writes=41_234, device_writes=45_678, failed=True,
+    failure=FirstFailure(physical_page=17, device_writes=45_678, page_endurance=801),
+)
+_SURVIVED = LifetimeResult(
+    scheme="sr", workload="vips", n_pages=64, endurance_mean=768.0,
+    demand_writes=20_000, device_writes=21_500, failed=False, failure=None,
+    estimation="fast-forward",
+)
+_FAULTED = LifetimeResult(
+    scheme="twl_swp", workload="random", n_pages=64, endurance_mean=768.0,
+    demand_writes=39_000, device_writes=43_210, failed=True,
+    failure=FirstFailure(physical_page=3, device_writes=43_210, page_endurance=702),
+    soft_errors={"silent": 1, "injected": 5, "corrected": 4},
+)
 
 
 def _grid():
@@ -142,6 +163,40 @@ class TestCache:
         direct = run_cells([cell], cache=cache)[0]
         cached = CellCache(str(tmp_path)).get(cell)
         assert cached == direct
+
+    @pytest.mark.parametrize(
+        "result", [_FAILED, _SURVIVED, _FAULTED],
+        ids=["failed", "survived", "soft-errors"],
+    )
+    def test_lifetime_round_trip(self, tmp_path, result):
+        cell = _grid()[0]
+        CellCache(str(tmp_path)).put(cell, result)
+        fresh = CellCache(str(tmp_path))
+        assert fresh.get(cell) == result
+        assert fresh.hits == 1
+
+    def test_lifetime_payload_is_pinned(self):
+        # Cache entries and checkpoint journals store this payload; any
+        # drift (a renamed key, an int turned float) orphans them all.
+        kind, payload = encode_result(_FAULTED)
+        expected = {
+            "scheme": "twl_swp",
+            "workload": "random",
+            "n_pages": 64,
+            "endurance_mean": 768.0,
+            "demand_writes": 39_000,
+            "device_writes": 43_210,
+            "failed": True,
+            "estimation": "exact",
+            "failure": {
+                "physical_page": 3,
+                "device_writes": 43_210,
+                "page_endurance": 702,
+            },
+            "soft_errors": {"corrected": 4, "injected": 5, "silent": 1},
+        }
+        assert kind == "lifetime"
+        assert json.dumps(payload, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 class TestFingerprint:

@@ -17,20 +17,18 @@ import pytest
 from repro.config import ScaledArrayConfig, SoftErrorConfig
 from repro.engine import EngineObserver, InvariantCheckObserver, SimulationEngine
 from repro.errors import ConfigError, InvariantViolation
+from repro.exec.cache import decode_result, encode_result
 from repro.exec.cells import attack_cell, run_cell
 from repro.exec.hashing import cell_fingerprint
 from repro.pcm.array import PCMArray
 from repro.pcm.softerrors import (
     ACTION_CORRECTED,
     ACTION_FAIL_SAFE,
-    ACTION_REPAIRED,
     ACTION_SILENT,
     BitTarget,
     SoftErrorInjector,
 )
-from repro.sim.cache import deserialize_result, serialize_result
 from repro.sim.drivers import AttackDriver
-from repro.sim.lifetime import run_to_failure
 from repro.sim.runner import measure_attack_lifetime
 from repro.attacks.registry import make_attack
 from repro.wearlevel.registry import make_scheme
@@ -477,11 +475,11 @@ class TestExecPlumbing:
 
     def test_cache_round_trips_soft_errors(self):
         result = _faulted("twl_swp", protection="parity")
-        assert deserialize_result(serialize_result(result)) == result
+        assert decode_result(*encode_result(result)) == result
         clean = measure_attack_lifetime(
             "twl_swp", "random", scaled=_SCALED, seed=7
         )
-        assert deserialize_result(serialize_result(clean)) == clean
+        assert decode_result(*encode_result(clean)) == clean
 
     def test_fastforward_rejects_faults(self):
         with pytest.raises(ConfigError, match="fastforward"):

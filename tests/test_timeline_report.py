@@ -1,68 +1,10 @@
-"""Tests for the wear timeline and the Markdown report builder."""
+"""Tests for the Markdown report builder."""
 
 import pytest
 
 from repro.analysis.report import build_report
-from repro.analysis.timeline import WearTimeline
-from repro.attacks.repeat import RepeatWriteAttack
-from repro.attacks.scan import ScanWriteAttack
 from repro.config import ScaledArrayConfig
-from repro.errors import SimulationError
 from repro.experiments.setups import ExperimentSetup
-from repro.pcm.array import PCMArray
-from repro.sim.drivers import AttackDriver
-from repro.wearlevel.nowl import NoWearLeveling
-
-
-class TestWearTimeline:
-    def _timeline(self, n=16, endurance=1000):
-        array = PCMArray.uniform(n, endurance)
-        scheme = NoWearLeveling(array)
-        return WearTimeline(scheme, AttackDriver(ScanWriteAttack(n)))
-
-    def test_snapshots_taken(self):
-        timeline = self._timeline()
-        points = timeline.run(1000, snapshots=10)
-        assert len(points) == 10
-        assert points[-1].demand_writes == 1000
-
-    def test_series_extraction(self):
-        timeline = self._timeline()
-        timeline.run(800, snapshots=4)
-        gini = timeline.series("wear_gini")
-        assert len(gini) == 4
-        # Scan writes on NOWL are perfectly even per full pass.
-        assert gini[-1] < 0.1
-
-    def test_stops_at_failure(self):
-        array = PCMArray.uniform(4, 50)
-        scheme = NoWearLeveling(array)
-        timeline = WearTimeline(scheme, AttackDriver(RepeatWriteAttack(4)))
-        points = timeline.run(10_000, snapshots=10)
-        assert array.has_failure
-        assert points[-1].stats.max_wear_fraction >= 1.0
-
-    def test_monotone_wear(self):
-        timeline = self._timeline()
-        timeline.run(1000, snapshots=5)
-        maxima = timeline.series("max_wear_fraction")
-        assert all(b >= a for a, b in zip(maxima, maxima[1:]))
-
-    def test_unknown_field(self):
-        timeline = self._timeline()
-        timeline.run(100, snapshots=1)
-        with pytest.raises(SimulationError):
-            timeline.series("nonsense")
-
-    def test_validation(self):
-        timeline = self._timeline()
-        with pytest.raises(SimulationError):
-            timeline.run(0)
-        with pytest.raises(SimulationError):
-            timeline.run(10, snapshots=0)
-
-    def test_empty_series(self):
-        assert self._timeline().series("wear_gini") == []
 
 
 class TestReport:
