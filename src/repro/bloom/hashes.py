@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from ..errors import ConfigError
 from ..rng.streams import derive_seed
 
@@ -52,3 +54,16 @@ class HashFamily:  # twl: allow(TWL008) reason=_cache memoizes a pure hash; rebu
             out.append(((a * key + b) & _MASK64) >> self._shift)
         self._cache[key] = out
         return out
+
+    def table(self, n_keys: int) -> np.ndarray:
+        """Probe positions of keys ``0..n_keys-1`` as an ``(n_keys, k)`` array.
+
+        Row ``key`` equals :meth:`indices` of ``key``: the same
+        multiply-shift, computed in ``uint64`` whose wrap-around is the
+        ``mod 2**64`` of the scalar form.  Stored in the narrowest
+        unsigned dtype that holds ``m - 1``.
+        """
+        a, b = (np.array(column, dtype=np.uint64) for column in zip(*self._params))
+        keys = np.arange(n_keys, dtype=np.uint64)[:, None]
+        probes = (keys * a + b) >> np.uint64(self._shift)
+        return probes.astype(np.min_scalar_type(self.m - 1))

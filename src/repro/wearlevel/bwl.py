@@ -65,6 +65,8 @@ class BloomWearLeveling(WearLeveler):
         self.hot_filter = CountingBloomFilter(
             config.bloom_bits, config.bloom_hashes, seed=derive_seed(seed, "bwl-hot")
         )
+        #: Probe positions of every logical page (write_batch's window scan).
+        self._probes = self.hot_filter.probe_table(n)
         #: Dynamic hot-detection threshold (write-count estimate).
         self.hot_threshold = 4
         self.cold_threshold = config.cold_threshold
@@ -149,18 +151,16 @@ class BloomWearLeveling(WearLeveler):
         return writes
 
     def write_batch(self, addresses: Sequence[int]) -> np.ndarray:
-        """Batch path: scalar heuristic scan, vectorized device writes.
+        """Batch path: window scans of the heuristic, vectorized device writes.
 
-        BWL's swap decision depends on per-write Bloom-filter state, so
-        the filter probes cannot be vectorized — but the *device* side
-        can: the scan replicates the serial per-write filter/hot/cold
-        updates purely in controller state, finds the first position
-        whose write triggers a swap, and then issues that whole
-        trigger-free prefix as one
+        Within a detection phase the Bloom counters only grow and
+        saturate exactly, so each write's estimate is a pure function of
+        the inserts before it.  :meth:`_scan_window` therefore computes a
+        whole window's estimates, hot-list adds and swap predicates as
+        arrays, commits the heuristic state up to the first swap
+        trigger, and the trigger-free prefix is issued as one
         :meth:`~repro.pcm.array.PCMArray.apply_batch` call plus a
-        bincount into the frame-write counters.  That moves the array
-        bookkeeping — the dominant cost at scale — off the per-write
-        path while the heuristic stays exactly the serial sequence.
+        bincount into the frame-write counters.
 
         Identity with the serial path: a triggering demand write that
         wears out a page still runs its swap phase (serial
@@ -180,39 +180,10 @@ class BloomWearLeveling(WearLeveler):
         out = np.ones(seq.size, dtype=np.int64)
         forward = self.remap.mapping_array()  # live view: current across swaps
         frame_writes = self._frame_writes
-        logicals = seq.tolist()
         total = int(seq.size)
         start = 0
         while start < total:
-            # Heuristic scan: the serial per-write controller updates up
-            # to (and including) the first swap trigger.  Aliases rebind
-            # each round — _swap_phase replaces these containers.
-            hot_filter = self.hot_filter
-            hot_set = self._hot_set
-            hot_list = self._hot_list
-            cold_set = self._cold_set
-            cold_queue = self._cold_queue
-            trigger = -1
-            stop = total
-            for index in range(start, total):
-                logical = logicals[index]
-                hot_filter.insert(logical)
-                self._detection_writes += 1
-                if logical not in hot_set:
-                    estimate = hot_filter.estimate(logical)
-                    if estimate >= self.hot_threshold:
-                        hot_set.add(logical)
-                        hot_list.append(logical)
-                        cold_set.discard(logical)
-                    elif estimate <= self.cold_threshold and logical not in cold_set:
-                        if len(cold_queue) == cold_queue.maxlen:
-                            cold_set.discard(cold_queue[0])
-                        cold_queue.append(logical)
-                        cold_set.add(logical)
-                if self._should_swap():
-                    trigger = index
-                    stop = index + 1
-                    break
+            stop, triggered = self._scan_window(seq, start, total)
             segment_physical = forward[seq[start:stop]]
             applied = array.apply_batch(segment_physical)
             frame_writes += np.bincount(
@@ -221,12 +192,78 @@ class BloomWearLeveling(WearLeveler):
             self.demand_writes += applied
             if applied < stop - start:
                 return out[: start + applied]
-            if trigger >= 0:
-                out[trigger] += self._swap_phase()
+            if triggered:
+                out[stop - 1] += self._swap_phase()
                 if array.failed:
                     return out[:stop]
             start = stop
         return out
+
+    def _scan_window(self, seq: np.ndarray, start: int, total: int):
+        """The per-write heuristic updates for ``seq[start:stop]``, at once.
+
+        Replays :meth:`write`'s filter, hot-list, cold-queue and
+        :meth:`_should_swap` steps up to and including the first swap
+        trigger and returns ``(stop, triggered)``.  The window ends at
+        the next phase-length bound, where a trigger is due or likely,
+        so little is scanned past a trigger.
+        """
+        detection = self._detection_writes
+        bound = (
+            self._min_phase_writes
+            if detection < self._min_phase_writes
+            else self._max_phase_writes
+        )
+        window = seq[start : min(total, start + max(1, bound - detection))]
+        size = int(window.size)
+        probes = self._probes[window]
+        estimates = self.hot_filter.running_estimates(probes)
+        threshold = self.hot_threshold
+        hot_mask = np.zeros(self.logical_pages, dtype=bool)
+        hot_mask[np.fromiter(self._hot_set, dtype=np.int64)] = True
+        fresh = ~hot_mask[window]
+        # Estimates never fall within a phase, so a key's first crossing
+        # of the threshold is its hot-list add; later writes find it hot.
+        crossing = np.flatnonzero(fresh & (estimates >= threshold))
+        _, first = np.unique(window[crossing], return_index=True)
+        adds = np.sort(crossing[first])
+        grown = np.zeros(size, dtype=np.int64)
+        grown[adds] = 1
+        hot_count = len(self._hot_list) + np.cumsum(grown)
+        detected = detection + np.arange(1, size + 1)
+        trigger = np.flatnonzero(
+            (hot_count >= self._target_hot)
+            | ((detected >= self._min_phase_writes) & (hot_count > 0))
+            | (detected >= self._max_phase_writes)
+        )
+        stop = int(trigger[0]) + 1 if trigger.size else size
+
+        self.hot_filter.insert_rows(probes[:stop])
+        self._detection_writes += stop
+        # Cold-queue attempts: writes of not-yet-hot keys whose estimate
+        # stayed at or below the cold threshold.  Evictions make them
+        # order-dependent, so they replay one by one.
+        cold = fresh[:stop] & (estimates[:stop] < threshold)
+        cold &= estimates[:stop] <= self.cold_threshold
+        attempts = window[:stop][cold]
+        cold_queue = self._cold_queue
+        cold_set = self._cold_set
+        capacity = cold_queue.maxlen
+        for logical in attempts.tolist():  # twl: allow(TWL006) reason=cold-queue evictions are order-dependent; only eligible writes loop, doing set/deque work and no hashing
+            if logical not in cold_set:
+                if len(cold_queue) == capacity:
+                    cold_set.discard(cold_queue[0])
+                cold_queue.append(logical)
+                cold_set.add(logical)
+        # A key turns hot after its cold attempts, so discarding it from
+        # the cold set afterwards ends in the serial state.
+        hot = window[adds[adds < stop]].tolist()
+        self._hot_list.extend(hot)
+        self._hot_set.update(hot)
+        cold_set.difference_update(hot)
+        # The trigger write's state is now the serial state right before
+        # its _should_swap, which applies the threshold side effect.
+        return start + stop, bool(trigger.size) and self._should_swap()
 
     def _snapshot_state(self):
         # _hot_set / _cold_set are derivable from the ordered lists; the
@@ -298,28 +335,27 @@ class BloomWearLeveling(WearLeveler):
             cold.append(candidate)
         return cold
 
-    def _migrate(self, logical: int, target_frame: int) -> int:
-        """Swap ``logical`` onto ``target_frame``; cost in page writes."""
+    def _migrate(self, logical: int, target_frame: int, frames: List[int]) -> None:
+        """Swap ``logical`` onto ``target_frame``.
+
+        Appends the swap's two page writes to ``frames`` (none when the
+        page already sits there) for :meth:`_swap_phase` to issue.
+        """
         current = self.remap.lookup(logical)
-        if current == target_frame:
-            return 0
-        self.remap.swap_physical(current, target_frame)
-        self.array.write(current)
-        self.array.write(target_frame)
-        self._frame_writes[current] += 1
-        self._frame_writes[target_frame] += 1
-        return 2
+        if current != target_frame:
+            self.remap.swap_physical(current, target_frame)
+            frames += (current, target_frame)
 
     def _swap_phase(self) -> int:
         """Hot pages to high-remaining-life frames, cold to low."""
-        cost = 0
+        frames: List[int] = []
         remaining = self.remaining_life()
         order = np.argsort(remaining, kind="stable")
         # Hot pages take the freshest frames, hottest page first.
         fresh_iter = iter(reversed(order.tolist()))
         for la in self._hot_list[: self._target_hot]:
             target = next(fresh_iter)
-            cost += self._migrate(la, target)
+            self._migrate(la, target, frames)
         # Cold pages take the most-worn frames — except frames whose
         # resident looks never-written (Bloom estimate zero): displacing
         # an idle page with an observed-cold one would heat the frame.
@@ -335,9 +371,18 @@ class BloomWearLeveling(WearLeveler):
                 self.hot_filter.estimate(resident) == 0
             ):
                 continue
-            cost += self._migrate(cold[cold_index], target)
+            self._migrate(cold[cold_index], target, frames)
             cold_index += 1
+        cost = len(frames)
         if cost:
+            # Nothing in the phase reads wear, so its migration writes
+            # go to the device at once, in order.  Past a failure they
+            # keep counting, as serial writes do.
+            issued = np.array(frames, dtype=np.int64)
+            applied = self.array.apply_batch(issued)
+            if applied < cost:
+                self.array.apply_batch(issued[applied:])
+            self._frame_writes += np.bincount(issued, minlength=self._frame_writes.size)
             self._count_swap(cost)
         self.swap_phases_completed += 1
         # New detection phase (wear state persists).

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..pcm.array import PCMArray
 from .base import WearLeveler
 
 

@@ -1,5 +1,6 @@
 """Tests for the counting Bloom filter substrate."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -44,6 +45,18 @@ class TestHashFamily:
     def test_rejects_negative_key(self):
         with pytest.raises(ValueError):
             HashFamily(2, 256).indices(-1)
+
+    @pytest.mark.parametrize("k, m", [(8, 2), (3, 1024), (1, 64), (5, 1 << 17)])
+    def test_table_matches_indices(self, k, m):
+        family = HashFamily(k, m, seed=7)
+        table = family.table(300)
+        assert table.shape == (300, k)
+        assert [row.tolist() for row in table] == [
+            family.indices(key) for key in range(300)
+        ]
+        if m == 2:
+            # Eight probes onto two counters: every key's probes collide.
+            assert all(len(set(row.tolist())) < k for row in table)
 
 
 class TestCountingBloom:
@@ -105,3 +118,54 @@ class TestCountingBloom:
             bloom.insert(key)
         for key in set(keys):
             assert bloom.estimate(key) >= keys.count(key)
+
+    def test_restore_round_trip(self):
+        bloom = CountingBloomFilter(64, 2, counter_bits=2, seed=1)
+        for key in (1, 1, 1, 1, 2):
+            bloom.insert(key)
+        other = CountingBloomFilter(64, 2, counter_bits=2, seed=1)
+        other.restore(bloom.snapshot())
+        assert other.snapshot() == bloom.snapshot()
+        assert other.estimate(1) == 3
+
+    @pytest.mark.parametrize("bad", [4, -1, 1.5, "2"])
+    def test_restore_rejects_invalid_counters(self, bad):
+        """Out-of-range counters would make the scalar insert (which
+        leaves an above-max counter alone) and the saturating bulk
+        commit disagree; non-integers are not counters at all."""
+        bloom = CountingBloomFilter(8, 2, counter_bits=2, seed=1)
+        state = bloom.snapshot()
+        state["counters"][3] = bad
+        with pytest.raises(ConfigError):
+            bloom.restore(state)
+        assert bloom.snapshot()["counters"] == [0] * 8
+
+
+@given(
+    shape=st.sampled_from([(2, 8), (8, 3), (64, 1), (64, 3)]),
+    counter_bits=st.sampled_from([2, 12]),
+    before=st.lists(st.integers(0, 40), max_size=30),
+    keys=st.lists(st.integers(0, 40), min_size=1, max_size=80),
+)
+@settings(max_examples=60, deadline=None)
+def test_bulk_estimates_and_commit_match_sequential(shape, counter_bits, before, keys):
+    """``running_estimates`` and ``insert_rows`` equal sequential
+    ``insert``/``estimate`` from any prior state: 2-bit counters
+    exercise saturation (and 8 probes on 2 counters collide), 12-bit
+    ones the wider-than-a-byte counters."""
+    bits, hashes = shape
+    serial = CountingBloomFilter(bits, hashes, counter_bits=counter_bits, seed=4)
+    bulk = CountingBloomFilter(bits, hashes, counter_bits=counter_bits, seed=4)
+    for key in before:
+        serial.insert(key)
+        bulk.insert(key)
+    expected = []
+    for key in keys:
+        serial.insert(key)
+        expected.append(serial.estimate(key))
+    probes = bulk.probe_table(41)[np.array(keys)]
+    prior = bulk.snapshot()
+    assert bulk.running_estimates(probes).tolist() == expected
+    assert bulk.snapshot() == prior  # estimating inserts nothing
+    bulk.insert_rows(probes)
+    assert bulk.snapshot() == serial.snapshot()

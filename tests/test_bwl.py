@@ -1,7 +1,6 @@
 """Tests for Bloom-filter based wear leveling."""
 
 import numpy as np
-import pytest
 
 from repro.config import BWLConfig
 from repro.pcm.array import PCMArray

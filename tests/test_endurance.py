@@ -1,7 +1,5 @@
 """Tests for endurance sampling (including tail-faithful scaling)."""
 
-import math
-
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.attacks.registry import attack_names, make_attack
-from repro.config import SoftErrorConfig
+from repro.config import BWLConfig, SoftErrorConfig
 from repro.engine import InvariantCheckObserver, SimulationEngine
 from repro.errors import SimulationError
 from repro.pcm.array import PCMArray
@@ -29,6 +29,7 @@ from repro.sim.drivers import AttackDriver, StreamDriver, TraceDriver
 from repro.sim.lifetime import run_to_failure
 from repro.traces import OP_READ, OP_WRITE, FTLWorkloadStream
 from repro.traces.trace import Trace
+from repro.wearlevel.bwl import BloomWearLeveling
 from repro.wearlevel.registry import make_scheme, scheme_names
 
 _N_PAGES = 1024
@@ -229,6 +230,77 @@ def test_ftl_stream_chunk_and_batch_invariance(scheme_name):
         assert other[0] == reference[0]
         assert np.array_equal(other[1], reference[1])
         assert other[2] == reference[2]
+
+
+# --- generated BWL configurations ------------------------------------
+#
+# BWL's batched path scans whole windows of Bloom-filter estimates; its
+# exactness rests on counters saturating and thresholds moving only at
+# swap triggers, so it is checked across generated filter shapes, phase
+# lengths and thresholds, including runs that wear a page out.
+
+_BWL_PAGES = 128
+_BWL_DEMAND = 12_000
+_NON_ADAPTIVE = [
+    name
+    for name in attack_names()
+    if not make_attack(name, _BWL_PAGES, seed=0).is_adaptive
+]
+
+
+def _bwl_state(scheme):
+    return {
+        "hot_threshold": scheme.hot_threshold,
+        "hot_list": list(scheme._hot_list),
+        "cold_queue": list(scheme._cold_queue),
+        "cold_set": sorted(scheme._cold_set),
+        "filter": scheme.hot_filter.snapshot(),
+        "detection_writes": scheme._detection_writes,
+    }
+
+
+def _run_bwl(config, attack_name, endurance, batch_size):
+    array = PCMArray.uniform(_BWL_PAGES, endurance)
+    scheme = BloomWearLeveling(array, config, seed=3)
+    attack = make_attack(attack_name, _BWL_PAGES, seed=3)
+    result = run_to_failure(
+        scheme,
+        AttackDriver(attack),
+        max_demand=_BWL_DEMAND,
+        require_failure=False,
+        batch_size=batch_size,
+    )
+    return result, array.write_counts(), scheme.stats(), _bwl_state(scheme)
+
+
+@given(
+    config=st.builds(
+        BWLConfig,
+        bloom_bits=st.sampled_from([2, 16, 64, 256]),
+        bloom_hashes=st.integers(1, 8),
+        prediction_writes_per_page=st.sampled_from([0.05, 0.5, 4.0]),
+        running_multiplier=st.sampled_from([1.0, 3.0, 10.0]),
+        hot_fraction=st.sampled_from([0.01, 0.05, 0.125, 0.5]),
+        cold_threshold=st.integers(1, 5),
+    ),
+    attack_name=st.sampled_from(_NON_ADAPTIVE),
+    batch_size=st.sampled_from([2, 97, 4096]),
+    endurance=st.sampled_from([10**9, 60]),
+)
+@settings(max_examples=40, deadline=None)
+def test_bwl_generated_configs_identical_to_serial(
+    config, attack_name, batch_size, endurance
+):
+    """A generated BWL config under a non-adaptive attack equals the
+    ``batch_size=1`` oracle: result, wear, stats and, when no page
+    wore out, the whole controller state."""
+    oracle = _run_bwl(config, attack_name, endurance, 1)
+    batched = _run_bwl(config, attack_name, endurance, batch_size)
+    assert batched[0] == oracle[0]
+    assert np.array_equal(batched[1], oracle[1])
+    assert batched[2] == oracle[2]
+    if not oracle[0].failed:
+        assert batched[3] == oracle[3]
 
 
 # --- feedback-bound drivers -----------------------------------------

@@ -4,13 +4,11 @@ import pytest
 
 from repro.attacks.random_attack import RandomWriteAttack
 from repro.attacks.scan import ScanWriteAttack
-from repro.config import ScaledArrayConfig
 from repro.errors import SimulationError
 from repro.pcm.array import PCMArray
 from repro.sim.drivers import AttackDriver, TraceDriver
 from repro.sim.fastforward import FastForwardConfig, fast_forward_to_failure
 from repro.sim.lifetime import run_to_failure
-from repro.sim.runner import build_array
 from repro.traces.trace import Trace
 from repro.wearlevel.nowl import NoWearLeveling
 from repro.wearlevel.security_refresh import SecurityRefresh

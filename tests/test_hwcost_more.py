@@ -1,7 +1,5 @@
 """Additional hardware-cost coverage: scaling behaviour and consistency."""
 
-import pytest
-
 from repro.config import PCMConfig, TWLConfig
 from repro.hwcost.gates import (
     comparator_gates,

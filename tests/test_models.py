@@ -15,7 +15,6 @@ from repro.analysis.models import (
     markov_pair_wear_shares,
     markov_swap_probability,
     pair_lifetime_fraction,
-    pair_wear_shares,
     slot_repeat_probability,
     swap_probability,
     uniform_wear_lifetime_fraction,

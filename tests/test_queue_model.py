@@ -1,7 +1,5 @@
 """Tests for the discrete-event write-queue timing model."""
 
-import math
-
 import pytest
 
 from repro.config import TimingConfig

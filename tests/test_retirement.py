@@ -1,6 +1,5 @@
 """Tests for the retirement scheme."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigError

@@ -1,6 +1,5 @@
 """Tests for Security Refresh (behavioral and single-level models)."""
 
-import numpy as np
 import pytest
 
 from repro.config import SecurityRefreshConfig

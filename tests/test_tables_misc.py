@@ -1,6 +1,5 @@
 """Tests for the endurance table, write counter table and WNT."""
 
-import numpy as np
 import pytest
 
 from repro.errors import AddressError, TableError

@@ -1,7 +1,6 @@
 """Tests for Wear Rate Leveling."""
 
 import numpy as np
-import pytest
 
 from repro.config import WRLConfig
 from repro.pcm.array import PCMArray
