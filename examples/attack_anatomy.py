@@ -14,6 +14,7 @@ import numpy as np
 from repro.analysis.tables import ascii_bar_chart
 from repro.attacks.inconsistent import InconsistentWriteAttack
 from repro.config import ScaledArrayConfig
+from repro.engine import SimulationEngine
 from repro.sim.drivers import AttackDriver
 from repro.sim.runner import build_array
 from repro.wearlevel.registry import make_scheme
@@ -24,7 +25,7 @@ def main() -> None:
     array = build_array(scaled)
     scheme = make_scheme("bwl", array, seed=2017)
     attack = InconsistentWriteAttack(scheme.logical_pages, n_targets=32)
-    driver = AttackDriver(attack)
+    engine = SimulationEngine(scheme, AttackDriver(attack))
 
     print("Phase-by-phase view of the attack against BWL:\n")
     header = f"{'writes':>8}  {'reversals':>9}  {'phase est.':>10}  {'max wear %':>10}"
@@ -32,7 +33,7 @@ def main() -> None:
     print("-" * len(header))
     total = 0
     while not array.failed and total < 400_000:
-        driver.drive(scheme, 10_000)
+        engine.drive(10_000)
         total += 10_000
         wear = array.wear_fraction().max() * 100
         print(

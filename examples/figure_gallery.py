@@ -18,6 +18,7 @@ from repro.analysis.svg import (
 )
 from repro.attacks.registry import make_attack
 from repro.config import ScaledArrayConfig, TWLConfig
+from repro.engine import SimulationEngine
 from repro.sim.drivers import AttackDriver
 from repro.sim.lifetime import run_to_failure
 from repro.sim.runner import build_array, measure_attack_lifetime
@@ -55,7 +56,7 @@ def figure7(out_dir: str) -> None:
         array = build_array(SCALED)
         scheme = make_scheme("twl", array, seed=2017, config=config)
         attack = make_attack("random", scheme.logical_pages, seed=2017)
-        AttackDriver(attack).drive(scheme, 40_000)
+        SimulationEngine(scheme, AttackDriver(attack)).drive(40_000)
         ratios.append(scheme.toss_up_swap_ratio())
     print("  figure 7: sweep done")
     svg = svg_line_chart(

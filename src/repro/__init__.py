@@ -82,8 +82,8 @@ from .sim import (
     run_to_failure,
     fast_forward_to_failure,
     FastForwardConfig,
-    TraceDriver,
     AttackDriver,
+    StreamDriver,
     build_array,
     measure_attack_lifetime,
     measure_trace_lifetime,
@@ -169,8 +169,8 @@ __all__ = [
     "run_to_failure",
     "fast_forward_to_failure",
     "FastForwardConfig",
-    "TraceDriver",
     "AttackDriver",
+    "StreamDriver",
     "build_array",
     "measure_attack_lifetime",
     "measure_trace_lifetime",

@@ -50,13 +50,12 @@ suppression pragma.  Violations are reported as named rules:
     scalar cost.  Deliberate scalar tails carry a reasoned pragma.
 ``TWL007``
     No full-trace materialization (``.materialize()`` /
-    ``.write_page_list()`` / ``load_*_trace()``) inside the streaming
-    hot paths (:mod:`repro.sim`, :mod:`repro.engine`).  The workload
-    pipeline is streaming-first — drivers pull bounded chunks through
+    ``load_*_trace()``) inside the streaming hot paths
+    (:mod:`repro.sim`, :mod:`repro.engine`).  The workload pipeline is
+    streaming-first — drivers pull bounded chunks through
     :class:`repro.traces.stream.TraceStream` so multi-billion-request
     campaigns run at constant memory; one materializing call quietly
-    re-couples peak RSS to trace length.  Intentional materialized
-    adapters (``TraceDriver``) carry a reasoned pragma.
+    re-couples peak RSS to trace length.
 ``TWL008``
     Snapshot completeness (cross-module): every mutable instance
     attribute of a class implementing the snapshot protocol —
@@ -189,7 +188,7 @@ _HOT_PATH_PREFIXES = ("repro.pcm", "repro.tables", "repro.wearlevel", "repro.cor
 _STREAMING_HOT_PREFIXES = ("repro.sim", "repro.engine")
 
 #: Method names that materialize a whole trace (TWL007).
-_MATERIALIZING_ATTRS = frozenset({"materialize", "write_page_list"})
+_MATERIALIZING_ATTRS = frozenset({"materialize"})
 
 #: Module-level loader functions that materialize a whole trace (TWL007).
 _MATERIALIZING_FUNCS = frozenset({"load_trace", "load_text_trace", "load_block_trace"})

@@ -2,7 +2,8 @@
 
 * :mod:`repro.engine.core` — :class:`SimulationEngine`, the one step
   loop every simulation path (exact lifetime, fast-forward, overhead
-  measurement) is configured from, plus the batched write protocol;
+  measurement) is configured from: drivers produce addresses, the
+  engine serves them;
 * :mod:`repro.engine.observers` — per-batch observer hooks and the
   built-in observers (overhead collection, wear timelines);
 * :mod:`repro.engine.invariants` — :class:`InvariantCheckObserver`,
@@ -16,7 +17,7 @@
   arming point, honored by the engine step loop.
 """
 
-from .core import DEFAULT_CHUNK_DEMAND, EngineOutcome, SimulationEngine
+from .core import PER_WRITE_STEP, EngineOutcome, SimulationEngine
 from .invariants import InvariantCheckObserver
 from .observers import (
     BatchSnapshot,
@@ -35,7 +36,7 @@ from .snapshot import (
 )
 
 __all__ = [
-    "DEFAULT_CHUNK_DEMAND",
+    "PER_WRITE_STEP",
     "EngineOutcome",
     "SimulationEngine",
     "InvariantCheckObserver",

@@ -3,28 +3,32 @@
 :class:`SimulationEngine` owns the step loop every simulation path in
 the package runs through: pull demand writes from a workload driver,
 push them through a wear-leveling scheme, watch the PCM array for its
-first failure, and notify observers after every batch.  The lifetime,
+first failure, and notify observers after every step.  The lifetime,
 fast-forward and overhead modules in :mod:`repro.sim` are thin
 configurations of this one loop — none of them implements stepping or
 failure detection of its own.
 
-Two data paths, selected by ``batch_size`` and the driver:
+Drivers only produce addresses, so every non-adaptive step is the same
+three calls: ``addresses = driver.next_batch(n)``, ``counts =
+serve(addresses)``, ``driver.observe_batch(counts)``.  ``batch_size``
+only picks ``serve``, once per run:
 
-* the per-write path (``batch_size == 1``, the default) delegates each
-  chunk to the driver's per-write hot loop
-  (:meth:`WorkloadDriver.drive`), whose locals-bound Python loop is the
-  fastest way to serve writes one at a time.  Feedback-bound drivers
-  (:attr:`WorkloadDriver.adaptive` — an attack that steers on each
-  response time) always run this loop, whatever ``batch_size`` is: a
-  batch of them could only ever hold one write;
-* ``batch_size > 1`` runs the batched write protocol: the driver yields
-  logical-address arrays (:meth:`WorkloadDriver.next_batch`), the scheme
-  serves them in one call (:meth:`WearLeveler.write_batch`), and the
-  per-request physical write counts are fed back to the driver
-  (:meth:`WorkloadDriver.observe_batch`).  Batched runs are
-  **bit-identical** to per-write runs — same failure page, same write
-  counts, same swap counters — a contract every scheme's ``write_batch``
-  must uphold and ``tests/test_engine_identity.py`` enforces.
+* ``batch_size == 1`` (the default) serves through the inherited
+  per-write loop, ``WearLeveler.write_batch(scheme, addresses)``, which
+  calls ``scheme.write`` once per address and stops at the failing
+  write.  This is the oracle every faster path is checked against;
+  steps are bounded by :data:`PER_WRITE_STEP`;
+* ``batch_size > 1`` serves through the scheme's own
+  :meth:`WearLeveler.write_batch`.  Batched runs are **bit-identical**
+  to per-write runs — same failure page, same write counts, same swap
+  counters — a contract every scheme's ``write_batch`` must uphold and
+  ``tests/test_engine_identity.py`` enforces.
+
+Feedback-bound drivers (:attr:`WorkloadDriver.adaptive` — an attack
+that steers on each response time) have no batch to hand over: the
+engine calls their own per-write feedback loop
+(:meth:`~repro.sim.drivers.AttackDriver.drive`) instead, in steps of
+:data:`PER_WRITE_STEP`, whatever ``batch_size`` is.
 
 Observers (:mod:`repro.engine.observers`) receive a
 :class:`~repro.engine.observers.BatchSnapshot` after every engine step:
@@ -37,25 +41,27 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Iterable, Optional, Tuple, cast
 
 from ..config import TimingConfig
 from ..devtools import sanitize
 from ..errors import DeterminismViolation, SimulationError, SnapshotError
 from ..pcm.faults import FirstFailure
+from ..wearlevel.base import WearLeveler
 from . import interrupt
 from .observers import BatchSnapshot, EngineObserver
 from .snapshot import SnapshotPlan, write_snapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..pcm.softerrors import SoftErrorInjector
-    from ..sim.drivers import WorkloadDriver
-    from ..wearlevel.base import WearLeveler
+    from ..sim.drivers import AttackDriver, WorkloadDriver
 
-#: Per-write-path chunking quota: drivers serve at most this many demand
-#: writes per engine step, so observers fire at a bounded granularity
-#: even in legacy mode.
-DEFAULT_CHUNK_DEMAND = 1 << 20
+#: Demand writes per engine step on the per-write paths (``batch_size ==
+#: 1`` and adaptive drivers).  Bounded so a driver never generates many
+#: addresses past the failing write and peak memory stays flat;
+#: observers fire once per step.
+PER_WRITE_STEP = 4096
 
 
 @dataclass(frozen=True)
@@ -86,9 +92,10 @@ class SimulationEngine:
     driver:
         The workload driver producing demand writes.
     batch_size:
-        Demand writes per engine step.  1 selects the per-write path;
-        larger values select the batched write protocol, except for
-        feedback-bound drivers, which always run the per-write path.
+        Demand writes per engine step.  1 serves each step through the
+        per-write oracle loop (:data:`PER_WRITE_STEP` writes per step);
+        larger values serve through the scheme's ``write_batch``.
+        Feedback-bound drivers run their own per-write loop either way.
     observers:
         :class:`EngineObserver` instances notified per batch and at run
         boundaries.  A non-``critical`` observer that raises is detached
@@ -121,19 +128,15 @@ class SimulationEngine:
         batch_size: int = 1,
         observers: Iterable[EngineObserver] = (),
         timing: TimingConfig = TimingConfig(),
-        chunk_demand: int = DEFAULT_CHUNK_DEMAND,
         soft_errors: Optional["SoftErrorInjector"] = None,
         snapshots: Optional[SnapshotPlan] = None,
     ) -> None:
         if batch_size < 1:
             raise SimulationError(f"batch size must be positive, got {batch_size}")
-        if chunk_demand < 1:
-            raise SimulationError(f"chunk size must be positive, got {chunk_demand}")
         self.scheme = scheme
         self.driver = driver
         self.batch_size = batch_size
         self.timing = timing
-        self._chunk_demand = chunk_demand
         self._observers: Tuple[EngineObserver, ...] = tuple(observers)
         self._soft_errors = (
             soft_errors
@@ -221,7 +224,13 @@ class SimulationEngine:
         driver = self.driver
         array = scheme.array
         injector = self._soft_errors
-        batched = self.batch_size > 1 and not driver.adaptive
+        adaptive = driver.adaptive
+        if self.batch_size > 1:
+            serve = scheme.write_batch
+            step = self.batch_size
+        else:
+            serve = partial(WearLeveler.write_batch, scheme)
+            step = PER_WRITE_STEP
         write_cycles = float(self.timing.write_cycles)
         served_total = 0
         plan = self._snapshots
@@ -246,15 +255,18 @@ class SimulationEngine:
                 # demand index, never mid-batch.
                 quota = min(quota, kill_at - self.demand_served)
             device_before = array.total_writes
-            if batched:
-                addresses = driver.next_batch(min(self.batch_size, quota))
+            if adaptive:
+                # Only an attack can steer on response times.
+                served = cast("AttackDriver", driver).drive(
+                    scheme, min(PER_WRITE_STEP, quota)
+                )
+            else:
+                addresses = driver.next_batch(min(step, quota))
                 if len(addresses) == 0:
                     break
-                counts = scheme.write_batch(addresses)
+                counts = serve(addresses)
                 driver.observe_batch(counts)
-                served = int(len(counts))
-            else:
-                served = driver.drive(scheme, min(self._chunk_demand, quota))
+                served = len(counts)
             if served == 0:
                 break
             served_total += served

@@ -7,7 +7,7 @@ own seed (``repro.rng.streams``) — which is what makes them safe to fan
 out across worker processes and to cache on disk.
 
 :class:`ExperimentCell` is a picklable, declarative spec of one such
-cell; :func:`run_cell` executes it.  Three cell kinds exist:
+cell; :func:`run_cell` executes it.  Four cell kinds exist:
 
 * ``attack`` — run a scheme to first failure under a named attack
   (:func:`repro.sim.runner.measure_attack_lifetime`), yielding a
@@ -43,7 +43,7 @@ from ..config import ScaledArrayConfig, SoftErrorConfig
 from ..devtools import sanitize
 from ..engine import SnapshotPlan, discard_snapshot
 from ..errors import ConfigError
-from ..sim.drivers import TraceDriver
+from ..sim.drivers import StreamDriver
 from ..traces.trace import Trace
 from ..sim.lifetime import LifetimeResult
 from ..sim.metrics import SchemeOverheads, measure_scheme_overheads
@@ -101,7 +101,7 @@ class ExperimentCell:
     profile: Optional[BenchmarkProfile] = None
     #: Display label for progress lines and error messages.
     label: str = ""
-    #: Demand writes per engine step (1 = legacy per-write path).  By
+    #: Demand writes per engine step (1 = the per-write oracle path).  By
     #: the batch-identity contract the result is the same for every
     #: value, so this field is *excluded* from the cache fingerprint —
     #: it is an execution knob, not part of the experiment's identity.
@@ -115,10 +115,9 @@ class ExperimentCell:
     #: result or fails the cell), excluded from the fingerprint.
     check_invariants: bool = False
     #: On-disk trace to stream (``stream`` kind; exclusive with a
-    #: generator ``workload``).  Identity-bearing: the path names the
-    #: workload.  The fingerprint covers the path string only, not the
-    #: file bytes — rewriting a trace in place requires clearing the
-    #: cache (or a version bump), see ``docs/workloads.md``.
+    #: generator ``workload``).  Identity-bearing: the fingerprint
+    #: covers the path string and a digest of the file's contents, so a
+    #: trace rewritten in place is recomputed, never served stale.
     trace_path: Optional[str] = None
     #: Extra keyword arguments for the stream generator factory
     #: (``stream`` kind), e.g. ``{"config": FTLConfig(...)}``.
@@ -433,7 +432,7 @@ def _dispatch_cell(
     scheme = make_scheme(
         cell.scheme, array, seed=cell.seed, **dict(cell.scheme_kwargs)
     )
-    driver = TraceDriver(trace, scheme.logical_pages)
+    driver = StreamDriver(trace.stream(), scheme.logical_pages)
     return measure_scheme_overheads(
         scheme, driver, cell.drive_writes, batch_size=cell.batch_size
     )

@@ -43,6 +43,9 @@ So does a version bump:
 >>> cell_fingerprint(cell, version="0.0.0") == cell_fingerprint(cell)
 False
 
+A cell that streams an on-disk trace (``trace_path``) also hashes the
+file's contents, so rewriting the trace in place yields a new key.
+
 Every ``ExperimentCell`` field is classified as **identity-bearing**
 (:data:`CELL_IDENTITY_FIELDS`, hashed into the digest) or an
 **execution knob** (:data:`CELL_EXECUTION_FIELDS`, excluded).
@@ -89,6 +92,7 @@ import json
 from typing import Any, FrozenSet
 
 from ..errors import ConfigError
+from ..traces.io import trace_digest
 from ..version import __version__
 
 #: Bump when the serialized cache payload layout changes.
@@ -178,23 +182,25 @@ def cell_fingerprint(cell: Any, version: str = __version__) -> str:
     """Hex digest keying ``cell`` in the on-disk result cache.
 
     The digest covers the canonicalized identity fields of the cell
-    spec (:data:`CELL_IDENTITY_FIELDS`), the package ``version`` and
-    the cache format version; see the module docstring for the
-    invalidation rules this implies.  Raises
-    :class:`~repro.errors.ConfigError` on a spec field with no declared
-    cache role.
+    spec (:data:`CELL_IDENTITY_FIELDS`), the package ``version``, the
+    cache format version and, for a cell that sets ``trace_path``, the
+    trace file's contents (:func:`~repro.traces.io.trace_digest`); see
+    the module docstring for the invalidation rules this implies.
+    Raises :class:`~repro.errors.ConfigError` on a spec field with no
+    declared cache role, and :class:`~repro.errors.TraceError` naming
+    the path when a ``trace_path`` file is missing or unreadable.
     """
     _check_exhaustive(cell)
     canonical_cell = canonical_value(cell)
     if isinstance(canonical_cell, dict):
         for knob in sorted(CELL_EXECUTION_FIELDS):
             canonical_cell.get("fields", {}).pop(knob, None)
-    payload = json.dumps(
-        {
-            "cell": canonical_cell,
-            "version": version,
-            "format": CACHE_FORMAT_VERSION,
-        },
-        sort_keys=True,
-    )
+    identity = {
+        "cell": canonical_cell,
+        "version": version,
+        "format": CACHE_FORMAT_VERSION,
+    }
+    if cell.trace_path is not None:
+        identity["trace_digest"] = trace_digest(cell.trace_path)
+    payload = json.dumps(identity, sort_keys=True)
     return hashlib.blake2b(payload.encode(), digest_size=16).hexdigest()

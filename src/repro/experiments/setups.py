@@ -102,7 +102,7 @@ class ExperimentSetup:
     jobs: int = 1
     #: On-disk result cache directory (None = caching off).
     cache_dir: Optional[str] = None
-    #: Demand writes per engine step (1 = legacy per-write path).
+    #: Demand writes per engine step (1 = the per-write oracle path).
     #: Bit-identical results at any value, so — like ``jobs`` — this is
     #: an execution knob, not part of a cell's cache identity.
     batch_size: int = 1

@@ -615,6 +615,7 @@ class CampaignServer:
             )
         try:
             request = self._parse_submit(frame)
+            fingerprint = cell_fingerprint(request.cell)
         except (ProtocolError, ReproError) as error:
             self.stats["rejected_malformed"] += 1
             return error_response(
@@ -622,7 +623,6 @@ class CampaignServer:
             )
         self.stats["submitted"] += 1
         started = self._clock()
-        fingerprint = cell_fingerprint(request.cell)
 
         def done(result: CellResult, source: str) -> Dict[str, Any]:
             self.stats["completed"] += 1

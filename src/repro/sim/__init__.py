@@ -1,7 +1,8 @@
 """Trace-driven PCM lifetime simulation.
 
-* :mod:`repro.sim.drivers` — workload drivers that push trace or attack
-  writes through a scheme;
+* :mod:`repro.sim.drivers` — workload drivers: address sources for
+  streams, traces and attacks, plus the feedback loop of adaptive
+  attacks;
 * :mod:`repro.sim.lifetime` — exact run-to-failure and the
   :class:`LifetimeResult` record;
 * :mod:`repro.sim.fastforward` — steady-state wear-rate extrapolation for
@@ -12,7 +13,7 @@
   model.
 """
 
-from .drivers import WorkloadDriver, TraceDriver, AttackDriver, StreamDriver
+from .drivers import WorkloadDriver, AttackDriver, StreamDriver
 from .lifetime import LifetimeResult, run_to_failure
 from .fastforward import FastForwardConfig, fast_forward_to_failure
 from .runner import (
@@ -31,7 +32,6 @@ from .replicates import (
 
 __all__ = [
     "WorkloadDriver",
-    "TraceDriver",
     "AttackDriver",
     "StreamDriver",
     "LifetimeResult",

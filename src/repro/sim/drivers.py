@@ -1,26 +1,25 @@
 """Workload drivers.
 
-A driver owns a position in an infinite write stream (a looping trace,
-a chunked stream, or an adaptive attack) and hands demand writes to the
-simulation engine in two granularities:
+A driver owns a position in an infinite write stream (a looping trace
+or chunked stream, or an attack) and is a pure source of logical
+addresses: :meth:`WorkloadDriver.next_batch` yields the next ``n`` of
+them as an array without serving them, and
+:meth:`WorkloadDriver.observe_batch` receives the per-request physical
+write counts once the engine has served them.  Serving is the engine's
+job alone (:mod:`repro.engine`), at every batch size.
 
-* :meth:`WorkloadDriver.drive` pushes writes through a scheme one at a
-  time — the legacy per-write hot loop, with locals bound outside the
-  loop, which is what makes exact run-to-failure simulation of tens of
-  millions of writes practical in pure Python;
-* :meth:`WorkloadDriver.next_batch` yields the next ``n`` logical
-  addresses as an array without serving them, for the batched write
-  protocol (:mod:`repro.engine`); :meth:`WorkloadDriver.observe_batch`
-  feeds the per-request response costs back afterwards.  Feedback-bound
-  (:attr:`WorkloadDriver.adaptive`) drivers only ever run the first.
+The one exception is the paper's threat model itself: an adaptive
+attack picks each address from the response time of the previous write
+(Section 3.1), so it has no batch to hand over.
+:class:`AttackDriver` therefore also implements :meth:`AttackDriver.drive`,
+the only per-write feedback loop in the package, which the engine calls
+only for :attr:`WorkloadDriver.adaptive` drivers.
 
-:class:`StreamDriver` is the streaming-first workload path: it pulls
-``(ops, pages)`` chunks from a :class:`~repro.traces.stream.TraceStream`
-and buffers only the current chunk's writes, so multi-billion-request
-campaigns run at constant memory.  :class:`TraceDriver` is the
-materialized adapter kept for small in-RAM traces; streamed and
-materialized runs of the same workload are bit-identical
-(``tests/test_engine_identity.py``).
+:class:`StreamDriver` pulls ``(ops, pages)`` chunks from a
+:class:`~repro.traces.stream.TraceStream` and buffers only the current
+chunk's writes, so multi-billion-request campaigns run at constant
+memory.  A small in-RAM :class:`~repro.traces.trace.Trace` is looped the
+same way, through ``StreamDriver(trace.stream(), n_pages)``.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from ..config import TimingConfig
 from ..errors import SimulationError
 from ..traces.request import OP_WRITE
 from ..traces.stream import TraceStream
-from ..traces.trace import Trace
 from ..wearlevel.base import WearLeveler
 
 #: Consecutive writeless chunks after which a stream is declared broken
@@ -44,16 +42,9 @@ _MAX_WRITELESS_CHUNKS = 100_000
 
 
 class WorkloadDriver(abc.ABC):
-    """Stateful source of demand writes."""
+    """Stateful source of demand-write addresses."""
 
     @abc.abstractmethod
-    def drive(self, scheme: WearLeveler, max_demand: int) -> int:
-        """Serve up to ``max_demand`` demand writes through ``scheme``.
-
-        Stops early when the array fails.  Returns the number of demand
-        writes actually served.
-        """
-
     def next_batch(self, n: int) -> np.ndarray:
         """The next (up to) ``n`` logical addresses, without serving them.
 
@@ -66,10 +57,6 @@ class WorkloadDriver(abc.ABC):
         run; everything that reaches a :class:`LifetimeResult` stays
         bit-identical.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement the batched write "
-            "protocol; use batch_size=1"
-        )
 
     def observe_batch(self, physical_write_counts: np.ndarray) -> None:
         """Feed back the per-request physical write counts of a batch."""
@@ -77,8 +64,9 @@ class WorkloadDriver(abc.ABC):
     @property
     def adaptive(self) -> bool:
         """Whether each write's address depends on the previous write's
-        response.  Such a driver has no batch to plan ahead, so the
-        engine serves it through the per-write :meth:`drive` loop at
+        response.  Such a driver has no batch to plan ahead: it serves
+        its own writes through a ``drive(scheme, max_demand)`` feedback
+        loop (:meth:`AttackDriver.drive`), which the engine calls at
         every ``batch_size``."""
         return False
 
@@ -105,73 +93,6 @@ class WorkloadDriver(abc.ABC):
         """Label for result records."""
 
 
-class TraceDriver(WorkloadDriver):
-    """Loops a finite trace's write stream forever (paper methodology)."""
-
-    def __init__(self, trace: Trace, n_pages: int):
-        writes = trace.write_page_list()  # twl: allow(TWL007) reason=TraceDriver is the intentional materialized adapter
-        if not writes:
-            raise SimulationError(f"trace {trace.name!r} contains no writes")
-        if trace.max_page >= n_pages:
-            raise SimulationError(
-                f"trace touches page {trace.max_page} outside array of {n_pages}"
-            )
-        self._writes = writes
-        self._writes_array = np.asarray(writes, dtype=np.int64)
-        self._position = 0
-        self._name = trace.name
-        self.loops_completed = 0
-
-    @property
-    def workload_name(self) -> str:
-        return self._name
-
-    def drive(self, scheme: WearLeveler, max_demand: int) -> int:
-        if max_demand < 0:
-            raise ValueError("max_demand must be non-negative")
-        writes = self._writes
-        length = len(writes)
-        position = self._position
-        write = scheme.write
-        array = scheme.array
-        served = 0
-        while served < max_demand and not array.failed:
-            write(writes[position])
-            served += 1
-            position += 1
-            if position == length:
-                position = 0
-                self.loops_completed += 1
-        self._position = position
-        return served
-
-    def next_batch(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise ValueError("batch size must be non-negative")
-        writes = self._writes_array
-        length = writes.size
-        out = np.empty(n, dtype=np.int64)
-        position = self._position
-        filled = 0
-        while filled < n:
-            take = min(n - filled, length - position)
-            out[filled : filled + take] = writes[position : position + take]
-            filled += take
-            position += take
-            if position == length:
-                position = 0
-                self.loops_completed += 1
-        self._position = position
-        return out
-
-    def snapshot(self) -> dict:
-        return {"loops_completed": self.loops_completed, "position": self._position}
-
-    def restore(self, state: dict) -> None:
-        self.loops_completed = int(state["loops_completed"])
-        self._position = int(state["position"])
-
-
 class StreamDriver(WorkloadDriver):
     """Loops a :class:`TraceStream`'s write stream at constant memory.
 
@@ -180,12 +101,10 @@ class StreamDriver(WorkloadDriver):
     loop-to-failure methodology).  Positions and loop counters are plain
     Python ints, so multi-billion-request campaigns overflow nothing.
 
-    Identity: for the same underlying request sequence this driver
-    serves exactly the write sequence :class:`TraceDriver` serves — the
-    chunk size only changes *delivery granularity* (``next_batch`` may
-    return short batches at chunk boundaries, which the engine loop
-    tolerates), never the sequence, so streamed runs stay bit-identical
-    to materialized runs.
+    Identity: the chunk size only changes *delivery granularity*
+    (``next_batch`` may return short batches at chunk boundaries, which
+    the engine loop tolerates), never the write sequence, so a streamed
+    run equals a run over the same requests at any chunk size.
     """
 
     def __init__(self, stream: TraceStream, n_pages: int):
@@ -246,27 +165,6 @@ class StreamDriver(WorkloadDriver):
             self._writes_this_loop = True
             return
 
-    def drive(self, scheme: WearLeveler, max_demand: int) -> int:
-        if max_demand < 0:
-            raise ValueError("max_demand must be non-negative")
-        write = scheme.write
-        array = scheme.array
-        served = 0
-        while served < max_demand and not array.failed:
-            if self._offset >= self._buffer.size:
-                self._refill()
-            take = min(max_demand - served, self._buffer.size - self._offset)
-            chunk = self._buffer[self._offset : self._offset + take]
-            consumed = 0
-            for logical in chunk.tolist():
-                write(logical)
-                consumed += 1
-                if array.failed:
-                    break
-            self._offset += consumed
-            served += consumed
-        return served
-
     def next_batch(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("batch size must be non-negative")
@@ -306,8 +204,10 @@ class StreamDriver(WorkloadDriver):
 
 
 class AttackDriver(WorkloadDriver):
-    """Drives an adaptive attack, feeding back response latencies.
+    """Drives an attack, feeding back response latencies.
 
+    A non-adaptive attack (scan, repeat, random) is an address source
+    like any other.  An adaptive one is served through :meth:`drive`.
     The response-time model matches the threat model's observable: a
     request that triggered k physical page writes blocks for k write
     latencies before the attacker's next request is served.
@@ -322,6 +222,12 @@ class AttackDriver(WorkloadDriver):
         return self.attack.name
 
     def drive(self, scheme: WearLeveler, max_demand: int) -> int:
+        """Serve up to ``max_demand`` writes one at a time, feeding each
+        response time back before the next address is chosen.
+
+        Stops early when the array fails.  Returns the number of demand
+        writes actually served.
+        """
         if max_demand < 0:
             raise ValueError("max_demand must be non-negative")
         attack = self.attack

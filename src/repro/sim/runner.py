@@ -18,7 +18,7 @@ from ..rng.streams import make_generator
 from ..traces.stream import TraceStream
 from ..traces.trace import Trace
 from ..wearlevel.registry import make_scheme
-from .drivers import AttackDriver, StreamDriver, TraceDriver
+from .drivers import AttackDriver, StreamDriver
 from ..engine import SnapshotPlan
 from .fastforward import FastForwardConfig, fast_forward_to_failure
 from .lifetime import DEFAULT_MAX_DEMAND, LifetimeResult, run_to_failure
@@ -130,7 +130,7 @@ def measure_trace_lifetime(
     _check_fault_support(fastforward, soft_errors, snapshots)
     array = build_array(scaled)
     scheme = make_scheme(scheme_name, array, seed=seed, **(scheme_kwargs or {}))
-    driver = TraceDriver(trace, scheme.logical_pages)
+    driver = StreamDriver(trace.stream(), scheme.logical_pages)
     if fastforward:
         return fast_forward_to_failure(
             scheme,

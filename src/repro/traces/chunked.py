@@ -31,6 +31,7 @@ re-appending) rather than a silent short read.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -214,12 +215,27 @@ class ChunkedFileStream(TraceStream):
         """Total requests, counted from chunk headers (payloads skipped)."""
         if self._n_requests is None:
             self._n_requests = sum(
-                count for count, _, _ in self._scan_chunk_headers()
+                count for count, _, _, _ in self._scan_chunk_headers()
             )
         return self._n_requests
 
+    def content_digest(self) -> str:
+        """Digest of the file header and every chunk record's request
+        count, payload length and CRC — payloads are never read, so the
+        cost is independent of the trace length in requests."""
+        handle = self._require_handle()
+        position = handle.tell()
+        try:
+            handle.seek(0)
+            digest = hashlib.blake2b(handle.read(self._data_start), digest_size=16)
+        finally:
+            handle.seek(position)
+        for count, payload_len, crc, _ in self._scan_chunk_headers():
+            digest.update(_CHUNK_HEADER.pack(count, payload_len, crc))
+        return digest.hexdigest()
+
     def _scan_chunk_headers(self):
-        """Yield ``(n_requests, payload_len, offset)`` per chunk record.
+        """Yield ``(n_requests, payload_len, crc, offset)`` per chunk record.
 
         Seeks over payloads, so the scan cost is independent of the
         trace length in requests; raises the same structured errors the
@@ -235,7 +251,7 @@ class ChunkedFileStream(TraceStream):
                 raw = handle.read(_CHUNK_HEADER.size)
                 if not raw:
                     return
-                count, payload_len, _ = self._parse_chunk_header(raw, index)
+                count, payload_len, crc = self._parse_chunk_header(raw, index)
                 offset = handle.tell()
                 if offset + payload_len > file_size:
                     raise TraceError(
@@ -243,7 +259,7 @@ class ChunkedFileStream(TraceStream):
                         f"payload cut short"
                     )
                 handle.seek(payload_len, os.SEEK_CUR)
-                yield count, payload_len, offset
+                yield count, payload_len, crc, offset
                 index += 1
         finally:
             handle.seek(position)
@@ -284,7 +300,7 @@ class ChunkedFileStream(TraceStream):
         scan = self._scan_chunk_headers()
         target = None
         try:
-            for index, (_, payload_len, offset) in enumerate(scan):
+            for index, (_, payload_len, _, offset) in enumerate(scan):
                 if index + 1 == chunk_index:
                     target = offset + payload_len
                     break

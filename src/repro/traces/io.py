@@ -13,11 +13,13 @@ Traces persist in three formats, all openable through one front door:
 :func:`open_trace_stream` sniffs the format and returns a
 :class:`~repro.traces.stream.TraceStream`; :func:`trace_info` peeks
 name/bandwidth/length metadata without decompressing any request
-arrays, for callers (CLIs, report tables) that never need the data.
+arrays, for callers (CLIs, report tables) that never need the data;
+:func:`trace_digest` hashes a file's contents for cache fingerprints.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import zipfile
@@ -236,6 +238,30 @@ def trace_info(path: str) -> TraceInfo:
         write_bandwidth_mbps=None,
         n_requests=None,
     )
+
+
+def trace_digest(path: str) -> str:
+    """Hex digest of the trace file's contents.
+
+    A ``.twt`` file hashes its header plus every chunk record's size and
+    CRC (:meth:`~repro.traces.chunked.ChunkedFileStream.content_digest`),
+    seeking over every payload; any other format hashes the file bytes.
+    Raises :class:`~repro.errors.TraceError` naming ``path`` when the
+    file is missing or unreadable.
+    """
+    try:
+        if _sniff_format(path) == "chunked":
+            from .chunked import ChunkedFileStream
+
+            with ChunkedFileStream(path) as stream:
+                return stream.content_digest()
+        digest = hashlib.blake2b(digest_size=16)
+        with open(path, "rb") as handle:
+            for block in iter(lambda: handle.read(1 << 20), b""):
+                digest.update(block)
+        return digest.hexdigest()
+    except OSError as error:
+        raise TraceError(f"unreadable trace file {path}: {error}") from None
 
 
 def open_trace_stream(

@@ -139,10 +139,6 @@ class Trace:
         """Page addresses of the write requests, in order."""
         return self.pages[self.ops == OP_WRITE]
 
-    def write_page_list(self) -> List[int]:
-        """Write pages as a plain list (fast to iterate in hot loops)."""
-        return self.write_pages().tolist()
-
     def write_histogram(self, n_pages: int) -> np.ndarray:
         """Per-page write counts over ``[0, n_pages)``."""
         writes = self.write_pages()

@@ -25,7 +25,7 @@ experiment consume.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Dict, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 import numpy as np
 
@@ -115,23 +115,25 @@ class WearLeveler(abc.ABC):
         is bit-identical to a serial one (scheme counters, array state
         and failure attribution included).
 
-        This default implementation is the per-write loop; schemes with
+        This default implementation is the per-write loop, and the
+        oracle: the engine calls it unbound
+        (``WearLeveler.write_batch(scheme, addresses)``) at
+        ``batch_size == 1`` whatever the scheme overrides.  Schemes with
         a vectorizable data path override it and must preserve the
         identity contract.
         """
         seq = np.asarray(addresses, dtype=np.int64)
-        out = np.zeros(seq.size, dtype=np.int64)
+        counts: List[int] = []
         array = self.array
         if array.failed:
-            return out[:0]
+            return np.array(counts, dtype=np.int64)
         write = self.write
-        served = 0
+        record = counts.append
         for logical in seq.tolist():  # twl: allow(TWL006) reason=default per-write fallback
-            out[served] = write(logical)
-            served += 1
+            record(write(logical))
             if array.failed:
                 break
-        return out[:served]
+        return np.array(counts, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Mid-run persistence

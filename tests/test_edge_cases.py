@@ -6,7 +6,7 @@ import pytest
 from repro.attacks.scan import ScanWriteAttack
 from repro.errors import ExtrapolationError
 from repro.pcm.array import PCMArray
-from repro.sim.drivers import AttackDriver, TraceDriver
+from repro.sim.drivers import AttackDriver, StreamDriver
 from repro.sim.fastforward import FastForwardConfig, fast_forward_to_failure
 from repro.traces.request import OP_READ
 from repro.traces.trace import Trace
@@ -20,9 +20,6 @@ class TestDriverEdges:
         driver = AttackDriver(ScanWriteAttack(4))
         with pytest.raises(ValueError):
             driver.drive(scheme, -1)
-        trace_driver = TraceDriver(Trace.writes_only([0]), 4)
-        with pytest.raises(ValueError):
-            trace_driver.drive(scheme, -1)
 
     def test_zero_quota_noop(self):
         array = PCMArray.uniform(4, 100)
@@ -57,15 +54,12 @@ class TestFastForwardEdges:
         """A workload that never revisits pages defeats rate estimation
         and must terminate with ExtrapolationError, not hang."""
 
-        class OneShotDriver(TraceDriver):
-            pass
-
         array = PCMArray.uniform(1024, 10**9)
         scheme = NoWearLeveling(array)
         # Visit each page once per full loop: with endurance 1e9 the
         # time-to-death estimate stays astronomically far, jumps are
         # capped by the doubling rule and rounds run out.
-        driver = TraceDriver(Trace.writes_only(list(range(1024))), 1024)
+        driver = StreamDriver(Trace.writes_only(list(range(1024))).stream(), 1024)
         config = FastForwardConfig(
             warmup_demand=512, window_demand=512, max_rounds=3
         )

@@ -36,10 +36,6 @@ class TestConstruction:
         with pytest.raises(SimulationError, match="batch size"):
             _engine(batch_size=-4)
 
-    def test_rejects_non_positive_chunk(self):
-        with pytest.raises(SimulationError, match="chunk size"):
-            _engine(chunk_demand=0)
-
     def test_repr_names_scheme_and_workload(self):
         engine = _engine(batch_size=8)
         text = repr(engine)

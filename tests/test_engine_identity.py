@@ -22,13 +22,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.attacks.registry import attack_names, make_attack
 from repro.config import BWLConfig, SoftErrorConfig
-from repro.engine import InvariantCheckObserver, SimulationEngine
+from repro.engine import PER_WRITE_STEP, InvariantCheckObserver, SimulationEngine
 from repro.errors import SimulationError
 from repro.pcm.array import PCMArray
-from repro.sim.drivers import AttackDriver, StreamDriver, TraceDriver
+from repro.sim.drivers import AttackDriver, StreamDriver
 from repro.sim.lifetime import run_to_failure
 from repro.traces import OP_READ, OP_WRITE, FTLWorkloadStream
 from repro.traces.trace import Trace
+from repro.wearlevel.base import WearLeveler
 from repro.wearlevel.bwl import BloomWearLeveling
 from repro.wearlevel.registry import make_scheme, scheme_names
 
@@ -113,7 +114,7 @@ def _run_trace(scheme_name, batch_size):
     # Stay within the scheme's logical space (StartGap reserves a page).
     writes = rng.integers(0, scheme.logical_pages, size=5000)
     trace = Trace.writes_only(writes, name="synthetic")
-    driver = TraceDriver(trace, scheme.logical_pages)
+    driver = StreamDriver(trace.stream(), scheme.logical_pages)
     result = run_to_failure(
         scheme,
         driver,
@@ -136,10 +137,10 @@ def test_trace_driver_identity(scheme_name):
 # --- streamed vs materialized identity -------------------------------
 #
 # The chunk-identity contract: a StreamDriver pulling a workload in
-# chunks serves exactly the write sequence the materialized TraceDriver
-# serves, so streamed runs are bit-identical to materialized runs at
-# any chunk size × batch size.  This is what allows ``chunk_size`` to
-# be excluded from the exec-layer cache fingerprint.  Scales here are
+# chunks serves exactly the trace's own write array looped to length,
+# so streamed runs are bit-identical to that array served write by
+# write at any chunk size × batch size.  This is what allows
+# ``chunk_size`` to be excluded from the exec-layer cache fingerprint.  Scales here are
 # smaller than the attack matrix above: the matrix is scheme-wide and
 # each cell runs the workload twice.
 
@@ -161,25 +162,29 @@ def _run_stream_trace(scheme_name, chunk_size, batch_size):
     array = PCMArray.uniform(_STREAM_N_PAGES, _STREAM_ENDURANCE)
     scheme = make_scheme(scheme_name, array, seed=11)
     trace = _mixed_stream_trace(scheme.logical_pages)
-    if chunk_size is None:
-        driver = TraceDriver(trace, scheme.logical_pages)
-    else:
-        driver = StreamDriver(trace.stream(chunk_size), scheme.logical_pages)
     result = run_to_failure(
         scheme,
-        driver,
+        StreamDriver(trace.stream(chunk_size), scheme.logical_pages),
         max_demand=_STREAM_MAX_DEMAND,
         require_failure=False,
         batch_size=batch_size,
     )
-    return result, array.write_counts(), scheme.stats()
+    return (result.demand_writes, result.failure), array.write_counts(), scheme.stats()
+
+
+def _run_tiled_trace(scheme_name):
+    """The reference without any driver: the trace's write array tiled
+    to the demand cap, served through the per-write oracle loop."""
+    array = PCMArray.uniform(_STREAM_N_PAGES, _STREAM_ENDURANCE)
+    scheme = make_scheme(scheme_name, array, seed=11)
+    writes = _mixed_stream_trace(scheme.logical_pages).write_pages()
+    counts = WearLeveler.write_batch(scheme, np.resize(writes, _STREAM_MAX_DEMAND))
+    return (counts.size, array.first_failure), array.write_counts(), scheme.stats()
 
 
 @pytest.mark.parametrize("scheme_name", scheme_names())
 def test_streamed_identical_to_materialized(scheme_name):
-    serial, serial_counts, serial_stats = _run_stream_trace(
-        scheme_name, chunk_size=None, batch_size=1
-    )
+    serial, serial_counts, serial_stats = _run_tiled_trace(scheme_name)
     streamed, streamed_counts, streamed_stats = _run_stream_trace(
         scheme_name, chunk_size=97, batch_size=_BATCH_SIZE
     )
@@ -194,9 +199,7 @@ def test_stream_chunk_boundaries_around_batch_size(chunk_size):
 
     Chunk 1 forces a short batch at every engine step; 63/65 misalign
     every chunk boundary against the batch boundary."""
-    serial, serial_counts, serial_stats = _run_stream_trace(
-        "twl", chunk_size=None, batch_size=1
-    )
+    serial, serial_counts, serial_stats = _run_tiled_trace("twl")
     streamed, streamed_counts, streamed_stats = _run_stream_trace(
         "twl", chunk_size=chunk_size, batch_size=_BATCH_SIZE
     )
@@ -318,7 +321,7 @@ def _adaptive_engine(batch_size, **kwargs):
 
 
 def test_adaptive_driver_never_reaches_the_batched_protocol(monkeypatch):
-    engine = _adaptive_engine(4096, chunk_demand=1000)
+    engine = _adaptive_engine(4096)
     assert engine.driver.adaptive
 
     def unreachable(*_args):
@@ -326,9 +329,9 @@ def test_adaptive_driver_never_reaches_the_batched_protocol(monkeypatch):
 
     monkeypatch.setattr(engine.driver, "next_batch", unreachable)
     monkeypatch.setattr(engine.scheme, "write_batch", unreachable)
-    oracle = _adaptive_engine(1, chunk_demand=1000)
+    oracle = _adaptive_engine(1)
     assert engine.drive(5500) == oracle.drive(5500) == 5500
-    assert engine.batches == oracle.batches == 6
+    assert engine.batches == oracle.batches == -(-5500 // PER_WRITE_STEP)
     assert np.array_equal(
         engine.scheme.array.write_counts(), oracle.scheme.array.write_counts()
     )

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.config import ScaledArrayConfig, TWLConfig
-from repro.errors import CellExecutionError, ConfigError, SimulationError
+from repro.errors import CellExecutionError, ConfigError, SimulationError, TraceError
 from repro.exec import (
     CellCache,
     ExperimentCell,
@@ -15,12 +15,17 @@ from repro.exec import (
     encode_result,
     execute_cells,
     overheads_cell,
+    run_cell,
     run_cells,
+    stream_cell,
     trace_cell,
 )
 from repro.pcm.faults import FirstFailure
 from repro.sim.lifetime import LifetimeResult
 from repro.sim.replicates import replicate_attack_lifetime
+from repro.traces.chunked import save_chunked_trace
+from repro.traces.text_format import save_text_trace
+from repro.traces.trace import Trace
 
 SCALED = ScaledArrayConfig(n_pages=64, endurance_mean=768.0)
 
@@ -240,6 +245,81 @@ class TestFingerprint:
         assert os.path.exists(fresh_path)
         assert not os.path.exists(stale_path)
         assert result is not None
+
+    def test_fingerprints_without_trace_path_are_pinned(self):
+        """Only cells that set ``trace_path`` hash file contents; every
+        other cell keeps the key it had before content digests."""
+        cells = {
+            "57073fe3f88a3c0561f2479b6fd13ce3": attack_cell(
+                "twl_swp", "scan", scaled=SCALED, seed=11
+            ),
+            "e270d1044db2a63851b2370307451c3c": trace_cell(
+                "sr", "vips", trace_writes=5000, scaled=SCALED, seed=5
+            ),
+            "2281650a8aa9ffdeac5ff1dd8da9d543": overheads_cell(
+                "twl", "vips", trace_writes=5000, drive_writes=4000,
+                scaled=SCALED, seed=5,
+            ),
+            "a32d207a6ea4f9b0f56ceee508291b2c": stream_cell(
+                "twl", stream="ftl", scaled=SCALED, seed=11
+            ),
+        }
+        for expected, cell in cells.items():
+            assert cell_fingerprint(cell, version="0") == expected
+
+
+class TestTraceContentFingerprint:
+    """A ``trace_path`` cell is keyed on the file's contents, not just
+    its path, so a trace rewritten in place is never served stale."""
+
+    @staticmethod
+    def _trace(pages):
+        return Trace.writes_only(list(pages) * 50, name="hot")
+
+    def test_rewritten_twt_trace_is_recomputed(self, tmp_path):
+        path = str(tmp_path / "hot.twt")
+        save_chunked_trace(self._trace([0]), path, chunk_size=16)
+        cell = stream_cell("twl", trace_path=path, scaled=SCALED, seed=3)
+        first = run_cells([cell], cache=CellCache(str(tmp_path / "cache")))[0]
+        save_chunked_trace(self._trace(range(8)), path, chunk_size=16)
+        cache = CellCache(str(tmp_path / "cache"))
+        second = run_cells([cell], cache=cache)[0]
+        assert cache.hits == 0
+        assert second == run_cell(cell)
+        assert second != first
+
+    def test_twt_digest_skips_payload_reads(self, tmp_path):
+        path = str(tmp_path / "hot.twt")
+        save_chunked_trace(self._trace([0, 1]), path, chunk_size=16)
+        cell = stream_cell("twl", trace_path=path, scaled=SCALED, seed=3)
+        before = cell_fingerprint(cell)
+        with open(path, "r+b") as handle:
+            handle.seek(-1, 2)
+            last = handle.read(1)
+            handle.seek(-1, 2)
+            handle.write(bytes([last[0] ^ 0xFF]))
+        # The payload changed under an unchanged chunk CRC record: the
+        # digest never read it (the reader's CRC check catches it).
+        assert cell_fingerprint(cell) == before
+
+    def test_rewritten_text_trace_changes_fingerprint(self, tmp_path):
+        path = str(tmp_path / "hot.trace")
+        save_text_trace(self._trace([0]), path)
+        cell = stream_cell("twl", trace_path=path, scaled=SCALED, seed=3)
+        before = cell_fingerprint(cell)
+        save_text_trace(self._trace([1]), path)
+        assert cell_fingerprint(cell) != before
+
+    def test_missing_trace_names_the_path(self, tmp_path):
+        path = str(tmp_path / "absent.twt")
+        cell = stream_cell("twl", trace_path=path, scaled=SCALED, seed=3)
+        with pytest.raises(TraceError, match="absent.twt"):
+            cell_fingerprint(cell)
+
+    def test_unreadable_trace_names_the_path(self, tmp_path):
+        cell = stream_cell("twl", trace_path=str(tmp_path), scaled=SCALED, seed=3)
+        with pytest.raises(TraceError, match=str(tmp_path)):
+            cell_fingerprint(cell)
 
 
 class TestFailureIdentity:

@@ -6,7 +6,7 @@ from repro.attacks.random_attack import RandomWriteAttack
 from repro.attacks.scan import ScanWriteAttack
 from repro.errors import SimulationError
 from repro.pcm.array import PCMArray
-from repro.sim.drivers import AttackDriver, TraceDriver
+from repro.sim.drivers import AttackDriver, StreamDriver
 from repro.sim.fastforward import FastForwardConfig, fast_forward_to_failure
 from repro.sim.lifetime import run_to_failure
 from repro.traces.trace import Trace
@@ -86,7 +86,7 @@ class TestBulkPath:
     def test_trace_driver_supported(self):
         array = PCMArray.uniform(32, 300_000)
         scheme = NoWearLeveling(array)
-        driver = TraceDriver(Trace.writes_only(list(range(32))), 32)
+        driver = StreamDriver(Trace.writes_only(list(range(32))).stream(), 32)
         result = fast_forward_to_failure(scheme, driver, config=_ff_config())
         assert result.failed
         expected = 32 * 300_000

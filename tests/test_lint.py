@@ -255,11 +255,6 @@ class TestRuleTWL007Materialization:
         out = lint_source(source, module=self.MODULE)
         assert _rules(out) == {"TWL007"}
 
-    def test_write_page_list_flagged(self):
-        source = "def f(trace):\n    return trace.write_page_list()\n"
-        out = lint_source(source, module=self.MODULE)
-        assert _rules(out) == {"TWL007"}
-
     def test_load_trace_flagged(self):
         source = (
             "from repro.traces import load_trace\n"
@@ -288,16 +283,16 @@ class TestRuleTWL007Materialization:
 
     def test_reasoned_pragma_suppresses(self):
         source = (
-            "def f(trace):\n"
-            "    return trace.write_page_list()  "
+            "def f(stream):\n"
+            "    return stream.materialize()  "
             "# twl: allow(TWL007) reason=materialized adapter\n"
         )
         assert lint_source(source, module=self.MODULE) == []
 
     def test_pragma_without_reason_does_not_suppress(self):
         source = (
-            "def f(trace):\n"
-            "    return trace.write_page_list()  # twl: allow(TWL007)\n"
+            "def f(stream):\n"
+            "    return stream.materialize()  # twl: allow(TWL007)\n"
         )
         out = lint_source(source, module=self.MODULE)
         assert _rules(out) == {"TWL007"}

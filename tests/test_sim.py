@@ -5,9 +5,10 @@ import pytest
 
 from repro.attacks.repeat import RepeatWriteAttack
 from repro.attacks.scan import ScanWriteAttack
+from repro.engine import SimulationEngine
 from repro.errors import SimulationError
 from repro.pcm.array import PCMArray
-from repro.sim.drivers import AttackDriver, TraceDriver
+from repro.sim.drivers import AttackDriver, StreamDriver
 from repro.sim.lifetime import LifetimeResult, run_to_failure
 from repro.sim.metrics import measure_scheme_overheads
 from repro.traces.trace import Trace
@@ -16,39 +17,45 @@ from repro.wearlevel.security_refresh import SecurityRefresh
 
 
 class TestTraceDriver:
+    """A finite trace looped by ``StreamDriver(trace.stream(), n)``."""
+
+    @staticmethod
+    def _engine(scheme, pages, n_pages=8):
+        driver = StreamDriver(Trace.writes_only(pages).stream(), n_pages)
+        return SimulationEngine(scheme, driver)
+
     def test_loops_trace(self):
         array = PCMArray.uniform(8, 10**6)
-        scheme = NoWearLeveling(array)
-        driver = TraceDriver(Trace.writes_only([0, 1, 2]), 8)
-        served = driver.drive(scheme, 10)
+        engine = self._engine(NoWearLeveling(array), [0, 1, 2])
+        served = engine.drive(10)
         assert served == 10
-        assert driver.loops_completed == 3
+        assert engine.driver.loops_completed == 3
         assert array.page_writes(0) == 4
 
     def test_stops_on_failure(self):
         array = PCMArray.uniform(4, 5)
-        scheme = NoWearLeveling(array)
-        driver = TraceDriver(Trace.writes_only([0]), 4)
-        served = driver.drive(scheme, 100)
+        engine = self._engine(NoWearLeveling(array), [0], n_pages=4)
+        served = engine.drive(100)
         assert served == 5
         assert array.has_failure
 
     def test_position_persists_between_calls(self):
         array = PCMArray.uniform(8, 10**6)
-        scheme = NoWearLeveling(array)
-        driver = TraceDriver(Trace.writes_only([0, 1, 2, 3]), 8)
-        driver.drive(scheme, 2)
-        driver.drive(scheme, 2)
+        engine = self._engine(NoWearLeveling(array), [0, 1, 2, 3])
+        engine.drive(2)
+        engine.drive(2)
         assert array.page_writes(3) == 1
 
     def test_rejects_trace_outside_space(self):
-        with pytest.raises(SimulationError):
-            TraceDriver(Trace.writes_only([100]), 8)
+        engine = self._engine(NoWearLeveling(PCMArray.uniform(8, 100)), [100])
+        with pytest.raises(SimulationError, match="touches page 100"):
+            engine.drive(1)
 
     def test_rejects_readonly_trace(self):
         trace = Trace(np.array([0], dtype=np.uint8), np.array([1], dtype=np.int64))
-        with pytest.raises(SimulationError):
-            TraceDriver(trace, 8)
+        driver = StreamDriver(trace.stream(), 8)
+        with pytest.raises(SimulationError, match="contains no writes"):
+            driver.next_batch(1)
 
 
 class TestAttackDriver:

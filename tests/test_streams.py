@@ -19,9 +19,10 @@ import struct
 import numpy as np
 import pytest
 
+from repro.engine import SimulationEngine
 from repro.errors import ConfigError, SimulationError, TraceError
 from repro.pcm.array import PCMArray
-from repro.sim.drivers import StreamDriver, TraceDriver
+from repro.sim.drivers import StreamDriver
 from repro.sim.runner import measure_stream_lifetime
 from repro.traces import (
     OP_READ,
@@ -41,6 +42,7 @@ from repro.traces import (
     trace_info,
 )
 from repro.traces.chunked import CHUNKED_MAGIC, _CHUNK_HEADER
+from repro.wearlevel.base import WearLeveler
 from repro.wearlevel.registry import make_scheme
 
 
@@ -520,8 +522,7 @@ class TestStreamDriver:
         out = []
         while len(out) < 12:
             out.extend(driver.next_batch(64).tolist())
-        reference = TraceDriver(trace, 8).next_batch(12).tolist()
-        assert out[:12] == reference
+        assert out[:12] == np.resize(writes, 12).tolist()
 
     def test_reads_are_filtered_not_served(self):
         ops = np.array([OP_READ, OP_WRITE, OP_READ, OP_WRITE], dtype=np.uint8)
@@ -550,13 +551,17 @@ class TestStreamDriver:
         assert driver.requests_consumed == 3
 
     def test_drive_serial_matches_trace_driver(self):
+        """A per-write engine run over the stream serves the trace's own
+        write array looped to length."""
         trace = _mixed_trace(n_requests=300, n_pages=32)
         array_a = PCMArray.uniform(32, 256.0)
         array_b = PCMArray.uniform(32, 256.0)
         scheme_a = make_scheme("nowl", array_a, seed=7)
         scheme_b = make_scheme("nowl", array_b, seed=7)
-        StreamDriver(trace.stream(chunk_size=11), 32).drive(scheme_a, 2000)
-        TraceDriver(trace, 32).drive(scheme_b, 2000)
+        driver = StreamDriver(trace.stream(chunk_size=11), 32)
+        served = SimulationEngine(scheme_a, driver).drive(2000)
+        looped = np.resize(trace.write_pages(), 2000)
+        assert served == WearLeveler.write_batch(scheme_b, looped).size
         assert np.array_equal(array_a.write_counts(), array_b.write_counts())
 
 
