@@ -10,6 +10,7 @@ time"; internal wear-leveling state is never exposed).
 from __future__ import annotations
 
 import abc
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -75,11 +76,51 @@ class AttackWorkload(abc.ABC):
         """Whether the attack reacts to response-time feedback.
 
         Detected from whether :meth:`observe_response` is overridden.
-        Adaptive attacks need the per-request feedback loop, so the
-        simulation engine always serves them through its per-write loop;
-        non-adaptive streams batch freely.
+        The engine serves an adaptive attack in segments through the
+        segment protocol below (:meth:`segment`, :meth:`planned_writes`,
+        :meth:`observe_responses`), each segment ending at the first
+        response that can change the attack's course; non-adaptive
+        streams hand over whole batches through :meth:`next_writes`.
         """
         return type(self).observe_response is not AttackWorkload.observe_response
+
+    # ------------------------------------------------------------------
+    # Segment protocol (adaptive attacks)
+    # ------------------------------------------------------------------
+    def segment(self, unit_latency: float) -> Tuple[int, Optional[int]]:
+        """``(horizon, stop_count)`` of the attack's next segment.
+
+        Over the next ``horizon`` writes (at least 1) the addresses are
+        fixed in advance, and only a response of at least
+        ``stop_count`` × ``unit_latency`` cycles (``None``: none) can
+        change the attack's course, and then only after that response.
+        The engine serves at most ``horizon`` planned writes and ends
+        the step after the first one that costs ``stop_count`` or more
+        physical writes.  Adaptive attacks must implement it.
+        """
+        raise NotImplementedError(
+            f"adaptive attack {self.name!r} does not implement the segment protocol"
+        )
+
+    def planned_writes(self, limit: int) -> np.ndarray:
+        """Up to the next ``limit`` addresses (at least one when
+        ``limit`` is), ``limit`` within the current segment's horizon,
+        without committing them: the engine may serve only a prefix,
+        which :meth:`observe_responses` then commits."""
+        raise NotImplementedError(
+            f"adaptive attack {self.name!r} does not implement the segment protocol"
+        )
+
+    def observe_responses(self, latencies: np.ndarray) -> None:
+        """Commit the first ``len(latencies)`` planned writes and feed
+        back their response times in order.
+
+        Must leave the attack exactly as ``next_write()`` followed by
+        ``observe_response(latency)`` per latency would.
+        """
+        raise NotImplementedError(
+            f"adaptive attack {self.name!r} does not implement the segment protocol"
+        )
 
     def _emit(self, logical: int) -> int:
         self.writes_emitted += 1

@@ -32,18 +32,28 @@ attacker issues arbitrary address streams and measures response times):
 When no swap is observable for ``patience`` writes (a swap phase that
 moved no data produces no latency spike), the attacker flips blind —
 "keep detecting" degrades to probing.
+
+Between two flips the stream is a fixed slice of the current pass, so a
+batched run serves it in segments (:meth:`InconsistentWriteAttack.segment`):
+each ends at the patience bound or at the first response the detector
+would flag, and is committed in one :meth:`observe_responses` call.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional, Tuple
 
-from ..errors import ConfigError
+import numpy as np
+
+from ..errors import ConfigError, SimulationError
 from .base import AttackWorkload
 from .detector import SwapDetector
 
 #: Exponential-moving-average factor for the online phase-length estimate.
 _PERIOD_EMA = 0.5
+
+#: Fewest writes a segment plans ahead (see ``planned_writes``).
+_MIN_PLAN = 64
 
 
 class InconsistentWriteAttack(AttackWorkload):
@@ -86,14 +96,14 @@ class InconsistentWriteAttack(AttackWorkload):
         self._period_estimate = float(initial_period or 8 * n_targets)
         self._writes_since_flip = 0
         self._flip_pending = False
-        self._pass_schedule: List[int] = []
+        self._pass_schedule = np.zeros(0, dtype=np.int64)
         self._build_pass()
         self._cursor = 0
 
     # ------------------------------------------------------------------
     # Pass construction
     # ------------------------------------------------------------------
-    def _staircase_weights(self) -> List[int]:
+    def _staircase_weights(self) -> np.ndarray:
         """Per-target write counts, scaled to fill the estimated phase.
 
         Ranks 1..T are scaled so one pass (staircase plus optional scan)
@@ -106,10 +116,10 @@ class InconsistentWriteAttack(AttackWorkload):
             budget -= self.n_pages - count
         rank_sum = count * (count + 1) / 2
         scale = max(1.0, budget / rank_sum)
-        weights = [max(1, int(round(rank * scale))) for rank in range(1, count + 1)]
-        if self._reversed:
-            weights.reverse()
-        return weights
+        # rint rounds half to even, as round() does.
+        ranks = np.arange(1, count + 1, dtype=np.float64)
+        weights = np.maximum(1, np.rint(ranks * scale)).astype(np.int64)
+        return weights[::-1] if self._reversed else weights
 
     def _build_pass(self) -> None:
         """Materialize one pass of the attack write sequence.
@@ -120,17 +130,14 @@ class InconsistentWriteAttack(AttackWorkload):
         cold observations the defense holds.
         """
         weights = self._staircase_weights()
-        order = sorted(range(self.n_targets), key=lambda i: -weights[i])
-        victims = list(reversed(order[-self.victim_count:]))
+        order = np.argsort(-weights, kind="stable")
+        victims = order[-self.victim_count:][::-1]
         decoys = order[: self.n_targets - self.victim_count]
-        schedule: List[int] = []
-        for position in decoys:
-            schedule.extend([position] * weights[position])
+        parts = [np.repeat(decoys, weights[decoys])]
         if self.background_scan:
-            schedule.extend(range(self.n_targets, self.n_pages))
-        for position in victims:
-            schedule.extend([position] * weights[position])
-        self._pass_schedule = schedule
+            parts.append(np.arange(self.n_targets, self.n_pages))
+        parts.append(np.repeat(victims, weights[victims]))
+        self._pass_schedule = np.concatenate(parts).astype(np.int64)
 
     def victim_share(self) -> float:
         """Traffic share of the most-hammered page after a reversal.
@@ -140,7 +147,7 @@ class InconsistentWriteAttack(AttackWorkload):
         entries.
         """
         weights = self._staircase_weights()
-        return max(weights) / len(self._pass_schedule)
+        return int(weights.max()) / len(self._pass_schedule)
 
     @property
     def period_estimate(self) -> float:
@@ -155,7 +162,7 @@ class InconsistentWriteAttack(AttackWorkload):
             "cursor": self._cursor,
             "detector": self.detector.snapshot(),
             "flip_pending": self._flip_pending,
-            "pass_schedule": list(self._pass_schedule),
+            "pass_schedule": self._pass_schedule.copy(),
             "period_estimate": self._period_estimate,
             "reversals": self.reversals,
             "reversed": self._reversed,
@@ -165,11 +172,12 @@ class InconsistentWriteAttack(AttackWorkload):
     def _restore_state(self, state: dict) -> None:
         # The pass schedule is stored rather than rebuilt: it was
         # materialized from the period estimate *at flip time*, which a
-        # later EMA update has since moved past.
+        # later EMA update has since moved past.  Older snapshots store
+        # it as a list of ints.
         self._cursor = int(state["cursor"])
         self.detector.restore(state["detector"])
         self._flip_pending = bool(state["flip_pending"])
-        self._pass_schedule = [int(page) for page in state["pass_schedule"]]
+        self._pass_schedule = np.array(state["pass_schedule"], dtype=np.int64)
         self._period_estimate = float(state["period_estimate"])
         self.reversals = int(state["reversals"])
         self._reversed = bool(state["reversed"])
@@ -178,14 +186,18 @@ class InconsistentWriteAttack(AttackWorkload):
     # ------------------------------------------------------------------
     # Write stream
     # ------------------------------------------------------------------
-    def next_write(self) -> int:
+    def _apply_pending_flip(self) -> None:
+        """Reverse the staircase if a flip is due before the next write."""
         if self._flip_pending:
             self._flip_pending = False
             self._reversed = not self._reversed
             self.reversals += 1
             self._build_pass()
             self._cursor = 0
-        page = self._pass_schedule[self._cursor]
+
+    def next_write(self) -> int:
+        self._apply_pending_flip()
+        page = int(self._pass_schedule[self._cursor])
         self._cursor += 1
         if self._cursor == len(self._pass_schedule):
             self._cursor = 0
@@ -205,6 +217,73 @@ class InconsistentWriteAttack(AttackWorkload):
             self._period_estimate = (
                 (1 - _PERIOD_EMA) * self._period_estimate
                 + _PERIOD_EMA * self._writes_since_flip
+            )
+        self._flip_pending = True
+        self._writes_since_flip = 0
+
+    # ------------------------------------------------------------------
+    # Segment protocol
+    # ------------------------------------------------------------------
+    def segment(self, unit_latency: float) -> Tuple[int, Optional[int]]:
+        """The patience bound, cut short by the detector's own horizon;
+        the stop count is the detector's."""
+        horizon, stop_count = self.detector.segment(unit_latency)
+        remaining = self.patience - self._writes_since_flip
+        return (remaining if horizon is None else min(horizon, remaining)), stop_count
+
+    def planned_writes(self, limit: int) -> np.ndarray:
+        """The next pass entries, wrapping at the pass end: at most
+        ``limit``, and at most four times the phase-length estimate or
+        the writes since the last flip, whichever is larger.
+
+        A flip is expected about one phase-length estimate after the
+        last, so a much longer plan is mostly addresses the stop never
+        serves, which the per-write loop would still convert; a segment
+        that outruns the estimate gets plans that double.  A shorter
+        plan only splits a segment over more engine steps.  A pending
+        flip is due before the next write whatever its address, so it
+        is applied here.
+        """
+        if limit < 0:
+            raise ValueError("batch size must be non-negative")
+        self._apply_pending_flip()
+        limit = min(
+            limit, max(_MIN_PLAN, 4 * int(self._period_estimate), self._writes_since_flip)
+        )
+        schedule = self._pass_schedule
+        stop = self._cursor + limit
+        if stop <= schedule.size:
+            return schedule[self._cursor : stop]
+        return np.take(schedule, np.arange(self._cursor, stop), mode="wrap")
+
+    def observe_responses(self, latencies: np.ndarray) -> None:
+        """Advance the cursor past the served writes and feed their
+        responses to the detector; only the last may flip the pass."""
+        self._apply_pending_flip()
+        flags = self.detector.observe_batch(latencies)
+        served = int(flags.size)
+        if served == 0:
+            return
+        since = self._writes_since_flip + served
+        # The write that ends the pass: the first flagged one, or the
+        # one that exhausts patience.
+        flagged = np.flatnonzero(flags)
+        end = self.patience - self._writes_since_flip - 1
+        if flagged.size and flagged[0] < end:
+            end = int(flagged[0])
+        if end < served - 1:
+            raise SimulationError(
+                f"{served} responses overran the segment: the pass flips "
+                f"after response {end + 1}"
+            )
+        self.writes_emitted += served
+        self._cursor = (self._cursor + served) % len(self._pass_schedule)
+        if end > served - 1:
+            self._writes_since_flip = since
+            return
+        if flags[-1]:
+            self._period_estimate = (
+                (1 - _PERIOD_EMA) * self._period_estimate + _PERIOD_EMA * since
             )
         self._flip_pending = True
         self._writes_since_flip = 0

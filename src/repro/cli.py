@@ -247,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help=(
-            "demand writes per engine step (default: 1, the legacy "
-            "per-write path); results are bit-identical at any value"
+            "demand writes per engine step (default: 1, the per-write "
+            "oracle path); results are bit-identical at any value"
         ),
     )
     parser.add_argument(

@@ -23,6 +23,8 @@ immune to the inconsistent-write attack.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..config import TWLConfig
@@ -125,7 +127,7 @@ class TossUpWearLeveling(WearLeveler):
         self._count_demand()
         return writes
 
-    def write_batch(self, addresses) -> np.ndarray:
+    def write_batch(self, addresses, stop_at: Optional[int] = None) -> np.ndarray:
         """Batch path: plan every toss-up event, vectorize the rest.
 
         Most demand writes neither fire a toss-up (one in
@@ -148,6 +150,10 @@ class TossUpWearLeveling(WearLeveler):
         that starts with a corrupted counter is served scalar until the
         counter wraps back into range.
         """
+        if stop_at is not None:
+            # Stop-bounded batches are adaptive-attack segments, tens of
+            # writes long: the inherited per-write loop serves them.
+            return WearLeveler.write_batch(self, addresses, stop_at)
         seq = np.asarray(addresses, dtype=np.int64)
         if self.array.failed:
             return np.zeros(0, dtype=np.int64)

@@ -8,27 +8,26 @@ fast-forward and overhead modules in :mod:`repro.sim` are thin
 configurations of this one loop — none of them implements stepping or
 failure detection of its own.
 
-Drivers only produce addresses, so every non-adaptive step is the same
-three calls: ``addresses = driver.next_batch(n)``, ``counts =
-serve(addresses)``, ``driver.observe_batch(counts)``.  ``batch_size``
-only picks ``serve``, once per run:
+Drivers only produce addresses, so every step is the same three calls:
+``addresses = driver.next_batch(n)``, ``counts = serve(addresses,
+driver.stop_at)``, ``driver.observe_batch(counts)``.  ``stop_at`` is
+``None`` except for an adaptive attack, whose driver hands over one
+segment of writes at a time and names the physical-write count its
+detector would react to; ``serve`` ends the batch after the first
+request that costs that much.  ``batch_size`` only picks ``serve``,
+once per run:
 
 * ``batch_size == 1`` (the default) serves through the inherited
-  per-write loop, ``WearLeveler.write_batch(scheme, addresses)``, which
-  calls ``scheme.write`` once per address and stops at the failing
-  write.  This is the oracle every faster path is checked against;
-  steps are bounded by :data:`PER_WRITE_STEP`;
+  per-write loop, ``WearLeveler.write_batch(scheme, addresses,
+  stop_at)``, which calls ``scheme.write`` once per address and stops
+  at the failing write (or the ``stop_at`` one).  This is the oracle
+  every faster path is checked against; steps are bounded by
+  :data:`PER_WRITE_STEP`;
 * ``batch_size > 1`` serves through the scheme's own
   :meth:`WearLeveler.write_batch`.  Batched runs are **bit-identical**
   to per-write runs — same failure page, same write counts, same swap
   counters — a contract every scheme's ``write_batch`` must uphold and
   ``tests/test_engine_identity.py`` enforces.
-
-Feedback-bound drivers (:attr:`WorkloadDriver.adaptive` — an attack
-that steers on each response time) have no batch to hand over: the
-engine calls their own per-write feedback loop
-(:meth:`~repro.sim.drivers.AttackDriver.drive`) instead, in steps of
-:data:`PER_WRITE_STEP`, whatever ``batch_size`` is.
 
 Observers (:mod:`repro.engine.observers`) receive a
 :class:`~repro.engine.observers.BatchSnapshot` after every engine step:
@@ -42,7 +41,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Iterable, Optional, Tuple, cast
+from typing import TYPE_CHECKING, Iterable, Optional, Tuple
 
 from ..config import TimingConfig
 from ..devtools import sanitize
@@ -55,12 +54,12 @@ from .snapshot import SnapshotPlan, write_snapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..pcm.softerrors import SoftErrorInjector
-    from ..sim.drivers import AttackDriver, WorkloadDriver
+    from ..sim.drivers import WorkloadDriver
 
-#: Demand writes per engine step on the per-write paths (``batch_size ==
-#: 1`` and adaptive drivers).  Bounded so a driver never generates many
-#: addresses past the failing write and peak memory stays flat;
-#: observers fire once per step.
+#: Demand writes per engine step on the per-write path (``batch_size ==
+#: 1``).  Bounded so a driver never generates many addresses past the
+#: failing write and peak memory stays flat; observers fire once per
+#: step.
 PER_WRITE_STEP = 4096
 
 
@@ -95,7 +94,6 @@ class SimulationEngine:
         Demand writes per engine step.  1 serves each step through the
         per-write oracle loop (:data:`PER_WRITE_STEP` writes per step);
         larger values serve through the scheme's ``write_batch``.
-        Feedback-bound drivers run their own per-write loop either way.
     observers:
         :class:`EngineObserver` instances notified per batch and at run
         boundaries.  A non-``critical`` observer that raises is detached
@@ -224,7 +222,6 @@ class SimulationEngine:
         driver = self.driver
         array = scheme.array
         injector = self._soft_errors
-        adaptive = driver.adaptive
         if self.batch_size > 1:
             serve = scheme.write_batch
             step = self.batch_size
@@ -255,18 +252,12 @@ class SimulationEngine:
                 # demand index, never mid-batch.
                 quota = min(quota, kill_at - self.demand_served)
             device_before = array.total_writes
-            if adaptive:
-                # Only an attack can steer on response times.
-                served = cast("AttackDriver", driver).drive(
-                    scheme, min(PER_WRITE_STEP, quota)
-                )
-            else:
-                addresses = driver.next_batch(min(step, quota))
-                if len(addresses) == 0:
-                    break
-                counts = serve(addresses)
-                driver.observe_batch(counts)
-                served = len(counts)
+            addresses = driver.next_batch(min(step, quota))
+            if len(addresses) == 0:
+                break
+            counts = serve(addresses, driver.stop_at)
+            driver.observe_batch(counts)
+            served = len(counts)
             if served == 0:
                 break
             served_total += served

@@ -1,8 +1,8 @@
 """Trace-driven PCM lifetime simulation.
 
 * :mod:`repro.sim.drivers` — workload drivers: address sources for
-  streams, traces and attacks, plus the feedback loop of adaptive
-  attacks;
+  streams, traces and attacks (adaptive attacks one segment at a
+  time);
 * :mod:`repro.sim.lifetime` — exact run-to-failure and the
   :class:`LifetimeResult` record;
 * :mod:`repro.sim.fastforward` — steady-state wear-rate extrapolation for

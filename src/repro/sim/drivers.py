@@ -8,12 +8,13 @@ them as an array without serving them, and
 write counts once the engine has served them.  Serving is the engine's
 job alone (:mod:`repro.engine`), at every batch size.
 
-The one exception is the paper's threat model itself: an adaptive
-attack picks each address from the response time of the previous write
-(Section 3.1), so it has no batch to hand over.
-:class:`AttackDriver` therefore also implements :meth:`AttackDriver.drive`,
-the only per-write feedback loop in the package, which the engine calls
-only for :attr:`WorkloadDriver.adaptive` drivers.
+That holds for the paper's adaptive attack too.  It steers on response
+times (Section 3.1), but between two course changes its addresses are
+fixed, so :class:`AttackDriver` hands over one such segment per batch
+and names in :attr:`WorkloadDriver.stop_at` the physical-write count the
+attack's detector would react to; the engine ends the batch after the
+first request that costs that much, and the served prefix's response
+times go back to the attack in order.
 
 :class:`StreamDriver` pulls ``(ops, pages)`` chunks from a
 :class:`~repro.traces.stream.TraceStream` and buffers only the current
@@ -25,6 +26,7 @@ same way, through ``StreamDriver(trace.stream(), n_pages)``.
 from __future__ import annotations
 
 import abc
+from typing import Optional
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from ..config import TimingConfig
 from ..errors import SimulationError
 from ..traces.request import OP_WRITE
 from ..traces.stream import TraceStream
-from ..wearlevel.base import WearLeveler
 
 #: Consecutive writeless chunks after which a stream is declared broken
 #: (an endless generator that stops yielding writes would otherwise spin
@@ -49,26 +50,28 @@ class WorkloadDriver(abc.ABC):
         """The next (up to) ``n`` logical addresses, without serving them.
 
         Drivers may return fewer than ``n`` addresses (a stream at a
-        chunk boundary); an empty array means the stream is exhausted.
-        Never called on an :attr:`adaptive` driver.  When a batch is
-        cut short by a failure, the unserved tail is *not* rewound —
-        the engine stops at first failure, so only post-failure driver
-        state (trace position, loop counter) can drift from a serial
-        run; everything that reaches a :class:`LifetimeResult` stays
-        bit-identical.
+        chunk boundary, an attack segment); an empty array means the
+        stream is exhausted.  When a batch is cut short by a failure,
+        the unserved tail is *not* rewound — the engine stops at first
+        failure, so only post-failure driver state (trace position, loop
+        counter) can drift from a serial run; everything that reaches a
+        :class:`LifetimeResult` stays bit-identical.  A driver that sets
+        :attr:`stop_at` plans its batch without committing it, and
+        :meth:`observe_batch` commits the served prefix.
         """
 
-    def observe_batch(self, physical_write_counts: np.ndarray) -> None:
-        """Feed back the per-request physical write counts of a batch."""
-
     @property
-    def adaptive(self) -> bool:
-        """Whether each write's address depends on the previous write's
-        response.  Such a driver has no batch to plan ahead: it serves
-        its own writes through a ``drive(scheme, max_demand)`` feedback
-        loop (:meth:`AttackDriver.drive`), which the engine calls at
-        every ``batch_size``."""
-        return False
+    def stop_at(self) -> Optional[int]:
+        """Physical-write count at which the batch last returned by
+        :meth:`next_batch` ends early: the first request costing this
+        much is served and the rest of the batch is not (``None``: serve
+        the whole batch)."""
+        return None
+
+    def observe_batch(self, physical_write_counts: np.ndarray) -> None:
+        """Feed back the per-request physical write counts of the served
+        prefix of the last batch (shorter than the batch when a failure
+        or :attr:`stop_at` ended it)."""
 
     def snapshot(self) -> dict:
         """The driver's mutable position state as a plain state tree.
@@ -207,8 +210,9 @@ class AttackDriver(WorkloadDriver):
     """Drives an attack, feeding back response latencies.
 
     A non-adaptive attack (scan, repeat, random) is an address source
-    like any other.  An adaptive one is served through :meth:`drive`.
-    The response-time model matches the threat model's observable: a
+    like any other.  An adaptive one is handed over a segment at a time
+    (:meth:`~repro.attacks.base.AttackWorkload.segment`).  The
+    response-time model matches the threat model's observable: a
     request that triggered k physical page writes blocks for k write
     latencies before the attacker's next request is served.
     """
@@ -216,48 +220,33 @@ class AttackDriver(WorkloadDriver):
     def __init__(self, attack: AttackWorkload, timing: TimingConfig = TimingConfig()):
         self.attack = attack
         self.timing = timing
+        self._adaptive = attack.is_adaptive
+        self._write_cycles = float(timing.write_cycles)
 
     @property
     def workload_name(self) -> str:
         return self.attack.name
 
-    def drive(self, scheme: WearLeveler, max_demand: int) -> int:
-        """Serve up to ``max_demand`` writes one at a time, feeding each
-        response time back before the next address is chosen.
-
-        Stops early when the array fails.  Returns the number of demand
-        writes actually served.
-        """
-        if max_demand < 0:
-            raise ValueError("max_demand must be non-negative")
-        attack = self.attack
-        next_write = attack.next_write
-        observe = attack.observe_response
-        write = scheme.write
-        array = scheme.array
-        write_cycles = float(self.timing.write_cycles)
-        served = 0
-        while served < max_demand and not array.failed:
-            physical_writes = write(next_write())
-            observe(write_cycles * physical_writes)
-            served += 1
-        return served
-
-    @property
-    def adaptive(self) -> bool:
-        return self.attack.is_adaptive
-
     def next_batch(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("batch size must be non-negative")
-        if self.attack.is_adaptive:
-            # Later addresses of a batch would be computed on stale
-            # response-time feedback.
-            raise SimulationError(
-                f"attack {self.attack.name!r} steers on per-write feedback "
-                "and cannot be batched; serve it through drive()"
-            )
-        return self.attack.next_writes(n)
+        attack = self.attack
+        if not self._adaptive:
+            return attack.next_writes(n)
+        horizon, _ = attack.segment(self._write_cycles)
+        return attack.planned_writes(min(n, horizon))
+
+    @property
+    def stop_at(self) -> Optional[int]:
+        # Planning a segment leaves the detector as it was, so this is
+        # the stop count of the segment next_batch just handed over.
+        if not self._adaptive:
+            return None
+        return self.attack.segment(self._write_cycles)[1]
+
+    def observe_batch(self, physical_write_counts: np.ndarray) -> None:
+        if self._adaptive:
+            self.attack.observe_responses(self._write_cycles * physical_write_counts)
 
     def snapshot(self) -> dict:
         return {"attack": self.attack.snapshot()}

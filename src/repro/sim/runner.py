@@ -73,8 +73,7 @@ def measure_attack_lifetime(
 
     ``batch_size`` selects the engine's batched write protocol; results
     are bit-identical to the default per-write path for every
-    registered scheme (feedback-bound adaptive attacks always run the
-    per-write loop).  ``soft_errors`` /
+    registered scheme and attack, adaptive ones included.  ``soft_errors`` /
     ``check_invariants`` enable controller soft-error injection and the
     runtime invariant checker (exact simulation only: fast-forward
     extrapolates wear analytically, which has no step loop to deliver

@@ -13,7 +13,9 @@ fast:
   implementation is the per-write loop, so batching is bit-identical by
   construction; schemes with a cheap data path override it with a
   vectorized fast path that must preserve that identity (enforced by
-  ``tests/test_engine_identity.py``).
+  ``tests/test_engine_identity.py``).  Its ``stop_at`` ends the batch
+  after the first request that performs that many physical writes —
+  the response an adaptive attacker would react to.
 * :meth:`WearLeveler.translate` is the side-effect-free LA -> PA lookup
   used by reads.
 
@@ -25,7 +27,7 @@ experiment consume.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -104,7 +106,9 @@ class WearLeveler(abc.ABC):
     def write(self, logical: int) -> int:
         """Serve one logical write; return physical writes performed."""
 
-    def write_batch(self, addresses: Sequence[int]) -> np.ndarray:
+    def write_batch(
+        self, addresses: Sequence[int], stop_at: Optional[int] = None
+    ) -> np.ndarray:
         """Serve an ordered batch of logical writes.
 
         Returns the number of physical page writes each request
@@ -113,7 +117,9 @@ class WearLeveler(abc.ABC):
         is truncated to the requests actually served — exactly where the
         per-write simulation loop would have stopped, so a batched run
         is bit-identical to a serial one (scheme counters, array state
-        and failure attribution included).
+        and failure attribution included).  With ``stop_at`` (at least
+        1), the batch also stops after the first request that performs
+        ``stop_at`` or more physical writes, by the same rule.
 
         This default implementation is the per-write loop, and the
         oracle: the engine calls it unbound
@@ -129,9 +135,12 @@ class WearLeveler(abc.ABC):
             return np.array(counts, dtype=np.int64)
         write = self.write
         record = counts.append
+        # 0 short-circuits the stop test, so a batch without a stop pays
+        # one truth test per write.
+        stop = stop_at or 0
         for logical in seq.tolist():  # twl: allow(TWL006) reason=default per-write fallback
             record(write(logical))
-            if array.failed:
+            if array.failed or (stop and counts[-1] >= stop):
                 break
         return np.array(counts, dtype=np.int64)
 

@@ -29,7 +29,7 @@ distribution right after the swap and grinds the weakest frames down
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -150,7 +150,9 @@ class BloomWearLeveling(WearLeveler):
             writes += self._swap_phase()
         return writes
 
-    def write_batch(self, addresses: Sequence[int]) -> np.ndarray:
+    def write_batch(
+        self, addresses: Sequence[int], stop_at: Optional[int] = None
+    ) -> np.ndarray:
         """Batch path: window scans of the heuristic, vectorized device writes.
 
         Within a detection phase the Bloom counters only grow and
@@ -166,7 +168,8 @@ class BloomWearLeveling(WearLeveler):
         wears out a page still runs its swap phase (serial
         :meth:`write` completes before the drive loop sees the
         failure), and a mid-segment failure truncates the batch exactly
-        where the serial loop would.  Heuristic state scanned ahead of a
+        where the serial loop would; so does a swap phase whose cost
+        reaches ``stop_at``.  Heuristic state scanned ahead of a
         mid-segment failure is post-failure drift only — the run is
         over, and nothing observable (stats, wear, result) reads it.
         """
@@ -194,7 +197,7 @@ class BloomWearLeveling(WearLeveler):
                 return out[: start + applied]
             if triggered:
                 out[stop - 1] += self._swap_phase()
-                if array.failed:
+                if array.failed or (stop_at is not None and out[stop - 1] >= stop_at):
                     return out[:stop]
             start = stop
         return out

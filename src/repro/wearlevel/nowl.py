@@ -8,6 +8,8 @@ WL" column.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from .base import WearLeveler
@@ -28,10 +30,13 @@ class NoWearLeveling(WearLeveler):
         self.demand_writes += 1
         return 1
 
-    def write_batch(self, addresses) -> np.ndarray:
+    def write_batch(self, addresses, stop_at: Optional[int] = None) -> np.ndarray:
         # Identity mapping: the logical sequence *is* the physical
         # sequence, so the whole batch lands in one apply_batch call.
+        # Every request costs one write, so only stop_at <= 1 stops it.
         seq = np.asarray(addresses, dtype=np.int64)
+        if stop_at is not None and stop_at <= 1:
+            seq = seq[:1]
         if self.array.failed:
             return np.zeros(0, dtype=np.int64)
         if seq.size and ((seq < 0).any() or (seq >= self.logical_pages).any()):

@@ -35,7 +35,7 @@ about 44% of ideal — under *every* workload, attack or benign.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -84,7 +84,9 @@ class SecurityRefresh(WearLeveler):
             writes += self._refresh_step(logical)
         return writes
 
-    def write_batch(self, addresses: Sequence[int]) -> np.ndarray:
+    def write_batch(
+        self, addresses: Sequence[int], stop_at: Optional[int] = None
+    ) -> np.ndarray:
         """Vectorized batch path: segment the batch at refresh triggers.
 
         The trigger stream and the victim stream come from *separate*
@@ -105,6 +107,10 @@ class SecurityRefresh(WearLeveler):
         failure are post-failure RNG state only, which nothing
         observable depends on once the run is over.
         """
+        if stop_at is not None:
+            # Stop-bounded batches are adaptive-attack segments, tens of
+            # writes long: the inherited per-write loop serves them.
+            return WearLeveler.write_batch(self, addresses, stop_at)
         seq = np.asarray(addresses, dtype=np.int64)
         array = self.array
         if array.failed:

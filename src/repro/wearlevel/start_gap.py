@@ -15,6 +15,8 @@ process variation.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..config import StartGapConfig
@@ -88,7 +90,7 @@ class StartGap(WearLeveler):
             writes += self._move_gap()
         return writes
 
-    def write_batch(self, addresses) -> np.ndarray:  # twl: allow(TWL009) reason=batch path materializes the lazy seed-derived randomize table the scalar path builds on first miss; contents are identical either way
+    def write_batch(self, addresses, stop_at: Optional[int] = None) -> np.ndarray:  # twl: allow(TWL009) reason=batch path materializes the lazy seed-derived randomize table the scalar path builds on first miss; contents are identical either way
         """Closed-form batch path: the whole rotation is arithmetic.
 
         The gap cycles through ``n_logical + 1`` positions, one step per
@@ -106,6 +108,10 @@ class StartGap(WearLeveler):
         failing boundary write still performs).  The guard triggers at
         most once per run — the batch that contains the failure.
         """
+        if stop_at is not None:
+            # Stop-bounded batches are adaptive-attack segments, tens of
+            # writes long: the inherited per-write loop serves them.
+            return WearLeveler.write_batch(self, addresses, stop_at)
         seq = np.asarray(addresses, dtype=np.int64)
         if self.array.failed:
             return np.zeros(0, dtype=np.int64)

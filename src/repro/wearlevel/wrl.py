@@ -25,7 +25,7 @@ wear-rate (closest to death) frame and can then be hammered.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -91,7 +91,9 @@ class WearRateLeveling(WearLeveler):
             self._phase_writes = 0
         return writes
 
-    def write_batch(self, addresses: Sequence[int]) -> np.ndarray:
+    def write_batch(
+        self, addresses: Sequence[int], stop_at: Optional[int] = None
+    ) -> np.ndarray:
         """Vectorized batch path: segment the batch at phase boundaries.
 
         Between phase boundaries the data path is a pure gather through
@@ -108,6 +110,10 @@ class WearRateLeveling(WearLeveler):
         failure), and a mid-segment failure truncates the batch exactly
         where the serial loop would have stopped.
         """
+        if stop_at is not None:
+            # Stop-bounded batches are adaptive-attack segments, tens of
+            # writes long: the inherited per-write loop serves them.
+            return WearLeveler.write_batch(self, addresses, stop_at)
         seq = np.asarray(addresses, dtype=np.int64)
         array = self.array
         if array.failed:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.attacks.inconsistent import InconsistentWriteAttack
 from repro.attacks.scan import ScanWriteAttack
+from repro.engine import SimulationEngine
 from repro.errors import ExtrapolationError
 from repro.pcm.array import PCMArray
 from repro.sim.drivers import AttackDriver, StreamDriver
@@ -16,17 +18,19 @@ from repro.wearlevel.nowl import NoWearLeveling
 class TestDriverEdges:
     def test_negative_quota_rejected(self):
         array = PCMArray.uniform(4, 100)
-        scheme = NoWearLeveling(array)
         driver = AttackDriver(ScanWriteAttack(4))
         with pytest.raises(ValueError):
-            driver.drive(scheme, -1)
+            SimulationEngine(NoWearLeveling(array), driver).drive(-1)
+        with pytest.raises(ValueError):
+            driver.next_batch(-1)
 
     def test_zero_quota_noop(self):
         array = PCMArray.uniform(4, 100)
-        scheme = NoWearLeveling(array)
-        driver = AttackDriver(ScanWriteAttack(4))
-        assert driver.drive(scheme, 0) == 0
+        attack = InconsistentWriteAttack(4)
+        engine = SimulationEngine(NoWearLeveling(array), AttackDriver(attack))
+        assert engine.drive(0) == 0
         assert array.total_writes == 0
+        assert attack.writes_emitted == 0
 
 
 class TestTraceEdges:

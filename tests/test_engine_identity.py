@@ -20,9 +20,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.attacks.detector import SwapDetector
+from repro.attacks.inconsistent import InconsistentWriteAttack
 from repro.attacks.registry import attack_names, make_attack
-from repro.config import BWLConfig, SoftErrorConfig
-from repro.engine import PER_WRITE_STEP, InvariantCheckObserver, SimulationEngine
+from repro.config import BWLConfig, SoftErrorConfig, TimingConfig
+from repro.engine import InvariantCheckObserver, SimulationEngine
 from repro.errors import SimulationError
 from repro.pcm.array import PCMArray
 from repro.sim.drivers import AttackDriver, StreamDriver
@@ -306,11 +308,28 @@ def test_bwl_generated_configs_identical_to_serial(
         assert batched[3] == oracle[3]
 
 
-# --- feedback-bound drivers -----------------------------------------
+# --- adaptive attacks -----------------------------------------------
 #
-# An adaptive attack picks each address from the previous write's
-# response time, so it has no batch to plan ahead: the engine serves it
-# through the per-write loop at every batch size.
+# An adaptive attack steers on response times, but between two course
+# changes its addresses are a fixed slice of its pass: the engine serves
+# it in segments that end at the first write its detector would flag.
+# The reference is the attack's own scalar feedback loop, which no
+# engine path shares.
+
+_ADAPTIVE_PAGES = 128
+_ADAPTIVE_DEMAND = 50_000
+_WRITE_CYCLES = float(TimingConfig().write_cycles)
+
+
+def _feedback_loop(scheme, attack, max_demand):
+    """Serve one write at a time, feeding each response time back before
+    the next address is chosen."""
+    served = 0
+    while served < max_demand and not scheme.array.failed:
+        physical_writes = scheme.write(attack.next_write())
+        attack.observe_response(_WRITE_CYCLES * physical_writes)
+        served += 1
+    return served
 
 
 def _adaptive_engine(batch_size, **kwargs):
@@ -320,28 +339,139 @@ def _adaptive_engine(batch_size, **kwargs):
     return SimulationEngine(scheme, AttackDriver(attack), batch_size=batch_size, **kwargs)
 
 
-def test_adaptive_driver_never_reaches_the_batched_protocol(monkeypatch):
+def _adaptive_parts(scheme_name, endurance, attack_kwargs, detector_kwargs, primed):
+    """``primed`` > 0 starts the detector past warmup with a baseline of
+    that many write latencies, which the first plain write lowers."""
+    array = PCMArray.uniform(_ADAPTIVE_PAGES, endurance)
+    scheme = make_scheme(scheme_name, array, seed=5)
+    detector = SwapDetector(**detector_kwargs)
+    if primed:
+        detector.restore(
+            {"baseline": primed * _WRITE_CYCLES, "detections": 0, "samples": detector.warmup}
+        )
+    attack = InconsistentWriteAttack(
+        scheme.logical_pages, detector=detector, **attack_kwargs
+    )
+    return scheme, attack
+
+
+def _adaptive_state(scheme, attack, served):
+    snapshot = attack.snapshot()
+    snapshot["attack"]["pass_schedule"] = snapshot["attack"]["pass_schedule"].tolist()
+    return {
+        "served": served,
+        "wear": scheme.array.write_counts().tolist(),
+        "first_failure": scheme.array.first_failure,
+        "stats": scheme.stats(),
+        "reversals": attack.reversals,
+        "detections": attack.detector.detections,
+        "attack": snapshot,
+    }
+
+
+@st.composite
+def _attack_kwargs(draw):
+    n_targets = draw(st.integers(1, _ADAPTIVE_PAGES - 1))
+    return {
+        "n_targets": n_targets,
+        "victim_count": draw(st.integers(1, n_targets)),
+        "patience": draw(st.one_of(st.integers(1, 8), st.integers(9, 5000))),
+        "background_scan": draw(st.booleans()),
+    }
+
+
+@given(
+    scheme_name=st.sampled_from(scheme_names()),
+    batch_size=st.sampled_from([1, 2, 37, 4096]),
+    endurance=st.sampled_from([100, 200]),
+    attack_kwargs=_attack_kwargs(),
+    detector_kwargs=st.fixed_dictionaries(
+        {
+            "threshold_factor": st.one_of(
+                st.sampled_from([1.5, 2.0, 3.0]), st.floats(1.001, 5.0)
+            ),
+            "warmup": st.integers(1, 64),
+        }
+    ),
+    primed=st.sampled_from([0, 0, 2, 3]),
+)
+@settings(max_examples=100, deadline=None)
+def test_adaptive_segments_equal_the_feedback_loop(
+    scheme_name, batch_size, endurance, attack_kwargs, detector_kwargs, primed
+):
+    """Run to failure, the engine's segments at any batch size equal the
+    per-write feedback loop: wear, first failure, swap counters,
+    reversals, detections and the attack's whole state.  Every served
+    request costs at least one physical write."""
+    parts = (scheme_name, endurance, attack_kwargs, detector_kwargs, primed)
+    scheme, attack = _adaptive_parts(*parts)
+    served = _feedback_loop(scheme, attack, _ADAPTIVE_DEMAND)
+    expected = _adaptive_state(scheme, attack, served)
+
+    scheme, attack = _adaptive_parts(*parts)
+    driver = AttackDriver(attack)
+    served_counts = []
+    observe = driver.observe_batch
+
+    def recording(counts):
+        served_counts.append(counts.copy())
+        observe(counts)
+
+    driver.observe_batch = recording
+    engine = SimulationEngine(scheme, driver, batch_size=batch_size)
+    served = engine.drive(_ADAPTIVE_DEMAND)
+    assert _adaptive_state(scheme, attack, served) == expected
+    assert all(counts.size and counts.min() >= 1 for counts in served_counts)
+
+
+def test_adaptive_steps_are_segments(monkeypatch):
+    """A batched adaptive run takes the scheme's own ``write_batch``
+    with the detector's stop count and equals the per-write oracle; an
+    engine step ends at every flip."""
     engine = _adaptive_engine(4096)
-    assert engine.driver.adaptive
+    stops = set()
+    write_batch = engine.scheme.write_batch
 
-    def unreachable(*_args):
-        raise AssertionError("adaptive driver entered the batched protocol")
+    def recording(addresses, stop_at=None):
+        stops.add(stop_at)
+        return write_batch(addresses, stop_at)
 
-    monkeypatch.setattr(engine.driver, "next_batch", unreachable)
-    monkeypatch.setattr(engine.scheme, "write_batch", unreachable)
+    monkeypatch.setattr(engine.scheme, "write_batch", recording)
     oracle = _adaptive_engine(1)
     assert engine.drive(5500) == oracle.drive(5500) == 5500
-    assert engine.batches == oracle.batches == -(-5500 // PER_WRITE_STEP)
     assert np.array_equal(
         engine.scheme.array.write_counts(), oracle.scheme.array.write_counts()
     )
+    attack = engine.driver.attack
+    assert stops == {None, attack.detector.segment(_WRITE_CYCLES)[1]}
+    assert engine.batches > attack.reversals > 0
 
 
-def test_adaptive_next_batch_raises():
-    driver = AttackDriver(make_attack("inconsistent", _N_PAGES, seed=11))
-    with pytest.raises(SimulationError, match="per-write feedback"):
-        driver.next_batch(64)
-    assert not AttackDriver(make_attack("scan", _N_PAGES, seed=11)).adaptive
+def test_adaptive_next_batch_plans_without_committing():
+    """``next_batch`` hands over a segment; only ``observe_batch``
+    commits the served prefix, and only up to the flip."""
+    attack = make_attack("inconsistent", _N_PAGES, seed=11)
+    reference = make_attack("inconsistent", _N_PAGES, seed=11)
+    driver = AttackDriver(attack)
+    planned = driver.next_batch(64)
+    assert driver.stop_at is None  # the detector is still warming up
+    assert planned.size == attack.detector.warmup
+    assert np.array_equal(driver.next_batch(64), planned)
+    assert attack.writes_emitted == 0
+    driver.observe_batch(np.ones(3, dtype=np.int64))
+    assert planned[:3].tolist() == [reference.next_write() for _ in range(3)]
+    assert attack.writes_emitted == 3
+    with pytest.raises(ValueError, match="positive"):
+        driver.observe_batch(np.zeros(1, dtype=np.int64))
+
+
+def test_responses_past_a_flip_are_rejected():
+    attack = make_attack("inconsistent", _N_PAGES, seed=11)
+    attack.planned_writes(attack.detector.warmup + 2)
+    latencies = np.full(attack.detector.warmup + 2, _WRITE_CYCLES)
+    latencies[-2] *= 4  # flagged, but not the last response
+    with pytest.raises(SimulationError, match="overran the segment"):
+        attack.observe_responses(latencies)
 
 
 @given(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.attacks.inconsistent import InconsistentWriteAttack
 from repro.attacks.repeat import RepeatWriteAttack
 from repro.attacks.scan import ScanWriteAttack
 from repro.engine import SimulationEngine
@@ -61,18 +62,18 @@ class TestTraceDriver:
 class TestAttackDriver:
     def test_drives_attack(self):
         array = PCMArray.uniform(8, 10**6)
-        scheme = NoWearLeveling(array)
-        driver = AttackDriver(ScanWriteAttack(8))
-        assert driver.drive(scheme, 16) == 16
+        engine = SimulationEngine(NoWearLeveling(array), AttackDriver(ScanWriteAttack(8)))
+        assert engine.drive(16) == 16
         assert (array.write_counts() == 2).all()
 
     def test_feedback_reaches_attack(self):
         array = PCMArray.uniform(64, 10**6)
         scheme = SecurityRefresh(array, seed=1)
-        attack = ScanWriteAttack(64)
-        driver = AttackDriver(attack)
-        driver.drive(scheme, 1000)
+        attack = InconsistentWriteAttack(64)
+        SimulationEngine(scheme, AttackDriver(attack), batch_size=64).drive(1000)
         assert attack.writes_emitted == 1000
+        assert attack.detector.detections > 0
+        assert attack.reversals > 0
 
     def test_workload_name(self):
         assert AttackDriver(RepeatWriteAttack(4)).workload_name == "repeat"

@@ -217,7 +217,7 @@ class TestKillResumeIdentity:
         dying.drive(every * 2 + 517)
         assert dying.snapshots_written >= 2
         _meta, saved = read_snapshot(path)
-        assert saved["demand_served"] == every * 2
+        assert saved["demand_served"] == (every * 2 + 517) // every * every
         resume_plan = SnapshotPlan(path=path, every=every, resume=True)
         return measure(scheme_name, snapshots=resume_plan)
 
@@ -255,8 +255,14 @@ class TestKillResumeIdentity:
     def test_adaptive_attack_resume_is_bit_identical(self, scheme_name, tmp_path):
         """The inconsistent attack's own state (pass schedule, swap
         detector, pending flip) survives a resume on a batched engine,
-        which serves the feedback-bound attack per write.  The short
-        cadence lands both snapshots before the quickest death."""
+        which serves the attack in segments that end at its flips.
+
+        Covered: crashes between snapshots, at a cadence of 1000 writes
+        and at one of 37 writes, shorter than most segments, which cuts
+        them; states captured where a kill point stops the engine,
+        mid-warmup and mid-segment; and a state whose pass schedule is a
+        list of ints, the format older snapshots hold.  Every crash
+        lands before the quickest death."""
 
         def build(name, plan):
             return _attack_engine(name, plan, "inconsistent", batch_size=4096)
@@ -272,10 +278,33 @@ class TestKillResumeIdentity:
             )
 
         clean = measure(scheme_name)
-        resumed = self._crash_and_resume(
-            scheme_name, build, measure, tmp_path, every=1000
-        )
-        assert resumed == clean
+        for every in (1000, 37):
+            directory = tmp_path / str(every)
+            directory.mkdir()
+            resumed = self._crash_and_resume(
+                scheme_name, build, measure, directory, every=every
+            )
+            assert resumed == clean
+
+        path = str(tmp_path / "killed.snap")
+        resume = SnapshotPlan(path=path, every=1000, resume=True)
+        mid_segment = []
+        for kill_at in (5, 1234, 2517):
+            dying = build(scheme_name, None)
+            dying.drive(kill_at)
+            attack = dying.driver.attack
+            mid_segment.append(attack._writes_since_flip > 0)
+            write_snapshot(path, dying.snapshot_state())
+            assert measure(scheme_name, snapshots=resume) == clean
+        assert all(mid_segment)
+
+        state = dying.snapshot_state()
+        saved_attack = state["driver"]["attack"]["attack"]
+        saved_attack["pass_schedule"] = [
+            int(page) for page in saved_attack["pass_schedule"]
+        ]
+        write_snapshot(path, state)
+        assert measure(scheme_name, snapshots=resume) == clean
 
     @pytest.mark.parametrize("scheme_name", scheme_names())
     def test_streamed_ftl_resume_is_bit_identical(self, scheme_name, tmp_path):
