@@ -55,6 +55,7 @@ from typing import Callable, Dict, List, Optional
 from .devtools import sanitize
 from .errors import ReproError
 from .exec.cache import default_cache_dir
+from .exec.cells import DEFAULT_BATCH_SIZE
 from .exec.policy import ON_ERROR_FAIL_FAST, ON_ERROR_KEEP_GOING, FailurePolicy
 from .experiments import (
     ablations,
@@ -244,11 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--batch-size",
         type=_positive_int,
-        default=1,
+        default=DEFAULT_BATCH_SIZE,
         metavar="N",
         help=(
-            "demand writes per engine step (default: 1, the per-write "
-            "oracle path); results are bit-identical at any value"
+            "demand writes per engine step (default: %(default)s, the "
+            "schemes' batched planners; 1 selects the per-write oracle "
+            "path); results are bit-identical at any value"
         ),
     )
     parser.add_argument(

@@ -17,7 +17,8 @@ detector would react to; ``serve`` ends the batch after the first
 request that costs that much.  ``batch_size`` only picks ``serve``,
 once per run:
 
-* ``batch_size == 1`` (the default) serves through the inherited
+* ``batch_size == 1`` (the engine's default; experiment cells default
+  to ``repro.exec.DEFAULT_BATCH_SIZE``) serves through the inherited
   per-write loop, ``WearLeveler.write_batch(scheme, addresses,
   stop_at)``, which calls ``scheme.write`` once per address and stops
   at the failing write (or the ``stop_at`` one).  This is the oracle

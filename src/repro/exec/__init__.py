@@ -31,6 +31,7 @@ Typical use::
 """
 
 from .cells import (
+    DEFAULT_BATCH_SIZE,
     KIND_ATTACK,
     KIND_OVERHEADS,
     KIND_STREAM,
@@ -73,6 +74,7 @@ __all__ = [
     "DeadlineReached",
     "decode_result",
     "encode_result",
+    "DEFAULT_BATCH_SIZE",
     "KIND_ATTACK",
     "KIND_OVERHEADS",
     "KIND_STREAM",

@@ -70,6 +70,13 @@ _KINDS = (KIND_ATTACK, KIND_TRACE, KIND_OVERHEADS, KIND_STREAM)
 #: Union of the result types a cell can produce.
 CellResult = Union[LifetimeResult, SchemeOverheads]
 
+#: Demand writes per engine step for every experiment-facing entry
+#: point (``ExperimentCell``, ``ExperimentSetup``, the CLI's
+#: ``--batch-size``): cells are served by the schemes' batched
+#: ``write_batch`` planners.  ``1`` selects the per-write oracle loop;
+#: by the batch-identity contract both give the same result.
+DEFAULT_BATCH_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class ExperimentCell:
@@ -101,11 +108,12 @@ class ExperimentCell:
     profile: Optional[BenchmarkProfile] = None
     #: Display label for progress lines and error messages.
     label: str = ""
-    #: Demand writes per engine step (1 = the per-write oracle path).  By
+    #: Demand writes per engine step (default: the batched path at
+    #: :data:`DEFAULT_BATCH_SIZE`; 1 = the per-write oracle path).  By
     #: the batch-identity contract the result is the same for every
     #: value, so this field is *excluded* from the cache fingerprint —
     #: it is an execution knob, not part of the experiment's identity.
-    batch_size: int = 1
+    batch_size: int = DEFAULT_BATCH_SIZE
     #: Controller soft-error injection (``attack``/``trace`` kinds).
     #: Part of the cell's identity: a faulted run is a different
     #: experiment than a clean one.

@@ -436,8 +436,9 @@ def run_setup_cells(
     ``snapshot_every``, ``failure`` and ``resume`` fields — the single
     integration point
     through which every figure/ablation module gets parallelism,
-    caching, the batched write protocol and the failure policy (cells
-    that do not pin their own ``batch_size`` inherit the setup's).  A
+    caching, the batched write protocol and the failure policy.  The
+    setup's ``batch_size`` is authoritative: it replaces every cell's,
+    so ``--batch-size 1`` reaches the per-write oracle path.  A
     ``resume`` path opens (creating if needed) the checkpoint journal
     there, so an interrupted campaign restarted with the same setup
     skips every cell the journal already records.  Progress defaults to
@@ -446,12 +447,7 @@ def run_setup_cells(
     calls don't chatter).
     """
     cache = CellCache(setup.cache_dir) if getattr(setup, "cache_dir", None) else None
-    batch_size = getattr(setup, "batch_size", 1)
-    if batch_size > 1:
-        cells = [
-            replace(cell, batch_size=batch_size) if cell.batch_size == 1 else cell
-            for cell in cells
-        ]
+    cells = [replace(cell, batch_size=setup.batch_size) for cell in cells]
     snapshot_every = getattr(setup, "snapshot_every", 0)
     snapshot_dir = getattr(setup, "cache_dir", None)
     if snapshot_every > 0 and snapshot_dir:

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from ..config import ScaledArrayConfig, TWLConfig
+from ..exec.cells import DEFAULT_BATCH_SIZE
 from ..exec.policy import ON_ERROR_KEEP_GOING, FailurePolicy
 
 #: Figure-6/8 scheme sets, in the paper's plotting order.
@@ -102,10 +103,13 @@ class ExperimentSetup:
     jobs: int = 1
     #: On-disk result cache directory (None = caching off).
     cache_dir: Optional[str] = None
-    #: Demand writes per engine step (1 = the per-write oracle path).
-    #: Bit-identical results at any value, so — like ``jobs`` — this is
-    #: an execution knob, not part of a cell's cache identity.
-    batch_size: int = 1
+    #: Demand writes per engine step, applied to every cell the setup
+    #: runs (default: the batched path at
+    #: :data:`~repro.exec.cells.DEFAULT_BATCH_SIZE`; 1 = the per-write
+    #: oracle path).  Bit-identical results at any value, so — like
+    #: ``jobs`` — this is an execution knob, not part of a cell's cache
+    #: identity.
+    batch_size: int = DEFAULT_BATCH_SIZE
     #: Failure policy for campaign execution (retries, per-cell
     #: timeout, fail-fast vs keep-going).  Execution knobs only — a
     #: retried campaign is bit-identical to a clean one.
@@ -161,7 +165,9 @@ def active_setup() -> ExperimentSetup:
     ``REPRO_QUICK=1`` picks the reduced scale; ``REPRO_JOBS=N`` fans
     experiment grids across N worker processes; ``REPRO_CACHE_DIR=path``
     enables the on-disk result cache there; ``REPRO_BATCH_SIZE=N``
-    selects the engine's batched write protocol.  Resilience knobs:
+    sets the demand writes per engine step for every cell (default
+    :data:`~repro.exec.cells.DEFAULT_BATCH_SIZE`, the batched write
+    protocol; ``1`` selects the per-write oracle path).  Resilience knobs:
     ``REPRO_RETRIES=N`` retries failed cells, ``REPRO_CELL_TIMEOUT=S``
     bounds each cell's wall clock, ``REPRO_KEEP_GOING=1`` finishes the
     campaign past failures, and ``REPRO_RESUME=path`` checkpoints to

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import ScaledArrayConfig, TWLConfig
+from repro.engine import SimulationEngine
 from repro.pcm.array import PCMArray
 
 
@@ -37,3 +38,22 @@ def small_scaled() -> ScaledArrayConfig:
 def twl_config() -> TWLConfig:
     """The paper-default TWL configuration."""
     return TWLConfig()
+
+
+@pytest.fixture
+def built_engines(monkeypatch) -> list:
+    """Every :class:`SimulationEngine` built in this process, in order.
+
+    Lets a test that runs cells assert which path served them
+    (``engine.batch_size``) and read the scheme's swap counters, which
+    a cell's result does not carry.
+    """
+    engines: list = []
+    original = SimulationEngine.__init__
+
+    def spy(engine, *args, **kwargs):
+        original(engine, *args, **kwargs)
+        engines.append(engine)
+
+    monkeypatch.setattr(SimulationEngine, "__init__", spy)
+    return engines

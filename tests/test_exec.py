@@ -8,6 +8,7 @@ import pytest
 from repro.config import ScaledArrayConfig, TWLConfig
 from repro.errors import CellExecutionError, ConfigError, SimulationError, TraceError
 from repro.exec import (
+    DEFAULT_BATCH_SIZE,
     CellCache,
     ExperimentCell,
     attack_cell,
@@ -416,6 +417,7 @@ class TestCLIParallelSmoke:
         assert args.jobs == 4
         assert args.cache_dir == "/tmp/x"
         assert not args.no_cache
+        assert args.batch_size == DEFAULT_BATCH_SIZE
 
 
 class TestSetupWiring:
@@ -425,6 +427,8 @@ class TestSetupWiring:
         setup = default_setup()
         assert setup.jobs == 1
         assert setup.cache_dir is None
+        assert setup.batch_size == DEFAULT_BATCH_SIZE
+        assert attack_cell("sr", "scan").batch_size == DEFAULT_BATCH_SIZE
 
     def test_active_setup_reads_env(self, monkeypatch):
         from repro.experiments.setups import active_setup
@@ -434,6 +438,31 @@ class TestSetupWiring:
         setup = active_setup()
         assert setup.jobs == 3
         assert setup.cache_dir == "/tmp/twl-cache"
+
+    @pytest.mark.parametrize(
+        "cell_batch, setup_batch", [(DEFAULT_BATCH_SIZE, 1), (1, DEFAULT_BATCH_SIZE)]
+    )
+    def test_setup_batch_size_reaches_every_cell(
+        self, built_engines, cell_batch, setup_batch
+    ):
+        """The setup's batch size replaces the cell's in both directions,
+        so ``--batch-size 1`` reaches the per-write oracle path."""
+        import dataclasses
+
+        from repro.exec import run_setup_cells
+        from repro.experiments.setups import ExperimentSetup
+
+        cells = [dataclasses.replace(cell, batch_size=cell_batch) for cell in _grid()]
+        setup = ExperimentSetup(
+            scaled=SCALED,
+            benchmarks=(),
+            trace_writes=1,
+            overhead_writes=1,
+            batch_size=setup_batch,
+        )
+        results = run_setup_cells(cells, setup, progress=False)
+        assert [engine.batch_size for engine in built_engines] == [setup_batch] * len(cells)
+        assert results == run_cells(_grid(), jobs=1)
 
     def test_replicates_parallel_identical(self):
         serial = replicate_attack_lifetime("sr", "scan", n_replicates=3, scaled=SCALED)

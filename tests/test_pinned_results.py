@@ -8,12 +8,17 @@ per-write path before the engine took over serving non-adaptive
 writes, so any change to where the per-write loop lives must leave
 them untouched.  Each row is ``(demand writes, device writes, failed
 physical page, device writes at failure, swap writes, swap events)``.
+
+The attack rows are also reached through ``run_cell`` at the default
+batch size, the path every experiment takes, and must give the same
+tuple as the batch-1 reference.
 """
 
 import pytest
 
 from repro.attacks.registry import make_attack
 from repro.config import ScaledArrayConfig
+from repro.exec import DEFAULT_BATCH_SIZE, attack_cell, run_cell
 from repro.sim.drivers import AttackDriver, StreamDriver
 from repro.sim.lifetime import run_to_failure
 from repro.sim.runner import build_array, measure_trace_lifetime
@@ -24,6 +29,7 @@ from repro.wearlevel.registry import make_scheme, scheme_names
 SCALED = ScaledArrayConfig(n_pages=64, endurance_mean=512.0)
 SEED = 5
 WORKLOADS = ("trace", "ftl", "scan", "random", "inconsistent")
+ATTACKS = ("scan", "random", "inconsistent")
 
 PINNED = {
     ("bwl", "trace"): (24064, 24665, 53, 24665, 606, 94),
@@ -131,3 +137,21 @@ def test_trace_lifetime_helper_is_pinned(scheme_name):
         result.failure.device_writes,
     )
     assert observed == PINNED[(scheme_name, "trace")][:4]
+
+
+@pytest.mark.parametrize("workload", ATTACKS)
+@pytest.mark.parametrize("scheme_name", scheme_names())
+def test_default_cell_result_is_pinned(built_engines, scheme_name, workload):
+    """An attack cell at the default batch size serves the oracle's writes."""
+    result = run_cell(attack_cell(scheme_name, workload, scaled=SCALED, seed=SEED))
+    (engine,) = built_engines
+    assert engine.batch_size == DEFAULT_BATCH_SIZE
+    observed = (
+        result.demand_writes,
+        result.device_writes,
+        result.failure.physical_page,
+        result.failure.device_writes,
+        engine.scheme.swap_writes,
+        engine.scheme.swap_events,
+    )
+    assert observed == PINNED[(scheme_name, workload)]

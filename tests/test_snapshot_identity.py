@@ -438,8 +438,13 @@ class TestCellCheckpointing:
             dataclasses.replace(armed, batch_size=1024, label="retry")
         )
 
+    def _oracle(self):
+        """The plain cell on the per-write oracle path (batch 1)."""
+        cell = attack_cell("sr", "scan", scaled=SCALED, seed=SEED)
+        return run_cell(dataclasses.replace(cell, batch_size=1))
+
     def test_checkpointed_cell_matches_plain_and_cleans_up(self, tmp_path):
-        plain = run_cell(attack_cell("sr", "scan", scaled=SCALED, seed=SEED))
+        plain = self._oracle()
         cell = self._cell(tmp_path)
         assert run_cell(cell) == plain
         # The run completed: its snapshot is spent, the directory clean.
@@ -447,7 +452,7 @@ class TestCellCheckpointing:
 
     def test_cell_resumes_from_crashed_state(self, tmp_path):
         cell = self._cell(tmp_path)
-        plain = run_cell(attack_cell("sr", "scan", scaled=SCALED, seed=SEED))
+        plain = self._oracle()
         # Plant the crashed run's snapshot exactly where the cell looks.
         os.makedirs(cell.snapshot_dir, exist_ok=True)
         path = cell_snapshot_path(cell)
@@ -473,7 +478,9 @@ class TestCellCheckpointing:
             seed=SEED,
             chunk_size=CHUNK,
         )
-        plain = run_cell(base)
+        plain = run_cell(dataclasses.replace(base, batch_size=1))
+        # Checkpointed on the default (batched) path, checked against
+        # the per-write oracle.
         cell = dataclasses.replace(
             base,
             snapshot_every=EVERY,
