@@ -39,7 +39,8 @@ class AttackWorkload(abc.ABC):
         Must emit exactly the sequence ``n`` calls of :meth:`next_write`
         would, including the ``writes_emitted`` side effect.  The base
         implementation draws scalars; attacks whose stream is closed-form
-        (scan, repeat) override it with a vector expression.
+        (scan, repeat) or a jump-ahead RNG draw (random) override it
+        with a vector expression.
         """
         if n < 0:
             raise ValueError("batch size must be non-negative")

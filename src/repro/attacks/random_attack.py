@@ -8,6 +8,8 @@ can do better.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..rng.streams import derive_seed
 from ..rng.xorshift import XorShift32
 from .base import AttackWorkload
@@ -30,3 +32,10 @@ class RandomWriteAttack(AttackWorkload):
 
     def next_write(self) -> int:
         return self._emit(self._rng.next_below(self.n_pages))
+
+    def next_writes(self, n: int) -> np.ndarray:
+        """Vectorized random stream: one jump-ahead draw per batch."""
+        if n < 0:
+            raise ValueError("batch size must be non-negative")
+        self.writes_emitted += n
+        return self._rng.next_words(n) % self.n_pages

@@ -103,13 +103,16 @@ class SecurityRefresh(WearLeveler):
         that wears out a page still runs its refresh step — serial
         :meth:`write` completes fully before the drive loop observes the
         failure — and the batch stops exactly where the serial loop
-        would.  Trigger words pre-drawn for requests after a mid-batch
-        failure are post-failure RNG state only, which nothing
-        observable depends on once the run is over.
+        would.  Only a refresh can bring a request to ``stop_at`` (at
+        least 2) writes, so a stop-bounded batch ends at a trigger
+        position and rewinds the trigger RNG to that position's word:
+        the words drawn past it belong to later requests.  Trigger words
+        pre-drawn for requests after a mid-batch failure are post-failure
+        RNG state only, which nothing observable depends on once the run
+        is over.
         """
-        if stop_at is not None:
-            # Stop-bounded batches are adaptive-attack segments, tens of
-            # writes long: the inherited per-write loop serves them.
+        if stop_at is not None and stop_at <= 1:
+            # Every request performs at least one write.
             return WearLeveler.write_batch(self, addresses, stop_at)
         seq = np.asarray(addresses, dtype=np.int64)
         array = self.array
@@ -130,6 +133,9 @@ class SecurityRefresh(WearLeveler):
                 return out[: start + applied]
             out[pos] += self._refresh_step(int(seq[pos]))
             if array.failed:
+                return out[: pos + 1]
+            if stop_at is not None and out[pos] >= stop_at:
+                self._trigger_rng.state = int(words[pos])
                 return out[: pos + 1]
             start = pos + 1
         if start < seq.size:

@@ -148,15 +148,22 @@ class TestNextWritesBatchIdentity:
 
     @pytest.mark.parametrize("name", attack_names())
     def test_matches_serial(self, name):
-        serial = make_attack(name, 32, seed=9)
-        batched = make_attack(name, 32, seed=9)
-        expected = [serial.next_write() for _ in range(100)]
-        got = []
-        for chunk in (1, 7, 40, 52):
-            got.extend(batched.next_writes(chunk).tolist())
-        assert got == expected
-        assert batched.writes_emitted == serial.writes_emitted
-        assert batched.next_write() == serial.next_write()
+        # Chunks past 64 writes run the random attack's jump-ahead draw
+        # (whole and partial doublings); 1000 pages is not a power of two.
+        for n_pages, chunks in (
+            (32, (1, 7, 40, 52)),
+            (32, (63, 65, 129, 1000)),
+            (1000, (1, 63, 65, 129, 1000, 4097)),
+        ):
+            serial = make_attack(name, n_pages, seed=9)
+            batched = make_attack(name, n_pages, seed=9)
+            expected = [serial.next_write() for _ in range(sum(chunks))]
+            got = []
+            for chunk in chunks:
+                got.extend(batched.next_writes(chunk).tolist())
+            assert got == expected
+            assert batched.writes_emitted == serial.writes_emitted
+            assert batched.next_write() == serial.next_write()
 
     def test_zero_length_batch(self):
         attack = make_attack("scan", 8, seed=1)

@@ -1,10 +1,12 @@
 """Tests for Security Refresh (behavioral and single-level models)."""
 
+import numpy as np
 import pytest
 
 from repro.config import SecurityRefreshConfig
 from repro.errors import ConfigError
 from repro.pcm.array import PCMArray
+from repro.wearlevel.base import WearLeveler
 from repro.wearlevel.security_refresh import (
     SecurityRefresh,
     SingleLevelSecurityRefresh,
@@ -57,6 +59,45 @@ class TestBehavioralSR:
             1 for la in range(16) if scheme.translate(la) != start_frames[la]
         )
         assert moved >= 12
+
+
+class TestStopBoundedBatch:
+    """A stop-bounded ``write_batch`` ends where the per-write loop does.
+
+    The batch pre-draws one trigger word per request; once it stops at a
+    refresh, the words drawn past it belong to later requests, so the
+    trigger RNG must be rewound to the stopping request's word.
+    """
+
+    @staticmethod
+    def _scheme():
+        array = PCMArray.uniform(64, 10**9)
+        return SecurityRefresh(array, SecurityRefreshConfig(refresh_interval=4), seed=11)
+
+    @pytest.mark.parametrize("stop_at", [1, 2, 3, 4])
+    def test_matches_the_per_write_loop(self, stop_at):
+        addresses = (np.arange(3000, dtype=np.int64) * 7) % 64
+        batched, serial = self._scheme(), self._scheme()
+        stops = 0
+        start = 0
+        while start < addresses.size:
+            chunk = addresses[start : start + 100]
+            counts = batched.write_batch(chunk, stop_at)
+            expected = WearLeveler.write_batch(serial, chunk, stop_at)
+            assert counts.tolist() == expected.tolist()
+            assert batched._trigger_rng.state == serial._trigger_rng.state
+            assert batched._victim_rng.state == serial._victim_rng.state
+            assert batched.refresh_steps == serial.refresh_steps
+            np.testing.assert_array_equal(
+                batched.array.write_counts(), serial.array.write_counts()
+            )
+            np.testing.assert_array_equal(
+                batched.remap.mapping_array(), serial.remap.mapping_array()
+            )
+            stops += counts.size < chunk.size
+            start += counts.size
+        # Stops at 2 or 3 writes end batches at refreshes; 4 never stops.
+        assert (stops > 10) == (stop_at <= 3)
 
 
 class TestSingleLevelSR:
