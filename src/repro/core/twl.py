@@ -137,49 +137,58 @@ class TossUpWearLeveling(WearLeveler):
         window the write counters move predictably — a page's counter
         after ``j`` writes is ``(start + j) % interval`` — so **all**
         toss-up trigger positions in the window follow from one modular
-        comparison against the canonical counter array.  The
-        straight-through stretches between events are served by one
-        :meth:`PCMArray.apply_batch` plus one vectorized counter update
-        each; only the event writes themselves (and the window-boundary
-        write that fires the inter-pair swap) go through the exact
-        scalar :meth:`write`.
+        comparison against the canonical counter array.  Each write is
+        then served by one of four tiers:
 
-        The modular prediction assumes every counter is below the
-        interval, which :meth:`WriteCounterTable.record_write` maintains
-        by construction; an injected fault can break it, so any window
-        that starts with a corrupted counter is served scalar until the
-        counter wraps back into range.
+        * **bulk window** — when no page can fail inside the window and
+          the toss-up reads the static ET, the events are decided in
+          order inside the planner and the whole window is one
+          :meth:`PCMArray.apply_batch` (:meth:`_serve_window_bulk`);
+        * **alternation** — windows that could fail, and every window
+          under ``use_remaining_endurance``, apply each straight-through
+          run in one vector step and serve each event through the exact
+          scalar :meth:`write`;
+        * **corrupt-counter scalar** — the modular prediction assumes
+          every counter is below the interval, which
+          :meth:`WriteCounterTable.record_write` maintains by
+          construction; an injected fault can break it, so a batch that
+          starts with a corrupted counter goes to the inherited
+          per-write loop;
+        * **boundary write** — the write that fires the inter-pair swap
+          goes through the scalar :meth:`write`.
+
+        With ``stop_at``, the batch ends after the first request that
+        performs that many physical writes: only a toss-up swap (two
+        writes) or a boundary write (three or four) can, so every tier
+        stops at its own events and a bulk window is cut right after its
+        first swap when ``stop_at`` is 2.
         """
-        if stop_at is not None:
-            # Stop-bounded batches are adaptive-attack segments, tens of
-            # writes long: the inherited per-write loop serves them.
+        if stop_at is not None and stop_at <= 1:
+            # Every request performs at least one write.
             return WearLeveler.write_batch(self, addresses, stop_at)
         seq = np.asarray(addresses, dtype=np.int64)
-        if self.array.failed:
-            return np.zeros(0, dtype=np.int64)
-        n = self.remap.n_pages
-        if seq.size and ((seq < 0).any() or (seq >= n).any()):
-            bad = int(seq[(seq < 0) | (seq >= n)][0])
-            self.check_logical(bad)
-        out = np.ones(seq.size, dtype=np.int64)
         array = self.array
-        counters = self.write_counters.values_array()
-        interval = self.write_counters.interval
+        if array.failed:
+            return np.zeros(0, dtype=np.int64)
+        self.check_logical_batch(seq)
         # Checked once per batch: every in-batch counter update
         # (record_write wrap, modular bulk_record, force_trigger_next's
         # interval-1) keeps counters below the interval, so only an
         # external poke — impossible mid-batch — can break this.
-        counters_sane = int(counters.max()) < interval
+        counters = self.write_counters
+        if int(counters.values_array().max()) >= counters.interval:
+            return WearLeveler.write_batch(self, seq, stop_at)
+        stop = stop_at or 0
+        out = np.ones(seq.size, dtype=np.int64)
         # Lower bound on the minimum remaining endurance, maintained
-        # across windows so the whole-window fast path (which applies a
-        # window's writes out of order) only runs when no page can fail
-        # inside the window.  Each demand write costs at most two
-        # physical writes, the boundary write at most four.
+        # across windows so the bulk tier (which applies a window's
+        # writes out of order) only runs when no page can fail inside
+        # the window.  Each demand write costs at most two physical
+        # writes, the boundary write at most four.
         headroom = -1
         position = 0
         while position < seq.size:
-            # Writes before the next inter-pair swap fires (the firing
-            # write itself is served by the scalar path below).
+            # Writes before the next inter-pair swap fires.
             quiet = (
                 self.config.inter_pair_swap_interval - self._interpair_counter - 1
             )
@@ -189,26 +198,28 @@ class TossUpWearLeveling(WearLeveler):
                 window_cost = 2 * limit + 4
                 if headroom <= window_cost:
                     headroom = int((array.endurance - array.writes).min())
-                if counters_sane:
-                    served = self._serve_window(
-                        window, out, position, headroom > window_cost
-                    )
-                else:
-                    served = self._serve_scalar(window, out, position)
+                served = self._serve_window(
+                    window, out, position, headroom > window_cost, stop
+                )
                 headroom -= window_cost
-                position += served
-                if array.failed:
-                    return out[:position]
-            # The window-boundary write fires the inter-pair swap.
-            if position < seq.size:
+            else:
+                # The window-boundary write fires the inter-pair swap.
                 out[position] = self.write(int(seq[position]))
-                position += 1
-                if array.failed:
-                    return out[:position]
+                served = 1
+            position += served
+            # A tier returns early only at a failure or at a stop, and a
+            # stop is always its last served request.
+            if array.failed or (stop and out[position - 1] >= stop):
+                return out[:position]
         return out
 
     def _serve_window(
-        self, window: np.ndarray, out: np.ndarray, base: int, no_failure: bool = False
+        self,
+        window: np.ndarray,
+        out: np.ndarray,
+        base: int,
+        no_failure: bool,
+        stop: int,
     ) -> int:
         """Serve one inter-pair-quiet window; return writes served.
 
@@ -216,10 +227,11 @@ class TossUpWearLeveling(WearLeveler):
         whole window: an event only resets its own counter to zero,
         which the modular formula already accounts for).  When the
         caller guarantees no page can fail inside the window
-        (``no_failure``), the toss-up decisions themselves vectorize and
-        the whole window collapses to one bulk apply
-        (:meth:`_serve_window_fast`); otherwise it alternates vectorized
-        straight-through runs with exact scalar event writes.
+        (``no_failure``) and the toss-up reads static endurance, the
+        window collapses to one bulk apply (:meth:`_serve_window_bulk`);
+        otherwise it alternates vectorized straight-through runs with
+        exact scalar event writes.  ``stop`` (0 for none) ends the
+        window after the first request performing that many writes.
         """
         counters = self.write_counters.values_array()
         partners = self.pair_table.partners_array()
@@ -237,121 +249,112 @@ class TossUpWearLeveling(WearLeveler):
             occurrences = _cumcount(window)
             triggered = (counters[window] + occurrences + 1) % interval == 0
             distinct = False
-        partners_w = partners[window]
-        events = np.flatnonzero(triggered & (partners_w != window))
+        events = np.flatnonzero(triggered & (partners[window] != window))
         if no_failure and not self.config.use_remaining_endurance:
-            logicals = window[events]
-            mates = partners_w[events]
-            # Toss-up outcomes feed back into later events of the SAME
-            # pair (a swap exchanges the pair's frames); events over
-            # distinct pairs are independent.
-            keys = np.sort(
-                np.minimum(logicals, mates) * self.remap.n_pages
-                + np.maximum(logicals, mates)
-            )
-            if keys.size < 2 or not (keys[1:] == keys[:-1]).any():
-                return self._serve_window_fast(
-                    window, events, logicals, mates, distinct, out, base
-                )
+            return self._serve_window_bulk(window, events, distinct, out, base, stop)
         array = self.array
         write = self.write
         pos = 0
         for event in events.tolist():  # twl: allow(TWL006) reason=one per planned event
             run = event - pos
             if run > 0:
-                served = self._serve_quiet_run(window[pos : pos + run])
-                pos += served
-                if served < run:  # failure inside the run
+                pos += self._serve_quiet_run(window[pos : pos + run])
+                if array.failed:  # a run stops at its failing write
                     return pos
             out[base + pos] = write(int(window[event]))
             pos += 1
-            if array.failed:
+            if array.failed or (stop and out[base + event] >= stop):
                 return pos
         run = window.size - pos
         if run > 0:
             pos += self._serve_quiet_run(window[pos : pos + run])
         return pos
 
-    def _serve_window_fast(
+    def _serve_window_bulk(
         self,
         window: np.ndarray,
         events: np.ndarray,
-        logicals: np.ndarray,
-        mates: np.ndarray,
         distinct: bool,
         out: np.ndarray,
         base: int,
+        stop: int,
     ) -> int:
-        """Serve a whole window in one bulk apply, events included.
+        """Serve a window in one bulk apply, toss-up events included.
 
         Valid only when (a) no page can fail inside the window — device
         write *order* is then unobservable, so the batch may be applied
-        out of order — (b) the toss-up reads static endurance, and (c)
-        every event's pair is distinct, so no decision feeds back into
-        another event's frames.  Each toss-up consumes exactly one RNG
-        word, so the whole decision column is one batched draw compared
-        against the vectorized fixed-point thresholds; remap swaps are
-        then replayed onto the pre-gathered translation as per-pair tail
-        patches.
+        out of order — and (b) the toss-up reads static endurance.  The
+        only feedback between events is then a swap exchanging its
+        pair's frames, so the events are decided in request order
+        against the live RT, each drawing exactly one RNG word as
+        :meth:`TossUp.choose_a` would.  Each swap gathers the physical
+        frames of the writes since the previous swap before it remaps
+        the pair, and adds its migration write.  When a swap's two
+        writes reach ``stop``, the window is cut right after it, so no
+        later word is drawn.
         """
-        rng = self.toss_up.rng
-        n_events = int(events.size)
-        alphas = rng.take_words(n_events)
         mapping = self.remap.mapping_array()
         endurance = self.endurance_table.values_array()
-        frames = mapping[logicals]
-        pframes = mapping[mates]
-        own = endurance[frames]
-        other = endurance[pframes]
-        thresholds = (own << self.toss_up.rng_bits) // (own + other)
-        chose_own = alphas < thresholds
-        physical = mapping[window]
-        swaps = np.flatnonzero(~chose_own)
-        for k in swaps.tolist():  # twl: allow(TWL006) reason=per-swap remap patch, few per window
-            pos = int(events[k])
-            logical = int(logicals[k])
-            mate = int(mates[k])
-            tail = window[pos + 1 :]
-            patch = physical[pos + 1 :]
-            patch[tail == logical] = pframes[k]
-            patch[tail == mate] = frames[k]
+        partners = self.pair_table.partners_array()
+        next_word = self.toss_up.rng.next_word
+        rng_bits = self.toss_up.rng_bits
+        cut = 0 < stop <= 2
+        mates = partners[window[events]].tolist()
+        pieces = []
+        swaps = []
+        migrations = []
+        start = 0
+        size = int(window.size)
+        n_events = int(events.size)
+        for k, pos in enumerate(events.tolist()):  # twl: allow(TWL006) reason=one toss-up per planned event
+            logical = int(window[pos])
+            mate = mates[k]
+            frame = int(mapping[logical])
+            partner_frame = int(mapping[mate])
+            own = int(endurance[frame])
+            other = int(endurance[partner_frame])
+            if next_word() < (own << rng_bits) // (own + other):
+                continue  # chose its own frame: a direct write
+            # Swap-then-write: the event's own frame, gathered below,
+            # takes the migration write and the partner's frame the
+            # demand write.
+            pieces.append(mapping[window[start : pos + 1]])
+            swaps.append(pos)
+            migrations.append(partner_frame)
             self.remap.swap_logical(logical, mate)
-        if swaps.size:
-            # A swap event writes the migration frame first, then the
-            # chosen frame — splice the extra write in after the event
-            # (hand-rolled np.insert: the positions are pre-sorted).
-            extra = int(swaps.size)
-            full_seq = np.empty(physical.size + extra, dtype=np.int64)
-            spliced = np.zeros(full_seq.size, dtype=bool)
-            spliced[events[swaps] + 1 + np.arange(extra)] = True
-            full_seq[spliced] = pframes[swaps]
-            full_seq[~spliced] = physical
+            start = pos + 1
+            if cut:
+                size = start
+                n_events = k + 1
+                break
+        pieces.append(mapping[window[start:size]])
+        n_swapped = len(swaps)
+        if n_swapped:
+            pieces.append(np.array(migrations, dtype=np.int64))
+            physical = np.concatenate(pieces)
+            out[base + np.array(swaps, dtype=np.int64)] = 2
         else:
-            full_seq = physical
-        served = self.array.apply_batch(full_seq)
-        if served != full_seq.size:
+            physical = pieces[0]
+        if self.array.apply_batch(physical) != physical.size:
             raise SimulationError(
-                "whole-window fast path ran under a failure-possible state"
+                "bulk window path ran under a failure-possible state"
             )
         if distinct:
-            self.write_counters.bulk_record_distinct(window)
+            self.write_counters.bulk_record_distinct(window[:size])
         else:
-            self.write_counters.bulk_record(window)
+            self.write_counters.bulk_record(window[:size])
         self.toss_up_activations += n_events
         toss = self.toss_up
         toss.decisions += n_events
-        toss.chose_a += int(chose_own.sum())
-        n_swapped = int(swaps.size)
+        toss.chose_a += n_events - n_swapped
         judge = self.swap_judge
         judge.direct += n_events - n_swapped
         judge.swapped += n_swapped
         self.swap_events += n_swapped
         self.swap_writes += n_swapped
-        if n_swapped:
-            out[base + events[swaps]] = 2
-        self._interpair_counter += int(window.size)
-        self.demand_writes += int(window.size)
-        return int(window.size)
+        self._interpair_counter += size
+        self.demand_writes += size
+        return size
 
     def _serve_quiet_run(self, chunk: np.ndarray) -> int:
         """Apply a straight-through run in one vector step."""
@@ -362,18 +365,6 @@ class TossUpWearLeveling(WearLeveler):
         self._interpair_counter += served
         self.demand_writes += served
         return served
-
-    def _serve_scalar(self, window: np.ndarray, out: np.ndarray, base: int) -> int:
-        """Exact per-write fallback (corrupted-counter windows)."""
-        write = self.write
-        array = self.array
-        pos = 0
-        for logical in window.tolist():  # twl: allow(TWL006) reason=corrupt-counter fallback
-            out[base + pos] = write(logical)
-            pos += 1
-            if array.failed:
-                break
-        return pos
 
     def _pair_endurance(self, frame: int) -> int:
         """Endurance feeding the toss-up probability for ``frame``."""

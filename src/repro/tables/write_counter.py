@@ -81,11 +81,12 @@ class WriteCounterTable:
         Vectorized equivalent of calling :meth:`record_write` once per
         entry *and discarding the trigger results* — the batched write
         path pre-computes trigger positions from :meth:`values_array`
-        and serves them through the scalar path, so by construction the
-        only counters that wrap here belong to pages whose trigger is a
-        no-op (self-paired pages).  Caller guarantees every pre-update
-        counter is below the interval (true unless a fault was injected;
-        the planner falls back to the scalar path in that case).
+        and serves the toss-up events itself, so a counter that wraps
+        here has either had its event served by the caller or belongs to
+        a page whose trigger is a no-op (a self-paired page).  Caller
+        guarantees every pre-update counter is below the interval (true
+        unless a fault was injected; the planner falls back to the
+        scalar path in that case).
         """
         values = self._values
         if pages.size * 8 < self.n_pages:

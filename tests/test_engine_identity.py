@@ -16,6 +16,8 @@ on the no-failure path too.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,8 @@ from hypothesis import given, settings, strategies as st
 from repro.attacks.detector import SwapDetector
 from repro.attacks.inconsistent import InconsistentWriteAttack
 from repro.attacks.registry import attack_names, make_attack
-from repro.config import BWLConfig, SoftErrorConfig, TimingConfig
+from repro.config import BWLConfig, SoftErrorConfig, TimingConfig, TWLConfig
+from repro.core.twl import TossUpWearLeveling
 from repro.engine import InvariantCheckObserver, SimulationEngine
 from repro.errors import SimulationError
 from repro.pcm.array import PCMArray
@@ -308,6 +311,74 @@ def test_bwl_generated_configs_identical_to_serial(
         assert batched[3] == oracle[3]
 
 
+# --- generated TWL windows with same-pair events ---------------------
+#
+# TWL's bulk window decides its toss-up events in request order, so two
+# events of one pair in a window see each other's swaps.  A small array
+# and attacks over few pages put both pages of a pair in most windows;
+# the low endurance sums to less than the demand cap, so those runs wear
+# a page out and their windows cross from the bulk tier (no page can
+# fail inside the window) to the alternation tier.
+
+_TWL_PAGES = 16
+_TWL_DEMAND = 40_000
+
+
+def _twl_controller(scheme):
+    return {
+        "remap": scheme.remap.mapping_array().tolist(),
+        "partners": scheme.pair_table.partners_array().tolist(),
+        "counters": scheme.write_counters.values_array().tolist(),
+        "toss_up": scheme.toss_up.snapshot(),
+        "victim_rng": scheme._victim_rng.state,
+    }
+
+
+def _run_twl(config, attack_name, n_targets, endurance, batch_size):
+    rng = np.random.default_rng(9)
+    array = PCMArray(rng.integers(endurance, 3 * endurance, size=_TWL_PAGES))
+    scheme = TossUpWearLeveling(array, config, seed=3)
+    attack = make_attack(attack_name, n_targets, seed=3)
+    result = run_to_failure(
+        scheme,
+        AttackDriver(attack),
+        max_demand=_TWL_DEMAND,
+        require_failure=False,
+        batch_size=batch_size,
+    )
+    return result, array.write_counts(), scheme.stats(), _twl_controller(scheme)
+
+
+@given(
+    config=st.builds(
+        TWLConfig,
+        toss_up_interval=st.sampled_from([1, 2, 8, 32, 120]),
+        inter_pair_swap_interval=st.sampled_from([1, 7, 64, 128, 1000]),
+        pairing=st.sampled_from(["swp", "ap", "random"]),
+        maintain_physical_pairs=st.booleans(),
+        toss_on_relocation=st.booleans(),
+    ),
+    attack_name=st.sampled_from(["repeat", "scan", "random"]),
+    n_targets=st.integers(1, _TWL_PAGES),
+    batch_size=st.sampled_from([37, 127, 128, 4096]),
+    endurance=st.sampled_from([10**9, 1000]),
+)
+@settings(max_examples=40, deadline=None)
+def test_twl_same_pair_windows_identical_to_serial(
+    config, attack_name, n_targets, batch_size, endurance
+):
+    """A generated TWL config under an attack over few pages equals the
+    ``batch_size=1`` oracle: result, wear, stats and the whole
+    controller state (RT, SWPT, write counters, both RNGs)."""
+    oracle = _run_twl(config, attack_name, n_targets, endurance, 1)
+    batched = _run_twl(config, attack_name, n_targets, endurance, batch_size)
+    assert oracle[0].failed == (endurance < 10**9)
+    assert batched[0] == oracle[0]
+    assert np.array_equal(batched[1], oracle[1])
+    assert batched[2] == oracle[2]
+    assert batched[3] == oracle[3]
+
+
 # --- adaptive attacks -----------------------------------------------
 #
 # An adaptive attack steers on response times, but between two course
@@ -422,6 +493,39 @@ def test_adaptive_segments_equal_the_feedback_loop(
     served = engine.drive(_ADAPTIVE_DEMAND)
     assert _adaptive_state(scheme, attack, served) == expected
     assert all(counts.size and counts.min() >= 1 for counts in served_counts)
+
+
+@pytest.mark.parametrize("scheme_name", ["sr", "bwl", "twl"])
+def test_adaptive_stops_inside_the_scheme(scheme_name):
+    """Segments that the scheme's own ``write_batch`` stops equal the
+    feedback loop.  The endurance is large, so the run is long enough
+    for a wrong stop to show: a write that SR's pre-drawn trigger words
+    or TWL's toss-up words run past (SR rewinds its trigger RNG, TWL
+    cuts its bulk window after the swap) shifts every later refresh,
+    toss-up or swap phase."""
+    batch_size = 4096
+    parts = (scheme_name, 10**9, {"n_targets": 16}, {}, 0)
+    scheme, attack = _adaptive_parts(*parts)
+    served = _feedback_loop(scheme, attack, 20_000)
+    expected = _adaptive_state(scheme, attack, served)
+
+    scheme, attack = _adaptive_parts(*parts)
+    stops = []
+    write_batch = scheme.write_batch
+
+    def recording(addresses, stop_at=None):
+        counts = write_batch(addresses, stop_at)
+        if counts.size < len(addresses):
+            stops.append(int(counts[-1]))
+        return counts
+
+    scheme.write_batch = recording
+    engine = SimulationEngine(scheme, AttackDriver(attack), batch_size=batch_size)
+    served = engine.drive(20_000)
+    assert _adaptive_state(scheme, attack, served) == expected
+    assert engine.batches > math.ceil(served / batch_size)
+    assert len(stops) > 20
+    assert min(stops) >= attack.detector.segment(_WRITE_CYCLES)[1]
 
 
 def test_adaptive_steps_are_segments(monkeypatch):

@@ -172,3 +172,80 @@ class TestInterPairSwap:
         stats = scheme.stats()
         for key in ("toss_up_activations", "toss_up_swaps", "inter_pair_swaps"):
             assert key in stats
+
+
+def _twl_state(scheme):
+    """Everything a stop-bounded batch may move, scheme and array."""
+    toss, judge = scheme.toss_up, scheme.swap_judge
+    return {
+        "writes": scheme.array.writes.tolist(),
+        "remap": scheme.remap.mapping_array().tolist(),
+        "partners": scheme.pair_table.partners_array().tolist(),
+        "counters": scheme.write_counters.values_array().tolist(),
+        "toss_rng": toss.rng.snapshot(),
+        "toss": (toss.decisions, toss.chose_a),
+        "judge": (judge.direct, judge.swapped),
+        "victim_rng": scheme._victim_rng.state,
+        "interpair_counter": scheme._interpair_counter,
+        "stats": scheme.stats(),
+    }
+
+
+class TestStopBoundedBatch:
+    """A stop-bounded ``write_batch`` ends where the per-write loop does.
+
+    A toss-up swap costs two writes and an inter-pair boundary write
+    three or four, so a bulk window must end right after its first swap
+    when the stop is 2, without drawing the next event's toss-up word.
+    Addresses cover 16 pages of a 32-page array, so both pages of many
+    pairs land in one window.
+    """
+
+    CONFIGS = {
+        "dense": TWLConfig(),
+        "sparse": TWLConfig(toss_up_interval=120, inter_pair_swap_interval=4096),
+        "unmaintained": TWLConfig(
+            toss_up_interval=8,
+            inter_pair_swap_interval=64,
+            maintain_physical_pairs=False,
+        ),
+        "no_relocation_toss": TWLConfig(
+            toss_up_interval=4, inter_pair_swap_interval=50, toss_on_relocation=False
+        ),
+        "remaining": TWLConfig(
+            toss_up_interval=2, inter_pair_swap_interval=40, use_remaining_endurance=True
+        ),
+    }
+
+    @staticmethod
+    def _scheme(config):
+        endurance = np.random.default_rng(3).integers(10**6, 4 * 10**6, size=32)
+        return TossUpWearLeveling(PCMArray(endurance), config=config, seed=7)
+
+    @pytest.mark.parametrize("stop_at", [1, 2, 3, 4])
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_matches_the_per_write_loop(self, config, stop_at):
+        from repro.wearlevel.base import WearLeveler
+
+        addresses = np.random.default_rng(5).integers(0, 16, size=12_000)
+        batched = self._scheme(self.CONFIGS[config])
+        serial = self._scheme(self.CONFIGS[config])
+        stop_counts = []
+        start = 0
+        while start < addresses.size:
+            chunk = addresses[start : start + 300]
+            counts = batched.write_batch(chunk, stop_at)
+            expected = WearLeveler.write_batch(serial, chunk, stop_at)
+            assert counts.tolist() == expected.tolist()
+            assert _twl_state(batched) == _twl_state(serial)
+            if counts.size < chunk.size:
+                stop_counts.append(int(counts[-1]))
+            start += counts.size
+        assert all(count >= stop_at for count in stop_counts)
+        if stop_at == 2:
+            # Stops land at toss-up swaps (two writes) and at inter-pair
+            # boundary writes (three or four).
+            assert stop_counts.count(2) > 10
+            assert any(count >= 3 for count in stop_counts)
+        if stop_at == 3:
+            assert len(stop_counts) >= 2
