@@ -23,6 +23,7 @@ immune to the inconsistent-write attack.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Optional
 
 import numpy as np
@@ -42,24 +43,40 @@ from .swap_judge import SwapJudge
 from .tossup import TossUp
 
 
-def _cumcount(values: np.ndarray) -> np.ndarray:
-    """Occurrences of ``values[i]`` strictly before index ``i``.
+def _group(values: np.ndarray):
+    """Group ``values`` by value, request order kept inside each group.
 
-    Stable-sort grouping trick: sort values (stably), rank inside each
-    group, scatter the ranks back to the original order.
+    Returns ``(order, ordered, starts, ranks)``: the stable argsort, the
+    sorted values, where each group starts in them, and each value's
+    occurrence number (how many equal values precede it).
     """
     order = np.argsort(values, kind="stable")
     ordered = values[order]
     new_group = np.empty(values.size, dtype=bool)
     new_group[0] = True
     new_group[1:] = ordered[1:] != ordered[:-1]
-    indices = np.arange(values.size)
-    group_starts = indices[new_group]
-    group_ids = np.cumsum(new_group) - 1
-    ranks = indices - group_starts[group_ids]
-    out = np.empty(values.size, dtype=np.int64)
-    out[order] = ranks
-    return out
+    starts = np.flatnonzero(new_group)
+    ranks = np.empty(values.size, dtype=np.int64)
+    ranks[order] = np.arange(values.size) - starts[np.cumsum(new_group) - 1]
+    return order, ordered, starts, ranks
+
+
+def _span_cost(length: int, phase: int, interval: int) -> int:
+    """Worst-case physical writes of the next ``length`` demand writes.
+
+    Two per demand write (a toss-up swap) plus two per inter-pair
+    boundary among them, with the inter-pair counter at ``phase``.
+    """
+    return 2 * (length + (phase + length) // interval)
+
+
+def _longest_span(headroom: int, phase: int, interval: int) -> int:
+    """Most demand writes whose :func:`_span_cost` stays below ``headroom``."""
+    # With m = phase + length, solve m + m // interval <= budget; the
+    # left side is strictly increasing in m.
+    budget = (headroom - 1) // 2 + phase
+    q, r = divmod(budget, interval + 1)
+    return q * interval + min(r, interval - 1) - phase
 
 
 class TossUpWearLeveling(WearLeveler):
@@ -128,40 +145,43 @@ class TossUpWearLeveling(WearLeveler):
         return writes
 
     def write_batch(self, addresses, stop_at: Optional[int] = None) -> np.ndarray:
-        """Batch path: plan every toss-up event, vectorize the rest.
+        """Batch path: plan every toss-up and inter-pair event in numpy.
 
         Most demand writes neither fire a toss-up (one in
         ``toss_up_interval`` writes to a page) nor an inter-pair swap
-        (one in ``inter_pair_swap_interval`` demand writes).  The batch
-        is cut into *windows* at inter-pair-swap boundaries; within a
-        window the write counters move predictably — a page's counter
-        after ``j`` writes is ``(start + j) % interval`` — so **all**
-        toss-up trigger positions in the window follow from one modular
-        comparison against the canonical counter array.  Each write is
-        then served by one of four tiers:
+        (one in ``inter_pair_swap_interval`` demand writes).  Between
+        two re-phasings a page's counter after ``j`` of its writes is
+        ``(start + j) % interval``, so the toss-up trigger positions
+        follow from one modular comparison against the canonical counter
+        array, and the inter-pair boundaries are arithmetic in the
+        global demand count.  Each write is served by one of three
+        tiers:
 
-        * **bulk window** — when no page can fail inside the window and
-          the toss-up reads the static ET, the events are decided in
-          order inside the planner and the whole window is one
-          :meth:`PCMArray.apply_batch` (:meth:`_serve_window_bulk`);
-        * **alternation** — windows that could fail, and every window
-          under ``use_remaining_endurance``, apply each straight-through
-          run in one vector step and serve each event through the exact
-          scalar :meth:`write`;
+        * **bulk span** — the longest prefix of the batch that the
+          endurance headroom proves cannot fail (at most two physical
+          writes per demand write and two more per boundary), when the
+          toss-up reads the static ET: its boundaries and toss-up
+          triggers are decided in one ordered walk inside the planner
+          and the whole span is one :meth:`PCMArray.apply_batch`
+          (:meth:`_serve_span`);
+        * **alternation** — when a span would not reach the next
+          inter-pair boundary, and always under
+          ``use_remaining_endurance``, the batch is cut into windows at
+          the boundaries: each straight-through run is one vector step,
+          each toss-up event and each boundary write goes through the
+          exact scalar :meth:`write`;
         * **corrupt-counter scalar** — the modular prediction assumes
           every counter is below the interval, which
           :meth:`WriteCounterTable.record_write` maintains by
           construction; an injected fault can break it, so a batch that
           starts with a corrupted counter goes to the inherited
-          per-write loop;
-        * **boundary write** — the write that fires the inter-pair swap
-          goes through the scalar :meth:`write`.
+          per-write loop.
 
         With ``stop_at``, the batch ends after the first request that
         performs that many physical writes: only a toss-up swap (two
         writes) or a boundary write (three or four) can, so every tier
-        stops at its own events and a bulk window is cut right after its
-        first swap when ``stop_at`` is 2.
+        stops at its own events, and a bulk span is cut right after the
+        request that reaches ``stop_at``.
         """
         if stop_at is not None and stop_at <= 1:
             # Every request performs at least one write.
@@ -172,7 +192,7 @@ class TossUpWearLeveling(WearLeveler):
             return np.zeros(0, dtype=np.int64)
         self.check_logical_batch(seq)
         # Checked once per batch: every in-batch counter update
-        # (record_write wrap, modular bulk_record, force_trigger_next's
+        # (record_write wrap, modular bulk updates, force_trigger_next's
         # interval-1) keeps counters below the interval, so only an
         # external poke — impossible mid-batch — can break this.
         counters = self.write_counters
@@ -180,32 +200,43 @@ class TossUpWearLeveling(WearLeveler):
             return WearLeveler.write_batch(self, seq, stop_at)
         stop = stop_at or 0
         out = np.ones(seq.size, dtype=np.int64)
-        # Lower bound on the minimum remaining endurance, maintained
-        # across windows so the bulk tier (which applies a window's
-        # writes out of order) only runs when no page can fail inside
-        # the window.  Each demand write costs at most two physical
-        # writes, the boundary write at most four.
+        interval = self.config.inter_pair_swap_interval
+        bulk = not self.config.use_remaining_endurance
+        # Lower bound on the minimum remaining endurance, kept across
+        # tiers so the bulk span (which applies its writes out of
+        # order) only runs where no page can fail.
         headroom = -1
         position = 0
         while position < seq.size:
-            # Writes before the next inter-pair swap fires.
-            quiet = (
-                self.config.inter_pair_swap_interval - self._interpair_counter - 1
-            )
-            limit = min(seq.size - position, quiet)
-            if limit > 0:
-                window = seq[position : position + limit]
-                window_cost = 2 * limit + 4
-                if headroom <= window_cost:
+            rest = seq.size - position
+            phase = self._interpair_counter
+            quiet = interval - phase - 1  # writes before the next boundary
+            span = 0
+            if bulk:
+                if headroom <= _span_cost(rest, phase, interval):
                     headroom = int((array.endurance - array.writes).min())
-                served = self._serve_window(
-                    window, out, position, headroom > window_cost, stop
+                span = min(rest, _longest_span(headroom, phase, interval))
+                if stop and stop <= 4:
+                    # A boundary performs three or four writes, so a
+                    # stop-bounded span seldom outlives the next one:
+                    # plan no further than it.
+                    span = min(span, quiet + 1)
+            if 0 < min(rest, quiet + 1) <= span:
+                served = self._serve_span(
+                    seq[position : position + span], out, position, stop
                 )
-                headroom -= window_cost
+                headroom -= _span_cost(served, phase, interval)
+            elif quiet > 0:
+                limit = min(rest, quiet)
+                served = self._serve_window(
+                    seq[position : position + limit], out, position, stop
+                )
+                headroom -= 2 * served
             else:
                 # The window-boundary write fires the inter-pair swap.
                 out[position] = self.write(int(seq[position]))
                 served = 1
+                headroom -= 4
             position += served
             # A tier returns early only at a failure or at a stop, and a
             # stop is always its last served request.
@@ -214,24 +245,17 @@ class TossUpWearLeveling(WearLeveler):
         return out
 
     def _serve_window(
-        self,
-        window: np.ndarray,
-        out: np.ndarray,
-        base: int,
-        no_failure: bool,
-        stop: int,
+        self, window: np.ndarray, out: np.ndarray, base: int, stop: int
     ) -> int:
-        """Serve one inter-pair-quiet window; return writes served.
+        """Alternation tier: serve one inter-pair-quiet window.
 
-        Computes the full toss-up event schedule up front (valid for the
-        whole window: an event only resets its own counter to zero,
-        which the modular formula already accounts for).  When the
-        caller guarantees no page can fail inside the window
-        (``no_failure``) and the toss-up reads static endurance, the
-        window collapses to one bulk apply (:meth:`_serve_window_bulk`);
-        otherwise it alternates vectorized straight-through runs with
-        exact scalar event writes.  ``stop`` (0 for none) ends the
-        window after the first request performing that many writes.
+        Computes the window's toss-up event schedule up front (valid for
+        the whole window: an event only resets its own counter to zero,
+        which the modular formula already accounts for), then alternates
+        vectorized straight-through runs with exact scalar event writes,
+        so a failure lands on its exact write.  ``stop`` (0 for none)
+        ends the window after the first request performing that many
+        writes.
         """
         counters = self.write_counters.values_array()
         partners = self.pair_table.partners_array()
@@ -239,19 +263,9 @@ class TossUpWearLeveling(WearLeveler):
         # record_write triggers the j-th write to a page (1-based) iff
         # (counter + j) % interval == 0; triggers on self-paired pages
         # do not activate the engine and stay in the vectorized runs.
-        # Duplicate-free windows (scan-like streams) skip the
-        # occurrence ranking: every write is its page's first.
-        s = np.sort(window)
-        if window.size < 2 or not (s[1:] == s[:-1]).any():
-            triggered = (counters[window] + 1) % interval == 0
-            distinct = True
-        else:
-            occurrences = _cumcount(window)
-            triggered = (counters[window] + occurrences + 1) % interval == 0
-            distinct = False
+        ranks = _group(window)[3]
+        triggered = (counters[window] + ranks + 1) % interval == 0
         events = np.flatnonzero(triggered & (partners[window] != window))
-        if no_failure and not self.config.use_remaining_endurance:
-            return self._serve_window_bulk(window, events, distinct, out, base, stop)
         array = self.array
         write = self.write
         pos = 0
@@ -270,91 +284,191 @@ class TossUpWearLeveling(WearLeveler):
             pos += self._serve_quiet_run(window[pos : pos + run])
         return pos
 
-    def _serve_window_bulk(
-        self,
-        window: np.ndarray,
-        events: np.ndarray,
-        distinct: bool,
-        out: np.ndarray,
-        base: int,
-        stop: int,
+    def _serve_span(
+        self, span: np.ndarray, out: np.ndarray, base: int, stop: int
     ) -> int:
-        """Serve a window in one bulk apply, toss-up events included.
+        """Bulk tier: serve a span in one apply, every event included.
 
-        Valid only when (a) no page can fail inside the window — device
-        write *order* is then unobservable, so the batch may be applied
+        Valid only when (a) no page can fail inside the span — device
+        write *order* is then unobservable, so the span may be applied
         out of order — and (b) the toss-up reads static endurance.  The
-        only feedback between events is then a swap exchanging its
-        pair's frames, so the events are decided in request order
-        against the live RT, each drawing exactly one RNG word as
-        :meth:`TossUp.choose_a` would.  Each swap gathers the physical
-        frames of the writes since the previous swap before it remaps
-        the pair, and adds its migration write.  When a swap's two
-        writes reach ``stop``, the window is cut right after it, so no
-        later word is drawn.
+        feedback between events is then confined to the tables, so the
+        events are decided in request order inside the planner:
+
+        * an **inter-pair boundary** draws its victim as
+          :meth:`_inter_pair_swap` does, writes both frames, exchanges
+          them in the RT, conjugates the SWPT with
+          ``maintain_physical_pairs`` and, with ``toss_on_relocation``,
+          *re-phases* both pages: a page's counter is ``(offset +
+          served occurrences) % interval``, and the force gives it a new
+          offset whose trigger positions are a stride-``interval`` slice
+          of the page's positions, pushed one at a time onto the event
+          heap;
+        * a **toss-up trigger** (checked against its page's current
+          offset, so entries of a re-phased page go stale) reads both
+          frames from the live RT and the partner from the live SWPT,
+          draws exactly one word as :meth:`TossUp.choose_a` would and,
+          on a swap, exchanges the pair's frames.
+
+        Every change of the RT first gathers the physical frames of the
+        writes since the previous one; the migration frames are added at
+        the end.  When a request reaches ``stop`` writes, the span is cut
+        right after it, before the next event draws a word.  Counters end
+        at ``(offset + occurrences) % interval``.
         """
+        size = int(span.size)
+        n = self.remap.n_pages
+        counters = self.write_counters
+        start_counters = counters.values_array()
+        toss_interval = counters.interval
+        swap_interval = self.config.inter_pair_swap_interval
+        relocate = self.config.toss_on_relocation
+        order, ordered, starts, ranks = _group(span)
+        # Events as heap keys (2 * position + kind) * n + page: kind 0
+        # is an inter-pair boundary, served before its request's demand
+        # write; kind 1 a toss-up trigger.  Each boundary pushes the
+        # next one.
+        triggers = np.flatnonzero(
+            (start_counters[span] + ranks + 1) % toss_interval == 0
+        )
+        heap = ((2 * n) * triggers + span[triggers] + n).tolist()
+        boundary = swap_interval - self._interpair_counter - 1
+        if boundary < size:
+            heappush(heap, 2 * n * boundary + int(span[boundary]))
+            if relocate:
+                # (page, position) sorts the span by page, then request.
+                keyed = ordered * size + order
         mapping = self.remap.mapping_array()
         endurance = self.endurance_table.values_array()
         partners = self.pair_table.partners_array()
+        swap_logical = self.remap.swap_logical
+        exchange_roles = (
+            self.pair_table.exchange_roles
+            if self.config.maintain_physical_pairs
+            else None
+        )
+        next_victim = self._victim_rng.next_below
         next_word = self.toss_up.rng.next_word
         rng_bits = self.toss_up.rng_bits
-        cut = 0 < stop <= 2
-        mates = partners[window[events]].tolist()
+        # Re-phased page -> (counter offset, its slice of ``ordered``).
+        rephased = {}
         pieces = []
-        swaps = []
         migrations = []
-        start = 0
-        size = int(window.size)
-        n_events = int(events.size)
-        for k, pos in enumerate(events.tolist()):  # twl: allow(TWL006) reason=one toss-up per planned event
-            logical = int(window[pos])
-            mate = mates[k]
-            frame = int(mapping[logical])
-            partner_frame = int(mapping[mate])
+        start = 0  # first request whose frame is not gathered yet
+        current, count = -1, 0  # request being served, its writes so far
+        last_toss = -1
+        n_bounds = activations = n_swapped = 0
+        cut = size
+        # One iteration per planned event (boundaries, triggers, pushed
+        # re-phased triggers), not per write.
+        while heap:
+            slot, page = divmod(heappop(heap), n)
+            pos = slot >> 1
+            if pos != current:
+                if stop and count >= stop:
+                    cut = current + 1
+                    break
+                current, count = pos, 1
+            if not slot & 1:
+                # The inter-pair swap of _inter_pair_swap.
+                victim = next_victim(n)
+                if victim == page:
+                    victim = (victim + 1) % n
+                pieces.append(mapping[span[start:pos]])
+                migrations.append(mapping[page])
+                migrations.append(mapping[victim])
+                start = pos
+                swap_logical(page, victim)
+                if exchange_roles is not None:
+                    exchange_roles(page, victim)
+                if relocate:
+                    # force_trigger_next on both pages: the next write
+                    # of each (sorted index ``at``) gets a new offset.
+                    bounds = keyed.searchsorted(
+                        [page * size, page * size + pos, page * size + size,
+                         victim * size, victim * size + pos, victim * size + size]
+                    ).tolist()
+                    for moved, low, at, high in (
+                        (page, *bounds[:3]), (victim, *bounds[3:])
+                    ):
+                        offset = (low - at - 1) % toss_interval
+                        if moved in rephased:
+                            previous = rephased[moved][0]
+                        else:
+                            previous = int(start_counters[moved])
+                        if offset != previous:
+                            rephased[moved] = (offset, low, high)
+                            if at < high:
+                                heappush(heap, (2 * int(order[at]) + 1) * n + moved)
+                n_bounds += 1
+                count += 2
+                out[base + pos] = count
+                boundary = pos + swap_interval
+                if boundary < size:
+                    heappush(heap, 2 * n * boundary + int(span[boundary]))
+                continue
+            if pos <= last_toss:
+                continue  # a duplicate of a trigger already served
+            entry = rephased.get(page)
+            if entry is not None:
+                offset, low, high = entry
+                rank = int(ranks[pos])
+                if (offset + rank + 1) % toss_interval:
+                    continue  # stale: the page was re-phased
+                following = low + rank + toss_interval
+                if following < high:
+                    heappush(heap, (2 * int(order[following]) + 1) * n + page)
+            last_toss = pos
+            mate = int(partners[page])
+            if mate == page:
+                continue  # self-paired: a direct write
+            activations += 1
+            frame = mapping[page]
+            partner_frame = mapping[mate]
             own = int(endurance[frame])
             other = int(endurance[partner_frame])
             if next_word() < (own << rng_bits) // (own + other):
                 continue  # chose its own frame: a direct write
-            # Swap-then-write: the event's own frame, gathered below,
+            # Swap-then-write: the event's own frame, gathered here,
             # takes the migration write and the partner's frame the
             # demand write.
-            pieces.append(mapping[window[start : pos + 1]])
-            swaps.append(pos)
+            pieces.append(mapping[span[start : pos + 1]])
             migrations.append(partner_frame)
-            self.remap.swap_logical(logical, mate)
+            swap_logical(page, mate)
             start = pos + 1
-            if cut:
-                size = start
-                n_events = k + 1
-                break
-        pieces.append(mapping[window[start:size]])
-        n_swapped = len(swaps)
-        if n_swapped:
+            n_swapped += 1
+            count += 1
+            out[base + pos] = count
+        else:
+            if stop and count >= stop:
+                cut = current + 1
+        pieces.append(mapping[span[start:cut]])
+        if migrations:
             pieces.append(np.array(migrations, dtype=np.int64))
-            physical = np.concatenate(pieces)
-            out[base + np.array(swaps, dtype=np.int64)] = 2
-        else:
-            physical = pieces[0]
+        physical = np.concatenate(pieces)
         if self.array.apply_batch(physical) != physical.size:
-            raise SimulationError(
-                "bulk window path ran under a failure-possible state"
-            )
-        if distinct:
-            self.write_counters.bulk_record_distinct(window[:size])
-        else:
-            self.write_counters.bulk_record(window[:size])
-        self.toss_up_activations += n_events
+            raise SimulationError("bulk span ran under a failure-possible state")
+        if rephased:
+            forced = np.array(list(rephased), dtype=np.int64)
+            offsets = np.array([offset for offset, _, _ in rephased.values()])
+            shifts = offsets - start_counters[forced]
+        counters.bulk_advance(ordered[starts], np.add.reduceat(order < cut, starts))
+        if rephased:
+            # A re-phased page ends at (offset + occurrences) % interval.
+            counters.bulk_advance(forced, shifts % toss_interval)
+        self.toss_up_activations += activations
         toss = self.toss_up
-        toss.decisions += n_events
-        toss.chose_a += n_events - n_swapped
+        toss.decisions += activations
+        toss.chose_a += activations - n_swapped
         judge = self.swap_judge
-        judge.direct += n_events - n_swapped
+        judge.direct += activations - n_swapped
         judge.swapped += n_swapped
-        self.swap_events += n_swapped
-        self.swap_writes += n_swapped
-        self._interpair_counter += size
-        self.demand_writes += size
-        return size
+        self.inter_pair_swaps += n_bounds
+        self.swap_events += n_swapped + n_bounds
+        self.swap_writes += n_swapped + 2 * n_bounds
+        self._interpair_counter = (self._interpair_counter + cut) % swap_interval
+        self.demand_writes += cut
+        return cut
 
     def _serve_quiet_run(self, chunk: np.ndarray) -> int:
         """Apply a straight-through run in one vector step."""

@@ -7,8 +7,9 @@ reaches the toss-up interval, then clears it (interval-triggered toss-up,
 
 The canonical storage is a flat ``int64`` numpy array; the scalar
 accessors are thin views over it, and the batched write path updates
-whole windows of counters with one vectorized call
-(:meth:`WriteCounterTable.bulk_record`).
+a whole run or span of counters with one vectorized call
+(:meth:`WriteCounterTable.bulk_record`,
+:meth:`WriteCounterTable.bulk_advance`).
 """
 
 from __future__ import annotations
@@ -100,36 +101,16 @@ class WriteCounterTable:
         touched = np.flatnonzero(counts)
         values[touched] = (values[touched] + counts[touched]) % self.interval
 
-    def bulk_record_distinct(self, pages: np.ndarray) -> None:
-        """:meth:`bulk_record` for caller-guaranteed distinct pages.
+    def bulk_advance(self, pages: np.ndarray, steps: np.ndarray) -> None:
+        """Advance each of the distinct ``pages`` by ``steps``, with wrapping.
 
-        Skips the duplicate scan — the TWL planner already sorted the
-        window to build its trigger schedule and proved distinctness.
+        The TWL bulk span's counter update: ``steps`` holds a page's
+        write count in the span, or the shift of its trigger phase when
+        an inter-pair swap re-phased it (:meth:`force_trigger_next`
+        mid-span); both only matter modulo the interval.
         """
         values = self._values
-        values[pages] = (values[pages] + 1) % self.interval
-
-    def bulk_record_quiet(self, per_page: np.ndarray) -> None:
-        """Record per-page write counts known not to fire the trigger.
-
-        Like :meth:`bulk_record` but for runs the planner certified
-        trigger-free: the no-trigger guarantee is re-checked in one
-        vectorized pass (a crossing here means the batch planner is
-        wrong) before the counts are folded in.
-        """
-        per_page = np.asarray(per_page, dtype=np.int64)
-        touched = np.flatnonzero(per_page)
-        values = self._values
-        updated = values[touched] + per_page[touched]
-        crossed = updated >= self.interval
-        if crossed.any():
-            page = int(touched[crossed][0])
-            raise TableError(
-                f"bulk_record_quiet crossed the trigger interval on page "
-                f"{page} ({int(values[page]) + int(per_page[page])} >= "
-                f"{self.interval})"
-            )
-        values[touched] = updated
+        values[pages] = (values[pages] + steps) % self.interval
 
     def snapshot(self) -> dict:
         """The counter array, copied (mid-run persistence)."""

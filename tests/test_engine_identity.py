@@ -313,12 +313,12 @@ def test_bwl_generated_configs_identical_to_serial(
 
 # --- generated TWL windows with same-pair events ---------------------
 #
-# TWL's bulk window decides its toss-up events in request order, so two
-# events of one pair in a window see each other's swaps.  A small array
-# and attacks over few pages put both pages of a pair in most windows;
+# TWL's bulk span decides its toss-up events in request order, so two
+# events of one pair in a span see each other's swaps.  A small array
+# and attacks over few pages put both pages of a pair in most spans;
 # the low endurance sums to less than the demand cap, so those runs wear
-# a page out and their windows cross from the bulk tier (no page can
-# fail inside the window) to the alternation tier.
+# a page out and cross from the bulk tier (no page can fail inside the
+# span) to the alternation tier.
 
 _TWL_PAGES = 16
 _TWL_DEMAND = 40_000
@@ -334,15 +334,18 @@ def _twl_controller(scheme):
     }
 
 
-def _run_twl(config, attack_name, n_targets, endurance, batch_size):
+def _run_twl(
+    config, attack_name, n_targets, endurance, batch_size,
+    n_pages=_TWL_PAGES, max_demand=_TWL_DEMAND,
+):
     rng = np.random.default_rng(9)
-    array = PCMArray(rng.integers(endurance, 3 * endurance, size=_TWL_PAGES))
+    array = PCMArray(rng.integers(endurance, 3 * endurance, size=n_pages))
     scheme = TossUpWearLeveling(array, config, seed=3)
     attack = make_attack(attack_name, n_targets, seed=3)
     result = run_to_failure(
         scheme,
         AttackDriver(attack),
-        max_demand=_TWL_DEMAND,
+        max_demand=max_demand,
         require_failure=False,
         batch_size=batch_size,
     )
@@ -373,6 +376,47 @@ def test_twl_same_pair_windows_identical_to_serial(
     oracle = _run_twl(config, attack_name, n_targets, endurance, 1)
     batched = _run_twl(config, attack_name, n_targets, endurance, batch_size)
     assert oracle[0].failed == (endurance < 10**9)
+    assert batched[0] == oracle[0]
+    assert np.array_equal(batched[1], oracle[1])
+    assert batched[2] == oracle[2]
+    assert batched[3] == oracle[3]
+
+
+# --- generated TWL bulk spans ----------------------------------------
+#
+# At ample headroom TWL serves a whole batch as one bulk span, with the
+# inter-pair boundaries as events of its ordered walk.  An odd page
+# count leaves one page self-paired (a role inter-pair swaps move around
+# under maintain_physical_pairs), and attacks over few pages make one
+# batch draw the same victim twice and make a page the written page of
+# one boundary and the victim of another, so re-phased counters and
+# stale trigger entries meet in one walk.
+
+_SPAN_PAGES = 15
+_SPAN_DEMAND = 12_000
+
+
+@given(
+    config=st.builds(
+        TWLConfig,
+        toss_up_interval=st.sampled_from([1, 2, 32, 120]),
+        inter_pair_swap_interval=st.sampled_from([1, 2, 7, 128]),
+        pairing=st.sampled_from(["swp", "ap", "random"]),
+        maintain_physical_pairs=st.booleans(),
+        toss_on_relocation=st.booleans(),
+    ),
+    attack_name=st.sampled_from(["repeat", "scan", "random"]),
+    n_targets=st.integers(1, 6),
+    batch_size=st.sampled_from([37, 129, 4096]),
+)
+@settings(max_examples=40, deadline=None)
+def test_twl_bulk_spans_identical_to_serial(config, attack_name, n_targets, batch_size):
+    """A generated TWL config at ample headroom equals the ``batch_size=1``
+    oracle: result, wear, stats and the whole controller state."""
+    oracle = _run_twl(config, attack_name, n_targets, 10**9, 1, _SPAN_PAGES, _SPAN_DEMAND)
+    batched = _run_twl(
+        config, attack_name, n_targets, 10**9, batch_size, _SPAN_PAGES, _SPAN_DEMAND
+    )
     assert batched[0] == oracle[0]
     assert np.array_equal(batched[1], oracle[1])
     assert batched[2] == oracle[2]
@@ -501,7 +545,7 @@ def test_adaptive_stops_inside_the_scheme(scheme_name):
     feedback loop.  The endurance is large, so the run is long enough
     for a wrong stop to show: a write that SR's pre-drawn trigger words
     or TWL's toss-up words run past (SR rewinds its trigger RNG, TWL
-    cuts its bulk window after the swap) shifts every later refresh,
+    cuts its bulk span after the swap) shifts every later refresh,
     toss-up or swap phase."""
     batch_size = 4096
     parts = (scheme_name, 10**9, {"n_targets": 16}, {}, 0)

@@ -195,10 +195,10 @@ class TestStopBoundedBatch:
     """A stop-bounded ``write_batch`` ends where the per-write loop does.
 
     A toss-up swap costs two writes and an inter-pair boundary write
-    three or four, so a bulk window must end right after its first swap
+    three or four, so a bulk span must end right after its first swap
     when the stop is 2, without drawing the next event's toss-up word.
     Addresses cover 16 pages of a 32-page array, so both pages of many
-    pairs land in one window.
+    pairs land in one span.
     """
 
     CONFIGS = {
@@ -249,3 +249,104 @@ class TestStopBoundedBatch:
             assert any(count >= 3 for count in stop_counts)
         if stop_at == 3:
             assert len(stop_counts) >= 2
+
+
+class TestBulkSpan:
+    """At ample headroom a batch is one bulk span, boundaries included.
+
+    The inter-pair boundary writes are events of the span's ordered walk
+    beside the toss-ups: a boundary draws its victim, exchanges the
+    frames and the pair roles, and re-phases both pages' write counters,
+    so later triggers of either page move.  15 pages leave one page
+    self-paired, and a few written pages make one batch draw the same
+    victim twice and make a page the written page of one boundary and
+    the victim of another.
+    """
+
+    CONFIGS = {
+        "dense": TWLConfig(),
+        "tight": TWLConfig(toss_up_interval=2, inter_pair_swap_interval=7),
+        "every_write": TWLConfig(toss_up_interval=1, inter_pair_swap_interval=1),
+        "unmaintained": TWLConfig(
+            toss_up_interval=32, inter_pair_swap_interval=2, maintain_physical_pairs=False
+        ),
+        "no_relocation_toss": TWLConfig(
+            toss_up_interval=120, inter_pair_swap_interval=7, toss_on_relocation=False
+        ),
+    }
+
+    @staticmethod
+    def _scheme(config, n_pages=15):
+        endurance = np.random.default_rng(4).integers(10**9, 3 * 10**9, size=n_pages)
+        return TossUpWearLeveling(PCMArray(endurance), config=config, seed=5)
+
+    def test_dense_batch_is_one_apply_and_no_scalar_write(self, monkeypatch):
+        from repro.wearlevel.base import WearLeveler
+
+        addresses = np.arange(4096) % 1024
+        batched = self._scheme(TWLConfig(), n_pages=1024)
+        serial = self._scheme(TWLConfig(), n_pages=1024)
+        applies, writes = [], []
+        real_apply = batched.array.apply_batch
+        monkeypatch.setattr(
+            batched.array,
+            "apply_batch",
+            lambda physical: applies.append(len(physical)) or real_apply(physical),
+        )
+        monkeypatch.setattr(batched, "write", lambda logical: writes.append(logical))
+        counts = batched.write_batch(addresses)
+        assert len(applies) == 1 and writes == []
+        # 32 boundaries, 128 toss-ups: every kind of event was in the pass.
+        assert batched.inter_pair_swaps == 4096 // 128
+        assert batched.swap_judge.swapped > 0
+        assert applies[0] == int(counts.sum())
+        assert counts.tolist() == WearLeveler.write_batch(serial, addresses).tolist()
+        assert _twl_state(batched) == _twl_state(serial)
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_victims_repeat_and_swap_roles_within_one_batch(self, config, monkeypatch):
+        from repro.wearlevel.base import WearLeveler
+
+        addresses = np.random.default_rng(6).integers(0, 4, size=4096)
+        batched = self._scheme(self.CONFIGS[config])
+        serial = self._scheme(self.CONFIGS[config])
+        draws = []
+        real_draw = batched._victim_rng.next_below
+        monkeypatch.setattr(
+            batched._victim_rng,
+            "next_below",
+            lambda bound: draws.append(real_draw(bound)) or draws[-1],
+        )
+        counts = batched.write_batch(addresses)
+        assert counts.tolist() == WearLeveler.write_batch(serial, addresses).tolist()
+        assert _twl_state(batched) == _twl_state(serial)
+        interval = self.CONFIGS[config].inter_pair_swap_interval
+        written = addresses[interval - 1 :: interval].tolist()
+        victims = [
+            (draw + 1) % 15 if draw == page else draw for draw, page in zip(draws, written)
+        ]
+        assert len(victims) == len(written) == batched.inter_pair_swaps >= 32
+        # Some victim is drawn twice, and some page is the victim of one
+        # boundary and the written page of another.
+        assert len(set(victims)) < len(victims)
+        assert set(victims) & set(written)
+
+    @pytest.mark.parametrize("stop_at", [2, 3, 4])
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_stop_bounded_matches_the_per_write_loop(self, config, stop_at):
+        from repro.wearlevel.base import WearLeveler
+
+        addresses = np.random.default_rng(7).integers(0, 15, size=6000)
+        batched = self._scheme(self.CONFIGS[config])
+        serial = self._scheme(self.CONFIGS[config])
+        stops = 0
+        start = 0
+        while start < addresses.size:
+            chunk = addresses[start : start + 300]
+            counts = batched.write_batch(chunk, stop_at)
+            expected = WearLeveler.write_batch(serial, chunk, stop_at)
+            assert counts.tolist() == expected.tolist()
+            assert _twl_state(batched) == _twl_state(serial)
+            stops += counts.size < chunk.size
+            start += counts.size
+        assert stops >= 2
