@@ -41,6 +41,7 @@ would flag, and is committed in one :meth:`observe_responses` call.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Tuple
 
 import numpy as np
@@ -54,6 +55,47 @@ _PERIOD_EMA = 0.5
 
 #: Fewest writes a segment plans ahead (see ``planned_writes``).
 _MIN_PLAN = 64
+
+
+def _staircase(count: int, scale: float, reversed_: bool) -> np.ndarray:
+    """Per-target write counts: ranks 1..count times ``scale``, at least
+    one each; ``reversed_`` hammers the low-index end instead."""
+    # rint rounds half to even, as round() does.
+    ranks = np.arange(1, count + 1, dtype=np.float64)
+    weights = np.maximum(1, np.rint(ranks * scale)).astype(np.int64)
+    return weights[::-1] if reversed_ else weights
+
+
+@functools.lru_cache(maxsize=8)
+def _attack_pass(
+    n_pages: int,
+    n_targets: int,
+    victim_count: int,
+    background_scan: bool,
+    reversed_: bool,
+    scale: float,
+) -> np.ndarray:
+    """One pass of the attack write sequence, read-only.
+
+    Order within the pass: hot decoy bursts first (heaviest first),
+    then the background scan over non-target pages, then the
+    designated victims — written last so they are the most recent
+    cold observations the defense holds.  Shared by every attack in the
+    process: where the scale stays 1 (TWL) a flip only alternates
+    between the two directions; where the phase estimate keeps moving,
+    each flip builds a new pass and the small cache bounds memory.
+    """
+    weights = _staircase(n_targets, scale, reversed_)
+    order = np.argsort(-weights, kind="stable")
+    victims = order[-victim_count:][::-1]
+    decoys = order[: n_targets - victim_count]
+    parts = [np.repeat(decoys, weights[decoys])]
+    if background_scan:
+        parts.append(np.arange(n_targets, n_pages))
+    parts.append(np.repeat(victims, weights[victims]))
+    schedule = np.concatenate(parts).astype(np.int64)
+    schedule.setflags(write=False)
+    return schedule
 
 
 class InconsistentWriteAttack(AttackWorkload):
@@ -103,41 +145,31 @@ class InconsistentWriteAttack(AttackWorkload):
     # ------------------------------------------------------------------
     # Pass construction
     # ------------------------------------------------------------------
-    def _staircase_weights(self) -> np.ndarray:
-        """Per-target write counts, scaled to fill the estimated phase.
-
-        Ranks 1..T are scaled so one pass (staircase plus optional scan)
-        spans roughly one prediction phase; the direction flag decides
-        which end of the target range is hammered.
-        """
+    def _scale(self) -> float:
+        """Rank multiplier that makes one pass (staircase plus optional
+        scan) span roughly the estimated prediction phase."""
         count = self.n_targets
         budget = self._period_estimate
         if self.background_scan:
             budget -= self.n_pages - count
         rank_sum = count * (count + 1) / 2
-        scale = max(1.0, budget / rank_sum)
-        # rint rounds half to even, as round() does.
-        ranks = np.arange(1, count + 1, dtype=np.float64)
-        weights = np.maximum(1, np.rint(ranks * scale)).astype(np.int64)
-        return weights[::-1] if self._reversed else weights
+        return max(1.0, budget / rank_sum)
+
+    def _staircase_weights(self) -> np.ndarray:
+        """Per-target write counts, scaled to fill the estimated phase;
+        the direction flag decides which end is hammered."""
+        return _staircase(self.n_targets, self._scale(), self._reversed)
 
     def _build_pass(self) -> None:
-        """Materialize one pass of the attack write sequence.
-
-        Order within the pass: hot decoy bursts first (heaviest first),
-        then the background scan over non-target pages, then the
-        designated victims — written last so they are the most recent
-        cold observations the defense holds.
-        """
-        weights = self._staircase_weights()
-        order = np.argsort(-weights, kind="stable")
-        victims = order[-self.victim_count:][::-1]
-        decoys = order[: self.n_targets - self.victim_count]
-        parts = [np.repeat(decoys, weights[decoys])]
-        if self.background_scan:
-            parts.append(np.arange(self.n_targets, self.n_pages))
-        parts.append(np.repeat(victims, weights[victims]))
-        self._pass_schedule = np.concatenate(parts).astype(np.int64)
+        """Take the pass for the current direction and phase estimate."""
+        self._pass_schedule = _attack_pass(
+            self.n_pages,
+            self.n_targets,
+            self.victim_count,
+            self.background_scan,
+            self._reversed,
+            self._scale(),
+        )
 
     def victim_share(self) -> float:
         """Traffic share of the most-hammered page after a reversal.

@@ -29,7 +29,6 @@ from typing import Optional
 import numpy as np
 
 from ..config import TWLConfig
-from ..errors import SimulationError
 from ..pcm.array import PCMArray
 from ..rng.streams import derive_seed
 from ..rng.xorshift import XorShift32
@@ -59,24 +58,6 @@ def _group(values: np.ndarray):
     ranks = np.empty(values.size, dtype=np.int64)
     ranks[order] = np.arange(values.size) - starts[np.cumsum(new_group) - 1]
     return order, ordered, starts, ranks
-
-
-def _span_cost(length: int, phase: int, interval: int) -> int:
-    """Worst-case physical writes of the next ``length`` demand writes.
-
-    Two per demand write (a toss-up swap) plus two per inter-pair
-    boundary among them, with the inter-pair counter at ``phase``.
-    """
-    return 2 * (length + (phase + length) // interval)
-
-
-def _longest_span(headroom: int, phase: int, interval: int) -> int:
-    """Most demand writes whose :func:`_span_cost` stays below ``headroom``."""
-    # With m = phase + length, solve m + m // interval <= budget; the
-    # left side is strictly increasing in m.
-    budget = (headroom - 1) // 2 + phase
-    q, r = divmod(budget, interval + 1)
-    return q * interval + min(r, interval - 1) - phase
 
 
 class TossUpWearLeveling(WearLeveler):
@@ -154,41 +135,35 @@ class TossUpWearLeveling(WearLeveler):
         ``(start + j) % interval``, so the toss-up trigger positions
         follow from one modular comparison against the canonical counter
         array, and the inter-pair boundaries are arithmetic in the
-        global demand count.  Each write is served by one of three
-        tiers:
+        global demand count.  Each write is served by one of two tiers:
 
-        * **bulk span** — the longest prefix of the batch that the
-          endurance headroom proves cannot fail (at most two physical
-          writes per demand write and two more per boundary), when the
-          toss-up reads the static ET: its boundaries and toss-up
-          triggers are decided in one ordered walk inside the planner
-          and the whole span is one :meth:`PCMArray.apply_batch`
-          (:meth:`_serve_span`);
-        * **alternation** — when a span would not reach the next
-          inter-pair boundary, and always under
-          ``use_remaining_endurance``, the batch is cut into windows at
-          the boundaries: each straight-through run is one vector step,
-          each toss-up event and each boundary write goes through the
-          exact scalar :meth:`write`;
-        * **corrupt-counter scalar** — the modular prediction assumes
-          every counter is below the interval, which
-          :meth:`WriteCounterTable.record_write` maintains by
-          construction; an injected fault can break it, so a batch that
-          starts with a corrupted counter goes to the inherited
-          per-write loop.
+        * **guarded bulk span** — the whole batch, when the toss-up
+          reads the static ET: its boundaries and toss-up triggers are
+          decided in one ordered walk inside the planner, and the span
+          is committed in one :meth:`PCMArray.apply_batch` only if no
+          frame reaches its endurance in it (:meth:`_serve_span`);
+        * **per-write** — the inherited loop of :meth:`write` serves the
+          rest of a batch whose span the guard rejected (the batch that
+          wears a page out, once per run), every batch under
+          ``use_remaining_endurance`` (its toss-up reads the wear of the
+          moment), and a batch that starts with a corrupted counter: the
+          modular prediction assumes every counter is below the
+          interval, which :meth:`WriteCounterTable.record_write`
+          maintains by construction and an injected fault can break.
 
         With ``stop_at``, the batch ends after the first request that
         performs that many physical writes: only a toss-up swap (two
-        writes) or a boundary write (three or four) can, so every tier
-        stops at its own events, and a bulk span is cut right after the
-        request that reaches ``stop_at``.
+        writes) or a boundary write (three or four) can, so a span is
+        cut right after the request that reaches ``stop_at``.
         """
-        if stop_at is not None and stop_at <= 1:
-            # Every request performs at least one write.
+        if self.config.use_remaining_endurance or (
+            stop_at is not None and stop_at <= 1
+        ):
+            # The toss-up reads the wear of the moment, or the stop falls
+            # on the first request (each performs at least one write).
             return WearLeveler.write_batch(self, addresses, stop_at)
         seq = np.asarray(addresses, dtype=np.int64)
-        array = self.array
-        if array.failed:
+        if self.array.failed:
             return np.zeros(0, dtype=np.int64)
         self.check_logical_batch(seq)
         # Checked once per batch: every in-batch counter update
@@ -201,99 +176,38 @@ class TossUpWearLeveling(WearLeveler):
         stop = stop_at or 0
         out = np.ones(seq.size, dtype=np.int64)
         interval = self.config.inter_pair_swap_interval
-        bulk = not self.config.use_remaining_endurance
-        # Lower bound on the minimum remaining endurance, kept across
-        # tiers so the bulk span (which applies its writes out of
-        # order) only runs where no page can fail.
-        headroom = -1
         position = 0
         while position < seq.size:
-            rest = seq.size - position
-            phase = self._interpair_counter
-            quiet = interval - phase - 1  # writes before the next boundary
-            span = 0
-            if bulk:
-                if headroom <= _span_cost(rest, phase, interval):
-                    headroom = int((array.endurance - array.writes).min())
-                span = min(rest, _longest_span(headroom, phase, interval))
-                if stop and stop <= 4:
-                    # A boundary performs three or four writes, so a
-                    # stop-bounded span seldom outlives the next one:
-                    # plan no further than it.
-                    span = min(span, quiet + 1)
-            if 0 < min(rest, quiet + 1) <= span:
-                served = self._serve_span(
-                    seq[position : position + span], out, position, stop
-                )
-                headroom -= _span_cost(served, phase, interval)
-            elif quiet > 0:
-                limit = min(rest, quiet)
-                served = self._serve_window(
-                    seq[position : position + limit], out, position, stop
-                )
-                headroom -= 2 * served
-            else:
-                # The window-boundary write fires the inter-pair swap.
-                out[position] = self.write(int(seq[position]))
-                served = 1
-                headroom -= 4
+            end = seq.size
+            if stop and stop <= 4:
+                # A boundary performs three or four writes, so a
+                # stop-bounded span seldom outlives the next one: plan
+                # no further than it.
+                end = min(end, position + interval - self._interpair_counter)
+            served = self._serve_span(seq[position:end], out, position, stop)
+            if not served:
+                # A frame would wear out inside the span: the per-write
+                # loop serves the rest and stops at the failing write.
+                rest = WearLeveler.write_batch(self, seq[position:], stop_at)
+                out[position : position + rest.size] = rest
+                return out[: position + rest.size]
             position += served
-            # A tier returns early only at a failure or at a stop, and a
-            # stop is always its last served request.
-            if array.failed or (stop and out[position - 1] >= stop):
+            # A committed span ends early only at a stop, which is then
+            # its last served request.
+            if stop and out[position - 1] >= stop:
                 return out[:position]
         return out
-
-    def _serve_window(
-        self, window: np.ndarray, out: np.ndarray, base: int, stop: int
-    ) -> int:
-        """Alternation tier: serve one inter-pair-quiet window.
-
-        Computes the window's toss-up event schedule up front (valid for
-        the whole window: an event only resets its own counter to zero,
-        which the modular formula already accounts for), then alternates
-        vectorized straight-through runs with exact scalar event writes,
-        so a failure lands on its exact write.  ``stop`` (0 for none)
-        ends the window after the first request performing that many
-        writes.
-        """
-        counters = self.write_counters.values_array()
-        partners = self.pair_table.partners_array()
-        interval = self.write_counters.interval
-        # record_write triggers the j-th write to a page (1-based) iff
-        # (counter + j) % interval == 0; triggers on self-paired pages
-        # do not activate the engine and stay in the vectorized runs.
-        ranks = _group(window)[3]
-        triggered = (counters[window] + ranks + 1) % interval == 0
-        events = np.flatnonzero(triggered & (partners[window] != window))
-        array = self.array
-        write = self.write
-        pos = 0
-        for event in events.tolist():  # twl: allow(TWL006) reason=one per planned event
-            run = event - pos
-            if run > 0:
-                pos += self._serve_quiet_run(window[pos : pos + run])
-                if array.failed:  # a run stops at its failing write
-                    return pos
-            out[base + pos] = write(int(window[event]))
-            pos += 1
-            if array.failed or (stop and out[base + event] >= stop):
-                return pos
-        run = window.size - pos
-        if run > 0:
-            pos += self._serve_quiet_run(window[pos : pos + run])
-        return pos
 
     def _serve_span(
         self, span: np.ndarray, out: np.ndarray, base: int, stop: int
     ) -> int:
         """Bulk tier: serve a span in one apply, every event included.
 
-        Valid only when (a) no page can fail inside the span — device
-        write *order* is then unobservable, so the span may be applied
-        out of order — and (b) the toss-up reads static endurance.  The
-        feedback between events is then confined to the tables, so the
-        events are decided in request order inside the planner:
+        Valid only when (a) no page fails inside the span — device write
+        *order* is then unobservable, so the span may be applied out of
+        order — and (b) the toss-up reads static endurance.  The feedback
+        between events is then confined to the tables, so the events are
+        decided in request order inside the planner:
 
         * an **inter-pair boundary** draws its victim as
           :meth:`_inter_pair_swap` does, writes both frames, exchanges
@@ -315,6 +229,14 @@ class TossUpWearLeveling(WearLeveler):
         the end.  When a request reaches ``stop`` writes, the span is cut
         right after it, before the next event draws a word.  Counters end
         at ``(offset + occurrences) % interval``.
+
+        Condition (a) is checked after the walk, guard-then-commit: the
+        planned frames are applied with ``all_or_nothing``, so one
+        bincount both decides the span and commits it.  When some frame
+        would reach its endurance, the walk is undone — the RT swaps
+        replayed in reverse, the SWPT and both RNG registers restored —
+        and 0 is returned, leaving the counters and statistics untouched
+        (the walk only writes them after the commit).
         """
         size = int(span.size)
         n = self.remap.n_pages
@@ -350,6 +272,16 @@ class TossUpWearLeveling(WearLeveler):
         next_victim = self._victim_rng.next_below
         next_word = self.toss_up.rng.next_word
         rng_bits = self.toss_up.rng_bits
+        # The undo log.  A repeated swap_logical restores the forward RT
+        # exactly (and the inverse wherever the RT is consistent, which
+        # only an unprotected soft error breaks; nothing on the write
+        # path reads the inverse).  exchange_roles undoes itself only on
+        # a consistent SWPT, so the table is copied instead, before the
+        # span's first boundary.
+        victim_state = self._victim_rng.state
+        toss_state = self.toss_up.snapshot()
+        swapped = []
+        roles = None
         # Re-phased page -> (counter offset, its slice of ``ordered``).
         rephased = {}
         pieces = []
@@ -379,7 +311,10 @@ class TossUpWearLeveling(WearLeveler):
                 migrations.append(mapping[victim])
                 start = pos
                 swap_logical(page, victim)
+                swapped.append((page, victim))
                 if exchange_roles is not None:
+                    if roles is None:
+                        roles = self.pair_table.snapshot()
                     exchange_roles(page, victim)
                 if relocate:
                     # force_trigger_next on both pages: the next write
@@ -435,6 +370,7 @@ class TossUpWearLeveling(WearLeveler):
             pieces.append(mapping[span[start : pos + 1]])
             migrations.append(partner_frame)
             swap_logical(page, mate)
+            swapped.append((page, mate))
             start = pos + 1
             n_swapped += 1
             count += 1
@@ -446,8 +382,14 @@ class TossUpWearLeveling(WearLeveler):
         if migrations:
             pieces.append(np.array(migrations, dtype=np.int64))
         physical = np.concatenate(pieces)
-        if self.array.apply_batch(physical) != physical.size:
-            raise SimulationError("bulk span ran under a failure-possible state")
+        if not self.array.apply_batch(physical, all_or_nothing=True):
+            for page, other in reversed(swapped):
+                swap_logical(page, other)
+            if roles is not None:
+                self.pair_table.restore(roles)
+            self._victim_rng.state = victim_state
+            self.toss_up.restore(toss_state)
+            return 0
         if rephased:
             forced = np.array(list(rephased), dtype=np.int64)
             offsets = np.array([offset for offset, _, _ in rephased.values()])
@@ -469,16 +411,6 @@ class TossUpWearLeveling(WearLeveler):
         self._interpair_counter = (self._interpair_counter + cut) % swap_interval
         self.demand_writes += cut
         return cut
-
-    def _serve_quiet_run(self, chunk: np.ndarray) -> int:
-        """Apply a straight-through run in one vector step."""
-        physical = self.remap.mapping_array()[chunk]
-        served = self.array.apply_batch(physical)
-        recorded = chunk if served == chunk.size else chunk[:served]
-        self.write_counters.bulk_record(recorded)
-        self._interpair_counter += served
-        self.demand_writes += served
-        return served
 
     def _pair_endurance(self, frame: int) -> int:
         """Endurance feeding the toss-up probability for ``frame``."""

@@ -23,7 +23,8 @@ Three write paths are provided:
   sequence through :meth:`write` (the batched-protocol substrate).  The
   common no-failure case is a single vectorized accumulate; the ordered
   scalar scan only runs when some page can actually cross its endurance
-  within the batch;
+  within the batch.  With ``all_or_nothing`` an unordered batch is
+  applied only if no page can cross, and not at all otherwise;
 * :meth:`apply_write_counts` — unordered vectorized bulk application for
   fast-forward simulation, attributing the first failure by the fluid
   approximation.
@@ -175,7 +176,9 @@ class PCMArray:
             if self.fail_fast:
                 raise PageWornOutError(physical_page, after, endurance)
 
-    def apply_batch(self, physical_sequence: Sequence[int]) -> int:
+    def apply_batch(
+        self, physical_sequence: Sequence[int], all_or_nothing: bool = False
+    ) -> int:
         """Apply an *ordered* batch of single-page writes.
 
         ``physical_sequence`` lists one physical page per write, in
@@ -190,6 +193,12 @@ class PCMArray:
         steady-state case), the whole batch is one vectorized
         accumulate; the per-occurrence attribution scan runs only when a
         crossing is actually possible.
+
+        With ``all_or_nothing`` the sequence need not be in request
+        order: before the first failure, a batch in which some page would
+        reach its endurance is not applied at all and 0 is returned, so
+        a caller whose order is unobservable short of a failure learns
+        from the same counts that it must replay the writes in order.
         """
         seq = np.asarray(physical_sequence, dtype=np.int64)
         if seq.ndim != 1:
@@ -230,6 +239,8 @@ class PCMArray:
             self.writes += counts
             self.total_writes += int(seq.size)
             return int(seq.size)
+        if all_or_nothing:
+            return 0
         # Some page reaches its endurance inside this batch: find the
         # earliest exhausting write in request order.
         fail_pos = seq.size

@@ -7,9 +7,8 @@ reaches the toss-up interval, then clears it (interval-triggered toss-up,
 
 The canonical storage is a flat ``int64`` numpy array; the scalar
 accessors are thin views over it, and the batched write path updates
-a whole run or span of counters with one vectorized call
-(:meth:`WriteCounterTable.bulk_record`,
-:meth:`WriteCounterTable.bulk_advance`).
+a whole span of counters with one vectorized call
+(:meth:`WriteCounterTable.bulk_advance`).
 """
 
 from __future__ import annotations
@@ -75,31 +74,6 @@ class WriteCounterTable:
         current across subsequent mutations.
         """
         return self._values
-
-    def bulk_record(self, pages: np.ndarray) -> None:
-        """Record one write per entry of ``pages``, with wrapping.
-
-        Vectorized equivalent of calling :meth:`record_write` once per
-        entry *and discarding the trigger results* — the batched write
-        path pre-computes trigger positions from :meth:`values_array`
-        and serves the toss-up events itself, so a counter that wraps
-        here has either had its event served by the caller or belongs to
-        a page whose trigger is a no-op (a self-paired page).  Caller
-        guarantees every pre-update counter is below the interval (true
-        unless a fault was injected; the planner falls back to the
-        scalar path in that case).
-        """
-        values = self._values
-        if pages.size * 8 < self.n_pages:
-            # Duplicate-free small chunks (the common planner case) are
-            # one gather/scatter on the touched entries.
-            s = np.sort(pages)
-            if pages.size < 2 or not (s[1:] == s[:-1]).any():
-                values[pages] = (values[pages] + 1) % self.interval
-                return
-        counts = np.bincount(pages, minlength=self.n_pages)
-        touched = np.flatnonzero(counts)
-        values[touched] = (values[touched] + counts[touched]) % self.interval
 
     def bulk_advance(self, pages: np.ndarray, steps: np.ndarray) -> None:
         """Advance each of the distinct ``pages`` by ``steps``, with wrapping.

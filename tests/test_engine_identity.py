@@ -317,8 +317,8 @@ def test_bwl_generated_configs_identical_to_serial(
 # events of one pair in a span see each other's swaps.  A small array
 # and attacks over few pages put both pages of a pair in most spans;
 # the low endurance sums to less than the demand cap, so those runs wear
-# a page out and cross from the bulk tier (no page can fail inside the
-# span) to the alternation tier.
+# a page out: the guard rejects that batch's span, which is undone, and
+# the per-write loop serves the rest of the batch.
 
 _TWL_PAGES = 16
 _TWL_DEMAND = 40_000
@@ -384,7 +384,7 @@ def test_twl_same_pair_windows_identical_to_serial(
 
 # --- generated TWL bulk spans ----------------------------------------
 #
-# At ample headroom TWL serves a whole batch as one bulk span, with the
+# Far from failure TWL serves a whole batch as one bulk span, with the
 # inter-pair boundaries as events of its ordered walk.  An odd page
 # count leaves one page self-paired (a role inter-pair swaps move around
 # under maintain_physical_pairs), and attacks over few pages make one
@@ -411,7 +411,7 @@ _SPAN_DEMAND = 12_000
 )
 @settings(max_examples=40, deadline=None)
 def test_twl_bulk_spans_identical_to_serial(config, attack_name, n_targets, batch_size):
-    """A generated TWL config at ample headroom equals the ``batch_size=1``
+    """A generated TWL config far from failure equals the ``batch_size=1``
     oracle: result, wear, stats and the whole controller state."""
     oracle = _run_twl(config, attack_name, n_targets, 10**9, 1, _SPAN_PAGES, _SPAN_DEMAND)
     batched = _run_twl(

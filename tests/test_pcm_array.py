@@ -227,6 +227,14 @@ class TestApplyBatch:
         with pytest.raises(PageWornOutError):
             array.apply_batch([0, 0, 1])
 
+    def test_all_or_nothing_applies_nothing_on_a_crossing(self):
+        array = PCMArray(np.array([3, 100]), fail_fast=True)
+        assert array.apply_batch([1, 0, 0, 1], all_or_nothing=True) == 4
+        # Page 0's third write would wear it out: nothing lands.
+        assert array.apply_batch([1, 0, 1], all_or_nothing=True) == 0
+        assert array.write_counts().tolist() == [2, 2]
+        assert array.total_writes == 4 and not array.failed
+
 
 class TestCanonicalState:
     """The numpy arrays are the single source of truth for wear state."""

@@ -252,7 +252,7 @@ class TestStopBoundedBatch:
 
 
 class TestBulkSpan:
-    """At ample headroom a batch is one bulk span, boundaries included.
+    """Far from failure a batch is one bulk span, boundaries included.
 
     The inter-pair boundary writes are events of the span's ordered walk
     beside the toss-ups: a boundary draws its victim, exchanges the
@@ -291,7 +291,8 @@ class TestBulkSpan:
         monkeypatch.setattr(
             batched.array,
             "apply_batch",
-            lambda physical: applies.append(len(physical)) or real_apply(physical),
+            lambda physical, **kwargs: applies.append(len(physical))
+            or real_apply(physical, **kwargs),
         )
         monkeypatch.setattr(batched, "write", lambda logical: writes.append(logical))
         counts = batched.write_batch(addresses)
@@ -350,3 +351,124 @@ class TestBulkSpan:
             stops += counts.size < chunk.size
             start += counts.size
         assert stops >= 2
+
+
+def _plain(tree):
+    """A state tree with its arrays as lists, comparable with ``==``."""
+    if isinstance(tree, dict):
+        return {key: _plain(value) for key, value in tree.items()}
+    if isinstance(tree, np.ndarray):
+        return tree.tolist()
+    return tree
+
+
+def _full_state(scheme):
+    """The scheme's snapshot (RT both ways, SWPT, WCT, both RNG registers,
+    toss-up, judge and inter-pair counters) plus the array's wear."""
+    return _plain({"scheme": scheme.snapshot(), "array": scheme.array.snapshot()})
+
+
+class TestGuardedSpan:
+    """A span is planned in full and committed only if no frame wears out.
+
+    The walk mutates the RT, the SWPT and both RNG registers before the
+    span's counts are known; one bincount then decides.  A rejected span
+    is undone and the rest of its batch goes to the per-write loop, so
+    every batch but the one holding the first failure is a single span,
+    at any endurance.
+    """
+
+    CONFIGS = {
+        "dense": TWLConfig(),
+        "every_write": TWLConfig(toss_up_interval=1, inter_pair_swap_interval=1),
+        "no_relocation_toss": TWLConfig(
+            toss_up_interval=4, inter_pair_swap_interval=7, toss_on_relocation=False
+        ),
+        "unmaintained": TWLConfig(
+            toss_up_interval=8, inter_pair_swap_interval=5, maintain_physical_pairs=False
+        ),
+    }
+
+    @staticmethod
+    def _scheme(config, n_pages=15, low=1500, high=4500):
+        endurance = np.random.default_rng(4).integers(low, high, size=n_pages)
+        return TossUpWearLeveling(PCMArray(endurance), config=config, seed=5)
+
+    def test_every_batch_before_the_failing_one_is_one_span(self, monkeypatch):
+        from repro.wearlevel.base import WearLeveler
+
+        batched = self._scheme(TWLConfig(), n_pages=64, low=2048, high=4096)
+        serial = self._scheme(TWLConfig(), n_pages=64, low=2048, high=4096)
+        spans, writes = [], []
+        real_span, real_write = batched._serve_span, batched.write
+        monkeypatch.setattr(
+            batched,
+            "_serve_span",
+            lambda *args: spans.append(real_span(*args)) or spans[-1],
+        )
+        monkeypatch.setattr(
+            batched, "write", lambda logical: writes.append(logical) or real_write(logical)
+        )
+        rng = np.random.default_rng(8)
+        batches = 0
+        while not batched.array.failed:
+            chunk = rng.integers(0, 64, size=4096)
+            spans.clear()
+            counts = batched.write_batch(chunk)
+            expected = WearLeveler.write_batch(serial, chunk)
+            assert counts.tolist() == expected.tolist()
+            batches += 1
+            if not batched.array.failed:
+                assert spans == [4096] and writes == []
+        # The failing batch: one rejected span, then the per-write loop
+        # up to the failing write.
+        assert batches > 20
+        assert spans == [0] and len(writes) == counts.size
+        assert batched.array.first_failure == serial.array.first_failure
+        assert _full_state(batched) == _full_state(serial)
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_rejected_span_leaves_the_state_as_it_was(self, config):
+        addresses = np.random.default_rng(9).integers(0, 4, size=4001)
+        scheme = self._scheme(self.CONFIGS[config])
+        scheme.write_batch(addresses[:1000])  # tables and RNGs off their start
+        # The same scheme on an unworn array accepts the span.
+        fresh = self._scheme(self.CONFIGS[config])
+        fresh.restore(scheme.snapshot())
+        # Every frame three writes short of its endurance.
+        array = scheme.array
+        array.apply_batch(np.repeat(np.arange(15), array.endurance - array.writes - 3))
+        before = _full_state(scheme)
+        out = np.ones(addresses.size, dtype=np.int64)
+        assert scheme._serve_span(addresses, out, 0, 0) == 0
+        assert _full_state(scheme) == before
+        # The walk moved every structure the undo restores, so the
+        # equality above is not vacuous.
+        untouched = _full_state(fresh)["scheme"]["scheme"]
+        assert fresh._serve_span(addresses, out, 0, 0) == addresses.size
+        moved = _full_state(fresh)["scheme"]["scheme"]
+        changed = {key for key in moved if moved[key] != untouched[key]}
+        assert {"remap", "toss_up", "victim_rng", "swap_judge", "inter_pair_swaps"} <= changed
+        if self.CONFIGS[config].maintain_physical_pairs:
+            assert "pair_table" in changed
+
+    @pytest.mark.parametrize("batch", [37, 4096])
+    @pytest.mark.parametrize("stop_at", [None, 2, 3])
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_run_to_failure_equals_the_per_write_loop(self, config, stop_at, batch):
+        from repro.wearlevel.base import WearLeveler
+
+        addresses = np.random.default_rng(10).integers(0, 15, size=200_000)
+        batched = self._scheme(self.CONFIGS[config])
+        serial = self._scheme(self.CONFIGS[config])
+        start = 0
+        while not batched.array.failed:
+            assert start < addresses.size
+            chunk = addresses[start : start + batch]
+            counts = batched.write_batch(chunk, stop_at)
+            expected = WearLeveler.write_batch(serial, chunk, stop_at)
+            assert counts.tolist() == expected.tolist()
+            start += counts.size
+        assert serial.array.failed
+        assert batched.array.first_failure == serial.array.first_failure
+        assert _full_state(batched) == _full_state(serial)
