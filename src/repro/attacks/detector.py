@@ -104,13 +104,20 @@ class SwapDetector:
         later sample is flagged when it exceeds ``threshold_factor``
         times the minimum before it (a sample below that minimum lowers
         it instead, and ``threshold_factor > 1`` keeps the two apart).
+        After warmup, a batch with no latency below the baseline leaves
+        the baseline as it is, so its flags are one comparison.
         """
         latencies = np.asarray(latencies, dtype=np.float64)
         size = int(latencies.size)
         if size == 0:
             return np.zeros(0, dtype=bool)
-        if not (latencies > 0).all():
+        lowest = latencies.min()
+        if not lowest > 0:
             raise ValueError("latency must be positive")
+        if self._samples >= self.warmup and lowest >= self._baseline:
+            flags = latencies > self._baseline * self.threshold_factor
+            self.detections += int(np.count_nonzero(flags))
+            return flags
         warm = min(size, max(0, self.warmup - self._samples))
         before = np.empty(size, dtype=np.float64)
         before[0] = self._baseline if self._baseline != 0.0 else math.inf

@@ -60,6 +60,78 @@ def _group(values: np.ndarray):
     return order, ordered, starts, ranks
 
 
+class _SpanLog:  # twl: allow(TWL008) reason=transient record of one span walk; never outlives the write_batch call that made it, nothing to resume
+    """A span walk's gathered frames, event tallies and undo log.
+
+    Both walks of :meth:`TossUpWearLeveling.write_batch` decide a span's
+    events in request order (:meth:`TossUpWearLeveling._span_boundary`,
+    :meth:`TossUpWearLeveling._span_toss`), changing the RT, the SWPT
+    and both RNG registers as they go.  Every change of the RT first
+    gathers the physical frames of the span's requests since the
+    previous one; migration writes are kept apart.
+    :meth:`TossUpWearLeveling._commit_span` applies them, or undoes the
+    log.
+
+    The undo log: a repeated ``swap_logical`` restores the forward RT
+    exactly (and the inverse wherever the RT is consistent, which only
+    an unprotected soft error breaks; nothing on the write path reads
+    the inverse).  ``exchange_roles`` undoes itself only on a consistent
+    SWPT, so the table is copied instead (``roles``), before the span's
+    first boundary.
+    """
+
+    def __init__(
+        self,
+        span,
+        *,
+        mapping,
+        partners,
+        endurance,
+        next_word,
+        rng_bits,
+        swap_logical,
+        victim_state,
+        toss_state,
+        pending,
+    ):
+        self.span = span
+        # The live RT and SWPT, the ET, the toss-up's word source and
+        # width, and the RT's swap.
+        self.mapping = mapping
+        self.partners = partners
+        self.endurance = endurance
+        self.next_word = next_word
+        self.rng_bits = rng_bits
+        self.swap_logical = swap_logical
+        self.victim_state = victim_state
+        self.toss_state = toss_state
+        #: With ``use_remaining_endurance``: the span's writes so far per
+        #: frame, which the toss-up subtracts as the per-write loop's
+        #: array would have counted them (None otherwise).
+        self.pending = pending
+        self.start = 0  # first request whose frame is not gathered yet
+        self.pieces = []
+        self.migrations = []
+        self.swapped = []
+        self.roles = None
+        self.activations = self.swaps = self.boundaries = 0
+
+    def gather(self, pos: int) -> None:
+        """Gather the frames of the requests before ``pos``."""
+        piece = self.mapping[self.span[self.start : pos]]
+        self.pieces.append(piece)
+        self.start = pos
+        if self.pending is not None:
+            np.add.at(self.pending, piece, 1)
+
+    def migrate(self, *frames: int) -> None:
+        """Record one migration write to each of ``frames``."""
+        self.migrations.extend(frames)
+        if self.pending is not None:
+            for frame in frames:
+                self.pending[frame] += 1
+
+
 class TossUpWearLeveling(WearLeveler):
     """The paper's Toss-up Wear Leveling engine."""
 
@@ -126,68 +198,82 @@ class TossUpWearLeveling(WearLeveler):
         return writes
 
     def write_batch(self, addresses, stop_at: Optional[int] = None) -> np.ndarray:
-        """Batch path: plan every toss-up and inter-pair event in numpy.
+        """Batch path: decide every toss-up and inter-pair event in a walk.
 
         Most demand writes neither fire a toss-up (one in
         ``toss_up_interval`` writes to a page) nor an inter-pair swap
-        (one in ``inter_pair_swap_interval`` demand writes).  Between
-        two re-phasings a page's counter after ``j`` of its writes is
-        ``(start + j) % interval``, so the toss-up trigger positions
-        follow from one modular comparison against the canonical counter
-        array, and the inter-pair boundaries are arithmetic in the
-        global demand count.  Each write is served by one of two tiers:
+        (one in ``inter_pair_swap_interval`` demand writes).  A batch is
+        cut into spans; each span's events are decided in request order
+        by one of two walks, and its writes are committed guard-then-
+        commit (:meth:`_commit_span`): one :meth:`PCMArray.apply_batch`
+        that applies the span only if no frame reaches its endurance in
+        it, or else leaves the array untouched while the walk is undone.
+        Each write is served by one of three tiers:
 
-        * **guarded bulk span** — the whole batch, when the toss-up
-          reads the static ET: its boundaries and toss-up triggers are
-          decided in one ordered walk inside the planner, and the span
-          is committed in one :meth:`PCMArray.apply_batch` only if no
-          frame reaches its endurance in it (:meth:`_serve_span`);
+        * **event walk** (:meth:`_serve_span`) — a span without a stop
+          or with one above 4: between two re-phasings a page's counter
+          after ``j`` of its writes is ``(start + j) % interval``, so the
+          toss-up triggers follow from one modular comparison against
+          the counter array, the inter-pair boundaries are arithmetic in
+          the global demand count, and a Python step is paid per event,
+          not per write;
+        * **short walk** (:meth:`_walk_span`) — a span whose stop is at
+          most 4 (so it ends by the next boundary), and every span under
+          ``use_remaining_endurance``: one Python step per request, only
+          as far as the stop, with no planning pass over the span; its
+          toss-ups can read the endurance left after the span's pending
+          writes;
         * **per-write** — the inherited loop of :meth:`write` serves the
           rest of a batch whose span the guard rejected (the batch that
-          wears a page out, once per run), every batch under
-          ``use_remaining_endurance`` (its toss-up reads the wear of the
-          moment), and a batch that starts with a corrupted counter: the
-          modular prediction assumes every counter is below the
-          interval, which :meth:`WriteCounterTable.record_write`
-          maintains by construction and an injected fault can break.
+          wears a page out, once per run), and the rest of a batch that
+          reaches the event walk with a corrupted counter: the modular
+          prediction assumes every counter is below the interval, which
+          :meth:`WriteCounterTable.record_write` maintains by
+          construction and an injected fault can break (the short walk
+          follows ``record_write``'s wrap and serves such a counter).
 
         With ``stop_at``, the batch ends after the first request that
         performs that many physical writes: only a toss-up swap (two
         writes) or a boundary write (three or four) can, so a span is
-        cut right after the request that reaches ``stop_at``.
+        cut right after the request that reaches ``stop_at``; with
+        ``stop_at`` <= 4 a span reaches no further than the next
+        boundary.
         """
-        if self.config.use_remaining_endurance or (
-            stop_at is not None and stop_at <= 1
-        ):
-            # The toss-up reads the wear of the moment, or the stop falls
-            # on the first request (each performs at least one write).
+        if stop_at is not None and stop_at <= 1:
+            # The stop falls on the first request (each performs at
+            # least one write).
             return WearLeveler.write_batch(self, addresses, stop_at)
         seq = np.asarray(addresses, dtype=np.int64)
         if self.array.failed:
             return np.zeros(0, dtype=np.int64)
         self.check_logical_batch(seq)
-        # Checked once per batch: every in-batch counter update
-        # (record_write wrap, modular bulk updates, force_trigger_next's
-        # interval-1) keeps counters below the interval, so only an
-        # external poke — impossible mid-batch — can break this.
-        counters = self.write_counters
-        if int(counters.values_array().max()) >= counters.interval:
-            return WearLeveler.write_batch(self, seq, stop_at)
         stop = stop_at or 0
+        # A boundary performs three or four writes, so a span with a stop
+        # of at most 4 seldom outlives the next one: it is walked no
+        # further than that boundary, and only as far as the stop.
+        short = 0 < stop <= 4
+        remaining = self.config.use_remaining_endurance
+        counters = self.write_counters
         out = np.ones(seq.size, dtype=np.int64)
         interval = self.config.inter_pair_swap_interval
         position = 0
         while position < seq.size:
             end = seq.size
-            if stop and stop <= 4:
-                # A boundary performs three or four writes, so a
-                # stop-bounded span seldom outlives the next one: plan
-                # no further than it.
+            if short:
                 end = min(end, position + interval - self._interpair_counter)
-            served = self._serve_span(seq[position:end], out, position, stop)
+            if short or remaining:
+                served = self._walk_span(seq[position:end], out, position, stop)
+            elif int(counters.values_array().max()) >= counters.interval:
+                # A corrupted counter breaks the event walk's trigger
+                # prediction.  Only an external poke, impossible
+                # mid-span, can put a counter there.
+                served = 0
+            else:
+                served = self._serve_span(seq[position:end], out, position, stop)
             if not served:
-                # A frame would wear out inside the span: the per-write
-                # loop serves the rest and stops at the failing write.
+                # A frame would wear out inside the span, or a counter
+                # is corrupted: the per-write loop serves the rest and
+                # stops at the failing write.
                 rest = WearLeveler.write_batch(self, seq[position:], stop_at)
                 out[position : position + rest.size] = rest
                 return out[: position + rest.size]
@@ -198,22 +284,76 @@ class TossUpWearLeveling(WearLeveler):
                 return out[:position]
         return out
 
+    def _walk_span(
+        self, span: np.ndarray, out: np.ndarray, base: int, stop: int
+    ) -> int:
+        """Short tier: walk a span request by request, up to its stop.
+
+        Each request is decided as :meth:`write` decides it: the global
+        inter-pair counter may fire a boundary (which, with
+        ``toss_on_relocation``, re-phases both pages as
+        :meth:`WriteCounterTable.force_trigger_next` does), then the
+        page's counter is bumped with :meth:`WriteCounterTable.record_write`'s
+        wrap, and a trigger runs the toss-up.  Counters are kept in a
+        local table and written back only after the commit; the events
+        themselves and the commit are shared with :meth:`_serve_span`
+        (:meth:`_span_boundary`, :meth:`_span_toss`,
+        :meth:`_commit_span`).  Returns the requests served, or 0 when
+        the guard rejected the span, which is then undone.
+        """
+        log = self._open_span(span)
+        toss_interval = self.write_counters.interval
+        swap_interval = self.config.inter_pair_swap_interval
+        relocate = self.config.toss_on_relocation
+        start_counters = self.write_counters.values_array()
+        first = start_counters[span].tolist()
+        counters = {}  # page -> its counter after the walk's writes
+        boundary = self._interpair_counter
+        cut = span.size
+        for pos, page in enumerate(span.tolist()):  # twl: allow(TWL006) reason=short walk: spans with a stop of at most 4, which end by the next boundary, and use_remaining_endurance, whose toss-ups read the wear of the moment
+            count = 1
+            boundary += 1
+            if boundary >= swap_interval:
+                boundary = 0
+                victim = self._span_boundary(log, page, pos)
+                count = 3
+                if relocate:
+                    counters[page] = counters[victim] = toss_interval - 1
+            value = counters.get(page, first[pos]) + 1
+            if value >= toss_interval:
+                value = 0
+                count += self._span_toss(log, page, pos)
+            counters[page] = value
+            if count > 1:
+                out[base + pos] = count
+                if stop and count >= stop:
+                    cut = pos + 1
+                    break
+        if not self._commit_span(log, cut):
+            return 0
+        pages = np.fromiter(counters, dtype=np.int64, count=len(counters))
+        values = np.fromiter(counters.values(), dtype=np.int64, count=len(counters))
+        # Advancing by the difference sets each counter to its value.
+        self.write_counters.bulk_advance(pages, values - start_counters[pages])
+        return cut
+
     def _serve_span(
         self, span: np.ndarray, out: np.ndarray, base: int, stop: int
     ) -> int:
-        """Bulk tier: serve a span in one apply, every event included.
+        """Event walk: serve a span in one apply, every event included.
 
         Valid only when (a) no page fails inside the span — device write
         *order* is then unobservable, so the span may be applied out of
         order — and (b) the toss-up reads static endurance.  The feedback
         between events is then confined to the tables, so the events are
-        decided in request order inside the planner:
+        decided in request order inside the planner, one heap entry
+        each:
 
-        * an **inter-pair boundary** draws its victim as
-          :meth:`_inter_pair_swap` does, writes both frames, exchanges
-          them in the RT, conjugates the SWPT with
-          ``maintain_physical_pairs`` and, with ``toss_on_relocation``,
-          *re-phases* both pages: a page's counter is ``(offset +
+        * an **inter-pair boundary** (:meth:`_span_boundary`) draws
+          its victim as :meth:`_inter_pair_swap` does, writes both
+          frames, exchanges them in the RT and conjugates the SWPT with
+          ``maintain_physical_pairs``; with ``toss_on_relocation`` the
+          walk *re-phases* both pages: a page's counter is ``(offset +
           served occurrences) % interval``, and the force gives it a new
           offset whose trigger positions are a stride-``interval`` slice
           of the page's positions, pushed one at a time onto the event
@@ -221,22 +361,14 @@ class TossUpWearLeveling(WearLeveler):
         * a **toss-up trigger** (checked against its page's current
           offset, so entries of a re-phased page go stale) reads both
           frames from the live RT and the partner from the live SWPT,
-          draws exactly one word as :meth:`TossUp.choose_a` would and,
-          on a swap, exchanges the pair's frames.
+          and draws exactly one word as :meth:`TossUp.choose_a` would
+          (:meth:`_span_toss`).
 
-        Every change of the RT first gathers the physical frames of the
-        writes since the previous one; the migration frames are added at
-        the end.  When a request reaches ``stop`` writes, the span is cut
-        right after it, before the next event draws a word.  Counters end
-        at ``(offset + occurrences) % interval``.
-
-        Condition (a) is checked after the walk, guard-then-commit: the
-        planned frames are applied with ``all_or_nothing``, so one
-        bincount both decides the span and commits it.  When some frame
-        would reach its endurance, the walk is undone — the RT swaps
-        replayed in reverse, the SWPT and both RNG registers restored —
-        and 0 is returned, leaving the counters and statistics untouched
-        (the walk only writes them after the commit).
+        When a request reaches ``stop`` writes, the span is cut right
+        after it, before the next event draws a word.  Condition (a) is
+        checked after the walk (:meth:`_commit_span`), which returns 0
+        for a rejected span; counters end at ``(offset + occurrences) %
+        interval``, written only after the commit.
         """
         size = int(span.size)
         n = self.remap.n_pages
@@ -260,36 +392,12 @@ class TossUpWearLeveling(WearLeveler):
             if relocate:
                 # (page, position) sorts the span by page, then request.
                 keyed = ordered * size + order
-        mapping = self.remap.mapping_array()
-        endurance = self.endurance_table.values_array()
-        partners = self.pair_table.partners_array()
-        swap_logical = self.remap.swap_logical
-        exchange_roles = (
-            self.pair_table.exchange_roles
-            if self.config.maintain_physical_pairs
-            else None
-        )
-        next_victim = self._victim_rng.next_below
-        next_word = self.toss_up.rng.next_word
-        rng_bits = self.toss_up.rng_bits
-        # The undo log.  A repeated swap_logical restores the forward RT
-        # exactly (and the inverse wherever the RT is consistent, which
-        # only an unprotected soft error breaks; nothing on the write
-        # path reads the inverse).  exchange_roles undoes itself only on
-        # a consistent SWPT, so the table is copied instead, before the
-        # span's first boundary.
-        victim_state = self._victim_rng.state
-        toss_state = self.toss_up.snapshot()
-        swapped = []
-        roles = None
+        log = self._open_span(span)
+        boundary_event, toss_event = self._span_boundary, self._span_toss
         # Re-phased page -> (counter offset, its slice of ``ordered``).
         rephased = {}
-        pieces = []
-        migrations = []
-        start = 0  # first request whose frame is not gathered yet
         current, count = -1, 0  # request being served, its writes so far
         last_toss = -1
-        n_bounds = activations = n_swapped = 0
         cut = size
         # One iteration per planned event (boundaries, triggers, pushed
         # re-phased triggers), not per write.
@@ -302,20 +410,7 @@ class TossUpWearLeveling(WearLeveler):
                     break
                 current, count = pos, 1
             if not slot & 1:
-                # The inter-pair swap of _inter_pair_swap.
-                victim = next_victim(n)
-                if victim == page:
-                    victim = (victim + 1) % n
-                pieces.append(mapping[span[start:pos]])
-                migrations.append(mapping[page])
-                migrations.append(mapping[victim])
-                start = pos
-                swap_logical(page, victim)
-                swapped.append((page, victim))
-                if exchange_roles is not None:
-                    if roles is None:
-                        roles = self.pair_table.snapshot()
-                    exchange_roles(page, victim)
+                victim = boundary_event(log, page, pos)
                 if relocate:
                     # force_trigger_next on both pages: the next write
                     # of each (sorted index ``at``) gets a new offset.
@@ -335,7 +430,6 @@ class TossUpWearLeveling(WearLeveler):
                             rephased[moved] = (offset, low, high)
                             if at < high:
                                 heappush(heap, (2 * int(order[at]) + 1) * n + moved)
-                n_bounds += 1
                 count += 2
                 out[base + pos] = count
                 boundary = pos + swap_interval
@@ -354,41 +448,13 @@ class TossUpWearLeveling(WearLeveler):
                 if following < high:
                     heappush(heap, (2 * int(order[following]) + 1) * n + page)
             last_toss = pos
-            mate = int(partners[page])
-            if mate == page:
-                continue  # self-paired: a direct write
-            activations += 1
-            frame = mapping[page]
-            partner_frame = mapping[mate]
-            own = int(endurance[frame])
-            other = int(endurance[partner_frame])
-            if next_word() < (own << rng_bits) // (own + other):
-                continue  # chose its own frame: a direct write
-            # Swap-then-write: the event's own frame, gathered here,
-            # takes the migration write and the partner's frame the
-            # demand write.
-            pieces.append(mapping[span[start : pos + 1]])
-            migrations.append(partner_frame)
-            swap_logical(page, mate)
-            swapped.append((page, mate))
-            start = pos + 1
-            n_swapped += 1
-            count += 1
-            out[base + pos] = count
+            if toss_event(log, page, pos):
+                count += 1
+                out[base + pos] = count
         else:
             if stop and count >= stop:
                 cut = current + 1
-        pieces.append(mapping[span[start:cut]])
-        if migrations:
-            pieces.append(np.array(migrations, dtype=np.int64))
-        physical = np.concatenate(pieces)
-        if not self.array.apply_batch(physical, all_or_nothing=True):
-            for page, other in reversed(swapped):
-                swap_logical(page, other)
-            if roles is not None:
-                self.pair_table.restore(roles)
-            self._victim_rng.state = victim_state
-            self.toss_up.restore(toss_state)
+        if not self._commit_span(log, cut):
             return 0
         if rephased:
             forced = np.array(list(rephased), dtype=np.int64)
@@ -398,19 +464,120 @@ class TossUpWearLeveling(WearLeveler):
         if rephased:
             # A re-phased page ends at (offset + occurrences) % interval.
             counters.bulk_advance(forced, shifts % toss_interval)
+        return cut
+
+    def _open_span(self, span: np.ndarray) -> _SpanLog:
+        """A fresh log for a walk over ``span``, holding the undo state."""
+        pending = None
+        if self.config.use_remaining_endurance:
+            pending = np.zeros(self.array.n_pages, dtype=np.int64)
+        return _SpanLog(
+            span,
+            mapping=self.remap.mapping_array(),
+            partners=self.pair_table.partners_array(),
+            endurance=self.endurance_table.values_array(),
+            next_word=self.toss_up.rng.next_word,
+            rng_bits=self.toss_up.rng_bits,
+            swap_logical=self.remap.swap_logical,
+            victim_state=self._victim_rng.state,
+            toss_state=self.toss_up.snapshot(),
+            pending=pending,
+        )
+
+    def _span_boundary(self, log: _SpanLog, page: int, pos: int) -> int:
+        """The inter-pair swap of :meth:`_inter_pair_swap` at request
+        ``pos`` of a walked span, before its demand write; returns the
+        victim (the walk re-phases both pages)."""
+        n = self.remap.n_pages
+        victim = self._victim_rng.next_below(n)
+        if victim == page:
+            victim = (victim + 1) % n
+        mapping = log.mapping
+        log.gather(pos)
+        log.migrate(mapping[page], mapping[victim])
+        log.swap_logical(page, victim)
+        log.swapped.append((page, victim))
+        if self.config.maintain_physical_pairs:
+            if log.roles is None:
+                log.roles = self.pair_table.snapshot()
+            self.pair_table.exchange_roles(page, victim)
+        log.boundaries += 1
+        return victim
+
+    def _span_toss(self, log: _SpanLog, page: int, pos: int) -> bool:
+        """The toss-up of a triggered write at request ``pos`` of a
+        walked span; True when it swapped (one extra write).
+
+        Reads both frames from the live RT and the partner from the live
+        SWPT, and draws exactly one word as :meth:`TossUp.choose_a`
+        would.  A swap-then-write gives the event's own frame, gathered
+        here, the migration write and the partner's frame the demand
+        write.
+        """
+        mate = int(log.partners[page])
+        if mate == page:
+            return False  # self-paired: a direct write
+        log.activations += 1
+        mapping = log.mapping
+        frame = mapping[page]
+        partner_frame = mapping[mate]
+        endurance = log.endurance
+        own = int(endurance[frame])
+        other = int(endurance[partner_frame])
+        pending = log.pending
+        if pending is not None:
+            # _pair_endurance, with the span's writes not yet applied.
+            log.gather(pos)
+            writes = self.array.writes
+            own = max(1, own - int(writes[frame] + pending[frame]))
+            other = max(1, other - int(writes[partner_frame] + pending[partner_frame]))
+        if log.next_word() < (own << log.rng_bits) // (own + other):
+            return False  # chose its own frame: a direct write
+        log.gather(pos + 1)
+        log.migrate(partner_frame)
+        log.swap_logical(page, mate)
+        log.swapped.append((page, mate))
+        log.swaps += 1
+        return True
+
+    def _commit_span(self, log: _SpanLog, cut: int) -> bool:
+        """Guard-then-commit the first ``cut`` requests of a walked span.
+
+        The planned frames are applied with ``all_or_nothing``, so one
+        bincount both decides the span and commits it.  When some frame
+        would reach its endurance, the walk is undone — the RT swaps
+        replayed in reverse, the SWPT and both RNG registers restored —
+        and False is returned, with the statistics untouched; the caller
+        writes the counters only after a commit.
+        """
+        log.gather(cut)
+        pieces = log.pieces
+        if log.migrations:
+            pieces.append(np.array(log.migrations, dtype=np.int64))
+        if not self.array.apply_batch(np.concatenate(pieces), all_or_nothing=True):
+            for page, other in reversed(log.swapped):
+                log.swap_logical(page, other)
+            if log.roles is not None:
+                self.pair_table.restore(log.roles)
+            self._victim_rng.state = log.victim_state
+            self.toss_up.restore(log.toss_state)
+            return False
+        activations, swaps, bounds = log.activations, log.swaps, log.boundaries
         self.toss_up_activations += activations
         toss = self.toss_up
         toss.decisions += activations
-        toss.chose_a += activations - n_swapped
+        toss.chose_a += activations - swaps
         judge = self.swap_judge
-        judge.direct += activations - n_swapped
-        judge.swapped += n_swapped
-        self.inter_pair_swaps += n_bounds
-        self.swap_events += n_swapped + n_bounds
-        self.swap_writes += n_swapped + 2 * n_bounds
-        self._interpair_counter = (self._interpair_counter + cut) % swap_interval
+        judge.direct += activations - swaps
+        judge.swapped += swaps
+        self.inter_pair_swaps += bounds
+        self.swap_events += swaps + bounds
+        self.swap_writes += swaps + 2 * bounds
+        self._interpair_counter = (
+            self._interpair_counter + cut
+        ) % self.config.inter_pair_swap_interval
         self.demand_writes += cut
-        return cut
+        return True
 
     def _pair_endurance(self, frame: int) -> int:
         """Endurance feeding the toss-up probability for ``frame``."""

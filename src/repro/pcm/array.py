@@ -211,7 +211,7 @@ class PCMArray:
                 f"physical page {bad} out of range [0, {self.n_pages})"
             )
         if self._first_failure is None and seq.size * 8 < self.n_pages:
-            # Small chunks (the TWL planner's quiet runs are a few dozen
+            # Small chunks (an adaptive segment's TWL span is a few dozen
             # writes against thousands of pages): touch only the
             # affected entries instead of materializing full-array
             # counts.  Falls through to the general machinery on

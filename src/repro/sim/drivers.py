@@ -222,6 +222,7 @@ class AttackDriver(WorkloadDriver):
         self.timing = timing
         self._adaptive = attack.is_adaptive
         self._write_cycles = float(timing.write_cycles)
+        self._stop_at: Optional[int] = None
 
     @property
     def workload_name(self) -> str:
@@ -233,16 +234,15 @@ class AttackDriver(WorkloadDriver):
         attack = self.attack
         if not self._adaptive:
             return attack.next_writes(n)
-        horizon, _ = attack.segment(self._write_cycles)
+        horizon, stop_at = attack.segment(self._write_cycles)
+        self._stop_at = stop_at  # twl: allow(TWL008) reason=stop count of the segment just handed over; every step's next_batch re-derives it from the detector, which the attack snapshot captures
         return attack.planned_writes(min(n, horizon))
 
     @property
     def stop_at(self) -> Optional[int]:
-        # Planning a segment leaves the detector as it was, so this is
-        # the stop count of the segment next_batch just handed over.
-        if not self._adaptive:
-            return None
-        return self.attack.segment(self._write_cycles)[1]
+        # The stop count of the segment next_batch just handed over
+        # (None for a non-adaptive attack).
+        return self._stop_at
 
     def observe_batch(self, physical_write_counts: np.ndarray) -> None:
         if self._adaptive:

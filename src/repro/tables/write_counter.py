@@ -78,10 +78,11 @@ class WriteCounterTable:
     def bulk_advance(self, pages: np.ndarray, steps: np.ndarray) -> None:
         """Advance each of the distinct ``pages`` by ``steps``, with wrapping.
 
-        The TWL bulk span's counter update: ``steps`` holds a page's
-        write count in the span, or the shift of its trigger phase when
-        an inter-pair swap re-phased it (:meth:`force_trigger_next`
-        mid-span); both only matter modulo the interval.
+        The TWL span walks' counter update: ``steps`` holds a page's
+        write count in the span, the shift of its trigger phase when an
+        inter-pair swap re-phased it (:meth:`force_trigger_next`
+        mid-span), or the difference to the value the short walk
+        reached; all only matter modulo the interval.
         """
         values = self._values
         values[pages] = (values[pages] + steps) % self.interval

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.attacks.detector import SwapDetector
 from repro.errors import ConfigError
@@ -49,6 +49,14 @@ class TestSwapDetector:
         with pytest.raises(ValueError, match="positive"):
             detector.observe_batch(np.array([2000.0, -1.0]))
 
+    def test_rejects_nonpositive_latency_after_warmup(self):
+        detector = SwapDetector(warmup=2)
+        detector.observe_batch(np.array([2000.0, 2000.0]))
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="positive"):
+                detector.observe_batch(np.array([4000.0, bad]))
+        assert detector.snapshot() == {"baseline": 2000.0, "detections": 0, "samples": 2}
+
 
 _factors = st.one_of(st.sampled_from([1.5, 2.0, 3.0]), st.floats(1.001, 5.0))
 
@@ -63,6 +71,10 @@ class TestSegmentProtocol:
         cut=st.integers(0, 40),
     )
     @settings(max_examples=200, deadline=None)
+    # After warmup: a batch at or above the baseline (the one-comparison
+    # form), and one that dips below it (the running-minimum form).
+    @example(threshold_factor=1.5, warmup=2, multiples=[2, 3, 2, 2, 4, 5, 3], cut=2)
+    @example(threshold_factor=1.5, warmup=2, multiples=[3, 4, 5, 1, 2, 6], cut=2)
     def test_observe_batch_equals_observe(self, threshold_factor, warmup, multiples, cut):
         scalar = SwapDetector(threshold_factor, warmup)
         batched = SwapDetector(threshold_factor, warmup)

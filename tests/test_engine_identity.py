@@ -484,9 +484,17 @@ def _adaptive_state(scheme, attack, served):
     }
 
 
+# The attack targets logical pages, and a scheme that keeps spares
+# (retire) exposes fewer than the array has.
+_ADAPTIVE_LOGICAL_PAGES = {
+    name: make_scheme(name, PCMArray.uniform(_ADAPTIVE_PAGES, 100), seed=5).logical_pages
+    for name in scheme_names()
+}
+
+
 @st.composite
-def _attack_kwargs(draw):
-    n_targets = draw(st.integers(1, _ADAPTIVE_PAGES - 1))
+def _attack_kwargs(draw, logical_pages):
+    n_targets = draw(st.integers(1, min(_ADAPTIVE_PAGES - 1, logical_pages)))
     return {
         "n_targets": n_targets,
         "victim_count": draw(st.integers(1, n_targets)),
@@ -499,7 +507,7 @@ def _attack_kwargs(draw):
     scheme_name=st.sampled_from(scheme_names()),
     batch_size=st.sampled_from([1, 2, 37, 4096]),
     endurance=st.sampled_from([100, 200]),
-    attack_kwargs=_attack_kwargs(),
+    data=st.data(),
     detector_kwargs=st.fixed_dictionaries(
         {
             "threshold_factor": st.one_of(
@@ -512,12 +520,15 @@ def _attack_kwargs(draw):
 )
 @settings(max_examples=100, deadline=None)
 def test_adaptive_segments_equal_the_feedback_loop(
-    scheme_name, batch_size, endurance, attack_kwargs, detector_kwargs, primed
+    scheme_name, batch_size, endurance, data, detector_kwargs, primed
 ):
     """Run to failure, the engine's segments at any batch size equal the
     per-write feedback loop: wear, first failure, swap counters,
     reversals, detections and the attack's whole state.  Every served
     request costs at least one physical write."""
+    attack_kwargs = data.draw(
+        _attack_kwargs(_ADAPTIVE_LOGICAL_PAGES[scheme_name]), label="attack_kwargs"
+    )
     parts = (scheme_name, endurance, attack_kwargs, detector_kwargs, primed)
     scheme, attack = _adaptive_parts(*parts)
     served = _feedback_loop(scheme, attack, _ADAPTIVE_DEMAND)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import TWLConfig
 from repro.core.pairing import build_pair_table
@@ -452,6 +453,37 @@ class TestGuardedSpan:
         if self.CONFIGS[config].maintain_physical_pairs:
             assert "pair_table" in changed
 
+    WALK_CONFIGS = dict(
+        CONFIGS,
+        remaining=TWLConfig(
+            toss_up_interval=2, inter_pair_swap_interval=5, use_remaining_endurance=True
+        ),
+    )
+
+    @pytest.mark.parametrize("config", sorted(WALK_CONFIGS))
+    def test_rejected_walk_leaves_the_state_as_it_was(self, config):
+        """The short walk shares the guard and the undo log."""
+        addresses = np.random.default_rng(9).integers(0, 4, size=4001)
+        scheme = self._scheme(self.WALK_CONFIGS[config])
+        scheme.write_batch(addresses[:1000])  # tables and RNGs off their start
+        fresh = self._scheme(self.WALK_CONFIGS[config])
+        fresh.restore(scheme.snapshot())
+        array = scheme.array
+        array.apply_batch(np.repeat(np.arange(15), array.endurance - array.writes - 3))
+        before = _full_state(scheme)
+        out = np.ones(addresses.size, dtype=np.int64)
+        assert scheme._walk_span(addresses, out, 0, 0) == 0
+        assert _full_state(scheme) == before
+        untouched = _full_state(fresh)["scheme"]["scheme"]
+        assert fresh._walk_span(addresses, out, 0, 0) == addresses.size
+        moved = _full_state(fresh)["scheme"]["scheme"]
+        changed = {key for key in moved if moved[key] != untouched[key]}
+        assert {"remap", "toss_up", "victim_rng", "swap_judge", "inter_pair_swaps"} <= changed
+        if self.WALK_CONFIGS[config].maintain_physical_pairs:
+            assert "pair_table" in changed
+        if self.WALK_CONFIGS[config].toss_up_interval > 1:
+            assert "write_counters" in changed
+
     @pytest.mark.parametrize("batch", [37, 4096])
     @pytest.mark.parametrize("stop_at", [None, 2, 3])
     @pytest.mark.parametrize("config", sorted(CONFIGS))
@@ -472,3 +504,96 @@ class TestGuardedSpan:
         assert serial.array.failed
         assert batched.array.first_failure == serial.array.first_failure
         assert _full_state(batched) == _full_state(serial)
+
+
+class TestShortWalk:
+    """Spans with a stop of at most 4, and every span under
+    ``use_remaining_endurance``, are walked request by request only as
+    far as the stop; a higher stop takes the event walk.  The short walk
+    follows ``record_write``'s wrap, so it also serves a counter poked at
+    or above the interval, which sends the event walk's batch to the
+    per-write loop."""
+
+    @given(
+        config=st.builds(
+            TWLConfig,
+            toss_up_interval=st.sampled_from([1, 2, 32, 120]),
+            inter_pair_swap_interval=st.sampled_from([1, 2, 7, 128, 300]),
+            maintain_physical_pairs=st.booleans(),
+            toss_on_relocation=st.booleans(),
+            use_remaining_endurance=st.booleans(),
+        ),
+        stop_at=st.sampled_from([2, 3, 4, 5]),
+        chunk=st.sampled_from([37, 129, 300]),
+        n_targets=st.integers(1, 6),
+        poke=st.one_of(st.none(), st.tuples(st.integers(0, 5), st.integers(0, 3))),
+        endurance=st.sampled_from([10**9, 400]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_per_write_loop(
+        self, config, stop_at, chunk, n_targets, poke, endurance, seed
+    ):
+        from repro.wearlevel.base import WearLeveler
+
+        def scheme():
+            wear = np.random.default_rng(4).integers(endurance, 3 * endurance, size=15)
+            built = TossUpWearLeveling(PCMArray(wear), config=config, seed=5)
+            if poke is not None:
+                page, extra = poke
+                built.write_counters.poke(page, config.toss_up_interval + extra)
+            return built
+
+        batched, serial = scheme(), scheme()
+        addresses = np.random.default_rng(seed).integers(0, n_targets, size=3000)
+        start = 0
+        while start < addresses.size and not batched.array.failed:
+            part = addresses[start : start + chunk]
+            counts = batched.write_batch(part, stop_at)
+            assert counts.tolist() == WearLeveler.write_batch(serial, part, stop_at).tolist()
+            start += counts.size
+        assert batched.array.first_failure == serial.array.first_failure
+        assert _full_state(batched) == _full_state(serial)
+
+    def test_adaptive_steps_are_one_walk_and_one_apply(self, monkeypatch):
+        """At batch 4096, each stop-bounded step of an ``inconsistent``
+        run is one short walk and one ``apply_batch``: no planning pass
+        (``_group``) and no per-write ``write()``."""
+        import repro.core.twl as twl_module
+        from repro.attacks.registry import make_attack
+        from repro.engine import SimulationEngine
+        from repro.sim.drivers import AttackDriver
+
+        endurance = np.random.default_rng(4).integers(10**9, 2 * 10**9, size=1024)
+        scheme = TossUpWearLeveling(PCMArray(endurance), config=TWLConfig(), seed=5)
+        calls = []
+        for target, name in (
+            (twl_module, "_group"),
+            (scheme, "_walk_span"),
+            (scheme.array, "apply_batch"),
+            (scheme, "write"),
+        ):
+            real = getattr(target, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(target, name, spy)
+        steps = []
+        write_batch = scheme.write_batch
+
+        def step(addresses, stop_at=None):
+            calls.clear()
+            counts = write_batch(addresses, stop_at)
+            steps.append((stop_at, sorted(calls)))
+            return counts
+
+        monkeypatch.setattr(scheme, "write_batch", step)
+        attack = make_attack("inconsistent", 1024, seed=5)
+        engine = SimulationEngine(scheme, AttackDriver(attack), batch_size=4096)
+        assert engine.drive(5000) == 5000
+        stopped = [made for stop_at, made in steps if stop_at is not None]
+        assert len(stopped) > 50 and len(stopped) == len(steps) - 1
+        assert all(made == ["_walk_span", "apply_batch"] for made in stopped)
+        assert scheme.swap_judge.swapped > 0 and scheme.inter_pair_swaps > 0
