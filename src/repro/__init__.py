@@ -38,7 +38,6 @@ from .errors import (
     TableError,
     TraceError,
     SimulationError,
-    ExtrapolationError,
     CellExecutionError,
 )
 from .pcm import PCMArray, FirstFailure, WearStatistics
@@ -80,8 +79,6 @@ from .engine import (
 from .sim import (
     LifetimeResult,
     run_to_failure,
-    fast_forward_to_failure,
-    FastForwardConfig,
     AttackDriver,
     StreamDriver,
     build_array,
@@ -127,7 +124,6 @@ __all__ = [
     "TableError",
     "TraceError",
     "SimulationError",
-    "ExtrapolationError",
     "CellExecutionError",
     # device
     "PCMArray",
@@ -167,8 +163,6 @@ __all__ = [
     # simulation
     "LifetimeResult",
     "run_to_failure",
-    "fast_forward_to_failure",
-    "FastForwardConfig",
     "AttackDriver",
     "StreamDriver",
     "build_array",

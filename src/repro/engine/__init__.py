@@ -1,8 +1,8 @@
 """The composable simulation engine and its observer interface.
 
 * :mod:`repro.engine.core` — :class:`SimulationEngine`, the one step
-  loop every simulation path (exact lifetime, fast-forward, overhead
-  measurement) is configured from: drivers produce addresses, the
+  loop every simulation path (exact lifetime, overhead measurement)
+  is configured from: drivers produce addresses, the
   engine serves them;
 * :mod:`repro.engine.observers` — per-batch observer hooks and the
   built-in observers (overhead collection, wear timelines);

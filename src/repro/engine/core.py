@@ -3,9 +3,9 @@
 :class:`SimulationEngine` owns the step loop every simulation path in
 the package runs through: pull demand writes from a workload driver,
 push them through a wear-leveling scheme, watch the PCM array for its
-first failure, and notify observers after every step.  The lifetime,
-fast-forward and overhead modules in :mod:`repro.sim` are thin
-configurations of this one loop — none of them implements stepping or
+first failure, and notify observers after every step.  The lifetime
+and overhead modules in :mod:`repro.sim` are thin configurations of
+this one loop — none of them implements stepping or
 failure detection of its own.
 
 Drivers only produce addresses, so every step is the same three calls:
@@ -364,8 +364,7 @@ class SimulationEngine:
     # Run orchestration
     # ------------------------------------------------------------------
     def begin_run(self) -> None:
-        """Notify observers that a run is starting (multi-phase runs
-        like fast-forward call this once up front)."""
+        """Notify observers that a run is starting."""
         self._notify("on_run_start", self)
 
     def end_run(self) -> EngineOutcome:
@@ -392,7 +391,7 @@ class SimulationEngine:
         Raises :class:`SimulationError` if the array has already failed,
         or — with ``require_failure`` — if the quota is exhausted without
         a failure (a sign the scale was chosen too large for exact
-        simulation; use fast-forward instead).
+        simulation).
         """
         if self.scheme.array.failed and self.demand_served == 0:
             raise SimulationError("array already failed before simulation start")
@@ -401,7 +400,7 @@ class SimulationEngine:
         if require_failure and not self.scheme.array.failed:
             raise SimulationError(
                 f"no failure within {max_demand} demand writes; "
-                "reduce the array scale or use fast_forward_to_failure"
+                "reduce the array scale"
             )
         return self.end_run()
 

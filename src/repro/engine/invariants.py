@@ -73,7 +73,7 @@ class InvariantCheckObserver(EngineObserver):
 
         The write-count baseline is a *delta* base (array writes minus
         scheme-issued writes at run start) so the checker also works on
-        runs that begin on pre-worn arrays (fast-forward phases).
+        runs that begin on pre-worn arrays (a restored snapshot).
         """
         self._scheme = scheme
         endurance_table = getattr(scheme, "endurance_table", None)

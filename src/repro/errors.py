@@ -63,10 +63,6 @@ class SnapshotError(ReproError):
     """
 
 
-class ExtrapolationError(ReproError):
-    """Fast-forward lifetime extrapolation could not converge."""
-
-
 class InvariantViolation(SimulationError):
     """A runtime hardware-state invariant failed during an engine run.
 

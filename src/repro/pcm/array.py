@@ -25,9 +25,9 @@ Three write paths are provided:
   scalar scan only runs when some page can actually cross its endurance
   within the batch.  With ``all_or_nothing`` an unordered batch is
   applied only if no page can cross, and not at all otherwise;
-* :meth:`apply_write_counts` — unordered vectorized bulk application for
-  fast-forward simulation, attributing the first failure by the fluid
-  approximation.
+* :meth:`apply_write_counts` — unordered vectorized bulk application
+  (Start-Gap's closed form, once it has checked that no page can
+  cross), attributing a failure by the fluid approximation.
 """
 
 from __future__ import annotations
@@ -269,13 +269,13 @@ class PCMArray:
         return int(applied.size)
 
     def apply_write_counts(self, per_page_writes: np.ndarray) -> None:
-        """Vectorized bulk write application (fast-forward path).
+        """Vectorized bulk write application (unordered counts).
 
         ``per_page_writes`` must have one entry per page.  If the bulk
         application wears out pages, the first failure is attributed to
         the page that would fail earliest assuming each page's writes are
         spread evenly across the bulk interval — the standard fluid
-        approximation used by fast-forward simulation.  (Use
+        approximation.  (Use
         :meth:`apply_batch` when the write *order* is known and exact
         attribution is required.)
         """

@@ -5,9 +5,6 @@
   time);
 * :mod:`repro.sim.lifetime` — exact run-to-failure and the
   :class:`LifetimeResult` record;
-* :mod:`repro.sim.fastforward` — steady-state wear-rate extrapolation for
-  long lifetimes (the paper loops traces "until a PCM page wears out";
-  fast-forward makes that tractable at high endurance);
 * :mod:`repro.sim.runner` — one-call experiment helpers;
 * :mod:`repro.sim.metrics` — scheme overhead measurement for the timing
   model.
@@ -15,7 +12,6 @@
 
 from .drivers import WorkloadDriver, AttackDriver, StreamDriver
 from .lifetime import LifetimeResult, run_to_failure
-from .fastforward import FastForwardConfig, fast_forward_to_failure
 from .runner import (
     build_array,
     measure_attack_lifetime,
@@ -36,8 +32,6 @@ __all__ = [
     "StreamDriver",
     "LifetimeResult",
     "run_to_failure",
-    "FastForwardConfig",
-    "fast_forward_to_failure",
     "build_array",
     "measure_attack_lifetime",
     "measure_stream_lifetime",

@@ -115,8 +115,7 @@ def run_to_failure(
     instead of silently skewing the result.  Raises
     :class:`~repro.errors.SimulationError` if the cap is reached
     without a failure and ``require_failure`` is set — a sign the scale
-    was chosen too large for exact simulation (use fast-forward
-    instead).
+    was chosen too large for exact simulation.
 
     ``snapshots`` arms mid-run checkpointing (sub-cell recovery): the
     engine emits crash-consistent snapshots at the plan's cadence, and

@@ -11,7 +11,6 @@ from typing import Callable, Optional
 
 from ..attacks.registry import make_attack
 from ..config import ScaledArrayConfig, SoftErrorConfig, TimingConfig
-from ..errors import ConfigError
 from ..pcm.array import PCMArray
 from ..pcm.endurance import sample_gaussian_endurance, sample_tail_faithful
 from ..rng.streams import make_generator
@@ -20,7 +19,6 @@ from ..traces.trace import Trace
 from ..wearlevel.registry import make_scheme
 from .drivers import AttackDriver, StreamDriver
 from ..engine import SnapshotPlan
-from .fastforward import FastForwardConfig, fast_forward_to_failure
 from .lifetime import DEFAULT_MAX_DEMAND, LifetimeResult, run_to_failure
 
 #: Default scale for experiments.  The endurance-to-footprint ratio
@@ -59,8 +57,6 @@ def measure_attack_lifetime(
     attack_name: str,
     scaled: ScaledArrayConfig = DEFAULT_SCALED,
     seed: int = 2017,
-    fastforward: bool = False,
-    ff_config: Optional[FastForwardConfig] = None,
     timing: TimingConfig = TimingConfig(),
     scheme_kwargs: Optional[dict] = None,
     attack_kwargs: Optional[dict] = None,
@@ -75,26 +71,16 @@ def measure_attack_lifetime(
     are bit-identical to the default per-write path for every
     registered scheme and attack, adaptive ones included.  ``soft_errors`` /
     ``check_invariants`` enable controller soft-error injection and the
-    runtime invariant checker (exact simulation only: fast-forward
-    extrapolates wear analytically, which has no step loop to deliver
-    flips through).  ``snapshots`` arms mid-run checkpointing and
-    resume (sub-cell recovery; exact simulation only — see
+    runtime invariant checker.  ``snapshots`` arms mid-run checkpointing
+    and resume (sub-cell recovery; see
     :func:`repro.sim.lifetime.run_to_failure`).
     """
-    _check_fault_support(fastforward, soft_errors, snapshots)
     array = build_array(scaled)
     scheme = make_scheme(scheme_name, array, seed=seed, **(scheme_kwargs or {}))
     attack = make_attack(
         attack_name, scheme.logical_pages, seed=seed, **(attack_kwargs or {})
     )
     driver = AttackDriver(attack, timing=timing)
-    if fastforward:
-        return fast_forward_to_failure(
-            scheme,
-            driver,
-            config=ff_config or FastForwardConfig(),
-            batch_size=batch_size,
-        )
     return run_to_failure(
         scheme,
         driver,
@@ -110,8 +96,6 @@ def measure_trace_lifetime(
     trace: Trace,
     scaled: ScaledArrayConfig = DEFAULT_SCALED,
     seed: int = 2017,
-    fastforward: bool = False,
-    ff_config: Optional[FastForwardConfig] = None,
     scheme_kwargs: Optional[dict] = None,
     batch_size: int = 1,
     soft_errors: Optional[SoftErrorConfig] = None,
@@ -123,20 +107,11 @@ def measure_trace_lifetime(
     ``batch_size`` selects the engine's batched write protocol; results
     are bit-identical to the default per-write path.  ``soft_errors``
     and ``check_invariants`` behave as in
-    :func:`measure_attack_lifetime` (exact simulation only), and so
-    does ``snapshots``.
+    :func:`measure_attack_lifetime`, and so does ``snapshots``.
     """
-    _check_fault_support(fastforward, soft_errors, snapshots)
     array = build_array(scaled)
     scheme = make_scheme(scheme_name, array, seed=seed, **(scheme_kwargs or {}))
     driver = StreamDriver(trace.stream(), scheme.logical_pages)
-    if fastforward:
-        return fast_forward_to_failure(
-            scheme,
-            driver,
-            config=ff_config or FastForwardConfig(),
-            batch_size=batch_size,
-        )
     return run_to_failure(
         scheme,
         driver,
@@ -172,7 +147,6 @@ def measure_stream_lifetime(
     results are bit-identical to a materialized
     :func:`measure_trace_lifetime` run of the same request sequence.
     """
-    _check_fault_support(False, soft_errors, snapshots)
     array = build_array(scaled)
     scheme = make_scheme(scheme_name, array, seed=seed, **(scheme_kwargs or {}))
     stream = stream_factory(scheme.logical_pages)
@@ -191,27 +165,3 @@ def measure_stream_lifetime(
     finally:
         stream.close()
 
-
-def _check_fault_support(
-    fastforward: bool,
-    soft_errors: Optional[SoftErrorConfig],
-    snapshots: Optional[SnapshotPlan] = None,
-) -> None:
-    """Reject fault injection / checkpointing on fast-forward up front.
-
-    Fast-forward extrapolates the tail of the run analytically; there
-    is no step loop to schedule flips against — or to emit snapshots
-    from — so silently dropping either would make the run quietly
-    different from what was asked for.  Failing loudly is the honest
-    option.
-    """
-    if fastforward and soft_errors is not None and soft_errors.rate > 0.0:
-        raise ConfigError(
-            "soft-error injection requires exact simulation; "
-            "fastforward=True cannot deliver scheduled bit flips"
-        )
-    if fastforward and snapshots is not None:
-        raise ConfigError(
-            "mid-run snapshots require exact simulation; "
-            "fastforward=True has no step loop to emit them from"
-        )

@@ -13,9 +13,11 @@ fast:
   implementation is the per-write loop, so batching is bit-identical by
   construction; schemes with a cheap data path override it with a
   vectorized fast path that must preserve that identity (enforced by
-  ``tests/test_engine_identity.py``).  Its ``stop_at`` ends the batch
-  after the first request that performs that many physical writes —
-  the response an adaptive attacker would react to.
+  ``tests/test_engine_identity.py``); those whose remaps fire on write
+  counts build it from :meth:`WearLeveler._serve_segments`.  Its
+  ``stop_at`` ends the batch after the first request that performs that
+  many physical writes — the response an adaptive attacker would react
+  to.
 * :meth:`WearLeveler.translate` is the side-effect-free LA -> PA lookup
   used by reads.
 
@@ -143,6 +145,65 @@ class WearLeveler(abc.ABC):
             if array.failed or (stop and counts[-1] >= stop):
                 break
         return np.array(counts, dtype=np.int64)
+
+    def _serve_segments(
+        self, addresses: Sequence[int], stop_at: Optional[int]
+    ) -> np.ndarray:
+        """The batch path of a scheme whose remaps fire on write counts.
+
+        The batch is served as event-free segments of demand writes,
+        each one :meth:`~repro.pcm.array.PCMArray.apply_batch` call,
+        and a segment may end at an event (a refresh, swap phase, phase
+        boundary or gap move) that the scheme runs in scalar code.  The
+        scheme supplies four hooks:
+
+        * ``_plan_segments(seq)`` — per-batch data, passed to the other
+          hooks as ``plan`` (default ``None``);
+        * ``_next_segment(seq, start, plan)`` — the next cut: ``(stop,
+          frames, event)``, with ``frames`` the physical frames of
+          ``seq[start:stop]`` (``stop > start``) and ``event`` whether
+          ``seq[stop - 1]`` fires the event;
+        * ``_commit_segment(seq, start, end, frames, plan)`` — scheme
+          state for the applied prefix ``seq[start:end]``;
+        * ``_segment_event(logical)`` — the event's scalar step, which
+          returns its physical writes.
+
+        The loop keeps :meth:`write_batch`'s contract.  A segment cut
+        short by a failure ends the batch at the failing write; a
+        segment whose last write wears a page out still runs its event,
+        as serial :meth:`write` completes before the drive loop sees the
+        failure.  ``stop_at`` ends the batch after the first request
+        that costs that much.
+        """
+        seq = np.asarray(addresses, dtype=np.int64)
+        if stop_at is not None and stop_at <= 1:
+            # Every request performs at least one write.
+            seq = seq[:1]
+        array = self.array
+        if array.failed:
+            return np.zeros(0, dtype=np.int64)
+        self.check_logical_batch(seq)
+        out = np.ones(seq.size, dtype=np.int64)
+        plan = self._plan_segments(seq)
+        total = int(seq.size)
+        start = 0
+        while start < total:
+            stop, frames, event = self._next_segment(seq, start, plan)
+            applied = array.apply_batch(frames)
+            self.demand_writes += applied
+            self._commit_segment(seq, start, start + applied, frames[:applied], plan)
+            if applied < stop - start:
+                return out[: start + applied]
+            if event:
+                out[stop - 1] += self._segment_event(int(seq[stop - 1]))
+            if array.failed or (stop_at is not None and out[stop - 1] >= stop_at):
+                return out[:stop]
+            start = stop
+        return out
+
+    def _plan_segments(self, seq: np.ndarray) -> object:
+        """Per-batch data for :meth:`_serve_segments`'s hooks (none)."""
+        return None
 
     # ------------------------------------------------------------------
     # Mid-run persistence

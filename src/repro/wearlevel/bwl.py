@@ -157,59 +157,26 @@ class BloomWearLeveling(WearLeveler):
 
         Within a detection phase the Bloom counters only grow and
         saturate exactly, so each write's estimate is a pure function of
-        the inserts before it.  :meth:`_scan_window` therefore computes a
-        whole window's estimates, hot-list adds and swap predicates as
-        arrays, commits the heuristic state up to the first swap
-        trigger, and the trigger-free prefix is issued as one
-        :meth:`~repro.pcm.array.PCMArray.apply_batch` call plus a
-        bincount into the frame-write counters.
-
-        Identity with the serial path: a triggering demand write that
-        wears out a page still runs its swap phase (serial
-        :meth:`write` completes before the drive loop sees the
-        failure), and a mid-segment failure truncates the batch exactly
-        where the serial loop would; so does a swap phase whose cost
-        reaches ``stop_at``.  Heuristic state scanned ahead of a
-        mid-segment failure is post-failure drift only — the run is
-        over, and nothing observable (stats, wear, result) reads it.
+        the inserts before it.  :meth:`_next_segment` therefore computes
+        a whole window's estimates, hot-list adds and swap predicates as
+        arrays and commits the heuristic state up to the first swap
+        trigger; :meth:`_serve_segments` issues the trigger-free prefix
+        as one :meth:`~repro.pcm.array.PCMArray.apply_batch` call plus a
+        bincount into the frame-write counters, and runs the swap phase
+        at the trigger.  Heuristic state scanned ahead of a mid-segment
+        failure is post-failure drift only — the run is over, and
+        nothing observable (stats, wear, result) reads it.
         """
-        seq = np.asarray(addresses, dtype=np.int64)
-        array = self.array
-        if array.failed:
-            return np.zeros(0, dtype=np.int64)
-        self.check_logical_batch(seq)
-        if seq.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        out = np.ones(seq.size, dtype=np.int64)
-        forward = self.remap.mapping_array()  # live view: current across swaps
-        frame_writes = self._frame_writes
-        total = int(seq.size)
-        start = 0
-        while start < total:
-            stop, triggered = self._scan_window(seq, start, total)
-            segment_physical = forward[seq[start:stop]]
-            applied = array.apply_batch(segment_physical)
-            frame_writes += np.bincount(
-                segment_physical[:applied], minlength=frame_writes.size
-            )
-            self.demand_writes += applied
-            if applied < stop - start:
-                return out[: start + applied]
-            if triggered:
-                out[stop - 1] += self._swap_phase()
-                if array.failed or (stop_at is not None and out[stop - 1] >= stop_at):
-                    return out[:stop]
-            start = stop
-        return out
+        return self._serve_segments(addresses, stop_at)
 
-    def _scan_window(self, seq: np.ndarray, start: int, total: int):
+    def _next_segment(self, seq: np.ndarray, start: int, plan):
         """The per-write heuristic updates for ``seq[start:stop]``, at once.
 
         Replays :meth:`write`'s filter, hot-list, cold-queue and
         :meth:`_should_swap` steps up to and including the first swap
-        trigger and returns ``(stop, triggered)``.  The window ends at
-        the next phase-length bound, where a trigger is due or likely,
-        so little is scanned past a trigger.
+        trigger and returns the segment's cut.  The window ends at the
+        next phase-length bound, where a trigger is due or likely, so
+        little is scanned past a trigger.
         """
         detection = self._detection_writes
         bound = (
@@ -217,7 +184,7 @@ class BloomWearLeveling(WearLeveler):
             if detection < self._min_phase_writes
             else self._max_phase_writes
         )
-        window = seq[start : min(total, start + max(1, bound - detection))]
+        window = seq[start : start + max(1, bound - detection)]
         size = int(window.size)
         probes = self._probes[window]
         estimates = self.hot_filter.running_estimates(probes)
@@ -266,7 +233,14 @@ class BloomWearLeveling(WearLeveler):
         cold_set.difference_update(hot)
         # The trigger write's state is now the serial state right before
         # its _should_swap, which applies the threshold side effect.
-        return start + stop, bool(trigger.size) and self._should_swap()
+        frames = self.remap.mapping_array()[window[:stop]]
+        return start + stop, frames, bool(trigger.size) and self._should_swap()
+
+    def _commit_segment(self, seq, start, end, frames, plan) -> None:
+        self._frame_writes += np.bincount(frames, minlength=self._frame_writes.size)
+
+    def _segment_event(self, logical: int) -> int:
+        return self._swap_phase()
 
     def _snapshot_state(self):
         # _hot_set / _cold_set are derivable from the ordered lists; the
@@ -290,7 +264,7 @@ class BloomWearLeveling(WearLeveler):
         self.hot_threshold = int(state["hot_threshold"])
         self._detection_writes = int(state["detection_writes"])
         self.swap_phases_completed = int(state["swap_phases_completed"])
-        # Rebind fresh containers (write_batch aliases them per round and
+        # Rebind fresh containers (_next_segment aliases them per window and
         # _swap_phase replaces them): sets are rebuilt from the lists.
         self._hot_list = [int(la) for la in state["hot_list"]]
         self._hot_set = set(self._hot_list)

@@ -39,9 +39,7 @@ class NoWearLeveling(WearLeveler):
             seq = seq[:1]
         if self.array.failed:
             return np.zeros(0, dtype=np.int64)
-        if seq.size and ((seq < 0).any() or (seq >= self.logical_pages).any()):
-            bad = int(seq[(seq < 0) | (seq >= self.logical_pages)][0])
-            self.check_logical(bad)
+        self.check_logical_batch(seq)
         applied = self.array.apply_batch(seq)
         self.demand_writes += applied
         return np.ones(applied, dtype=np.int64)

@@ -87,63 +87,39 @@ class SecurityRefresh(WearLeveler):
     def write_batch(
         self, addresses: Sequence[int], stop_at: Optional[int] = None
     ) -> np.ndarray:
-        """Vectorized batch path: segment the batch at refresh triggers.
+        """Vectorized batch path: segments that end at refresh triggers.
 
         The trigger stream and the victim stream come from *separate*
         xorshift instances, so the batch can pre-draw one trigger word
         per request (exactly the draws the serial loop would make) and
-        then apply each trigger-free run of demand writes as one
-        :meth:`~repro.pcm.array.PCMArray.apply_batch` call, stepping the
-        scalar :meth:`_refresh_step` only at trigger positions.  With the
+        serve each trigger-free run of demand writes as one segment of
+        :meth:`_serve_segments`, stepping the scalar
+        :meth:`_refresh_step` only at trigger positions.  With the
         default refresh interval that is one scalar step per ~interval
         writes; everything else is vectorized.
 
-        Identity with the serial path (enforced by
-        ``tests/test_engine_identity.py``): a triggering demand write
-        that wears out a page still runs its refresh step — serial
-        :meth:`write` completes fully before the drive loop observes the
-        failure — and the batch stops exactly where the serial loop
-        would.  Only a refresh can bring a request to ``stop_at`` (at
-        least 2) writes, so a stop-bounded batch ends at a trigger
-        position and rewinds the trigger RNG to that position's word:
-        the words drawn past it belong to later requests.  Trigger words
-        pre-drawn for requests after a mid-batch failure are post-failure
-        RNG state only, which nothing observable depends on once the run
-        is over.
+        Each segment's commit sets the trigger RNG to the word of the
+        last request it served, so a batch that a failure or ``stop_at``
+        ends early leaves the RNG where the serial loop would: the words
+        drawn past that request belong to requests not yet served.
         """
-        if stop_at is not None and stop_at <= 1:
-            # Every request performs at least one write.
-            return WearLeveler.write_batch(self, addresses, stop_at)
-        seq = np.asarray(addresses, dtype=np.int64)
-        array = self.array
-        if array.failed:
-            return np.zeros(0, dtype=np.int64)
-        self.check_logical_batch(seq)
-        if seq.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        out = np.ones(seq.size, dtype=np.int64)
+        return self._serve_segments(addresses, stop_at)
+
+    def _plan_segments(self, seq: np.ndarray):
         words = self._trigger_rng.next_words(seq.size)
-        triggers = np.flatnonzero(words % self.config.refresh_interval == 0).tolist()
-        forward = self.remap.mapping_array()  # live view: current across swaps
-        start = 0
-        for pos in triggers:
-            applied = array.apply_batch(forward[seq[start : pos + 1]])
-            self.demand_writes += applied
-            if applied < pos + 1 - start:
-                return out[: start + applied]
-            out[pos] += self._refresh_step(int(seq[pos]))
-            if array.failed:
-                return out[: pos + 1]
-            if stop_at is not None and out[pos] >= stop_at:
-                self._trigger_rng.state = int(words[pos])
-                return out[: pos + 1]
-            start = pos + 1
-        if start < seq.size:
-            applied = array.apply_batch(forward[seq[start:]])
-            self.demand_writes += applied
-            if applied < seq.size - start:
-                return out[: start + applied]
-        return out
+        triggers = np.flatnonzero(words % self.config.refresh_interval == 0)
+        return words, iter(triggers.tolist())
+
+    def _next_segment(self, seq: np.ndarray, start: int, plan):
+        trigger = next(plan[1], None)
+        stop = int(seq.size) if trigger is None else trigger + 1
+        return stop, self.remap.mapping_array()[seq[start:stop]], trigger is not None
+
+    def _commit_segment(self, seq, start, end, frames, plan) -> None:
+        self._trigger_rng.state = int(plan[0][end - 1])
+
+    def _segment_event(self, logical: int) -> int:
+        return self._refresh_step(logical)
 
     def _snapshot_state(self):
         return {

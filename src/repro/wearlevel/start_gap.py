@@ -103,25 +103,23 @@ class StartGap(WearLeveler):
         Device-write *order* inside the batch is observable only through
         first-failure attribution, so the fast path first checks whether
         any page could reach its endurance under the batch's combined
-        counts; if so, it falls back to :meth:`_write_batch_exact`,
-        which replays the serial interleaving (including the gap move a
-        failing boundary write still performs).  The guard triggers at
-        most once per run — the batch that contains the failure.
+        counts; if so, :meth:`_serve_segments` replays the serial
+        interleaving instead, one segment per gap move (including the
+        move a failing boundary write still performs).  The guard
+        triggers at most once per run — the batch that contains the
+        failure.  A stop-bounded batch is served as segments too, so it
+        ends at the gap move whose cost reaches ``stop_at``.
         """
         if stop_at is not None:
-            # Stop-bounded batches are adaptive-attack segments, tens of
-            # writes long: the inherited per-write loop serves them.
-            return WearLeveler.write_batch(self, addresses, stop_at)
+            return self._serve_segments(addresses, stop_at)
         seq = np.asarray(addresses, dtype=np.int64)
-        if self.array.failed:
+        array = self.array
+        if array.failed:
             return np.zeros(0, dtype=np.int64)
-        n = self._n_logical
-        if seq.size and ((seq < 0).any() or (seq >= n).any()):
-            bad = int(seq[(seq < 0) | (seq >= n)][0])
-            self.check_logical(bad)
+        self.check_logical_batch(seq)
         if seq.size == 0:
             return np.zeros(0, dtype=np.int64)
-        array = self.array
+        n = self._n_logical
         interval = self.config.gap_move_interval
         m = int(seq.size)
         wsm0 = self._writes_since_move
@@ -152,8 +150,8 @@ class StartGap(WearLeveler):
         counts = np.bincount(physical, minlength=array.n_pages)
         if move_frames.size:
             counts += np.bincount(move_frames, minlength=array.n_pages)
-        if not array.failed and (array.writes + counts >= array.endurance).any():
-            return self._write_batch_exact(seq)
+        if (array.writes + counts >= array.endurance).any():
+            return self._serve_segments(seq, None)
 
         array.apply_write_counts(counts)
         out = np.ones(m, dtype=np.int64)
@@ -171,39 +169,25 @@ class StartGap(WearLeveler):
         self._start = int((start0 + (total_moves + n - p0) // cycle) % n)
         return out
 
-    def _write_batch_exact(self, seq: np.ndarray) -> np.ndarray:
-        """Serial-interleaving batch path (exact failure attribution).
+    def _plan_segments(self, seq: np.ndarray) -> np.ndarray:
+        if self._permutation is None:
+            return seq
+        return self._randomize_vector()[seq]
 
-        The pre-refactor segmented implementation: translation is fixed
-        between gap moves, so each segment is one vector translate plus
-        one :meth:`PCMArray.apply_batch`, with gap moves (and the move a
-        failing boundary write still performs) replayed exactly as
-        :meth:`write` would.  Only runs for the batch a failure is
-        possible in.
-        """
-        out = np.ones(seq.size, dtype=np.int64)
-        array = self.array
-        interval = self.config.gap_move_interval
-        position = 0
-        while position < seq.size:
-            until_move = interval - self._writes_since_move
-            segment = seq[position : position + until_move]
-            if self._permutation is not None:
-                inner = self._randomize_vector()[segment]
-            else:
-                inner = segment
-            physical = (inner + self._start) % self._n_logical
-            physical = physical + (physical >= self._gap)
-            served = array.apply_batch(physical)
-            self.demand_writes += served
-            self._writes_since_move += served
-            position += served
-            if self._writes_since_move >= interval:
-                self._writes_since_move = 0
-                out[position - 1] += self._move_gap()
-            if array.failed:
-                return out[:position]
-        return out
+    def _next_segment(self, seq: np.ndarray, start: int, inner: np.ndarray):
+        # Translation is fixed between gap moves.
+        room = self.config.gap_move_interval - self._writes_since_move
+        stop = min(int(seq.size), start + room)
+        physical = (inner[start:stop] + self._start) % self._n_logical
+        return stop, physical + (physical >= self._gap), stop - start == room
+
+    def _commit_segment(self, seq, start, end, frames, plan) -> None:
+        self._writes_since_move = (
+            self._writes_since_move + end - start
+        ) % self.config.gap_move_interval
+
+    def _segment_event(self, logical: int) -> int:
+        return self._move_gap()
 
     def _snapshot_state(self):
         # The Feistel permutation and its table are static (derivable

@@ -81,79 +81,57 @@ class WearRateLeveling(WearLeveler):
         if self.phase == PHASE_PREDICTION:
             self.wnt.record_write(logical)
         self._phase_writes += 1
-        if self.phase == PHASE_PREDICTION and self._phase_writes >= self.prediction_length:
-            writes += self._swap_phase()
-            self.phase = PHASE_RUNNING
+        if self._phase_writes >= self._phase_length:
             self._phase_writes = 0
-        elif self.phase == PHASE_RUNNING and self._phase_writes >= self.running_length:
-            self.wnt.clear()
-            self.phase = PHASE_PREDICTION
-            self._phase_writes = 0
+            writes += self._segment_event(logical)
         return writes
+
+    @property
+    def _phase_length(self) -> int:
+        """Demand writes in the current phase."""
+        if self.phase == PHASE_PREDICTION:
+            return self.prediction_length
+        return self.running_length
 
     def write_batch(
         self, addresses: Sequence[int], stop_at: Optional[int] = None
     ) -> np.ndarray:
-        """Vectorized batch path: segment the batch at phase boundaries.
+        """Vectorized batch path: segments that end at phase boundaries.
 
         Between phase boundaries the data path is a pure gather through
         the remapping table, so each boundary-free run of demand writes
-        is one :meth:`~repro.pcm.array.PCMArray.apply_batch` call plus a
+        is one segment of :meth:`_serve_segments`: one
+        :meth:`~repro.pcm.array.PCMArray.apply_batch` call plus a
         bincount into the frame-write counters and (in the prediction
-        phase) one batched WNT update.  The scalar
-        :meth:`_swap_phase` runs only at boundaries — once per
-        ``prediction_length``/``running_length`` writes.
-
-        Identity with the serial path: a boundary demand write that
-        wears out a page still completes its phase transition (serial
-        :meth:`write` runs to the end before the drive loop sees the
-        failure), and a mid-segment failure truncates the batch exactly
-        where the serial loop would have stopped.
+        phase) one batched WNT update.  The scalar phase step runs only
+        at boundaries — once per ``prediction_length``/``running_length``
+        writes.
         """
-        if stop_at is not None:
-            # Stop-bounded batches are adaptive-attack segments, tens of
-            # writes long: the inherited per-write loop serves them.
-            return WearLeveler.write_batch(self, addresses, stop_at)
-        seq = np.asarray(addresses, dtype=np.int64)
-        array = self.array
-        if array.failed:
-            return np.zeros(0, dtype=np.int64)
-        self.check_logical_batch(seq)
-        if seq.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        out = np.ones(seq.size, dtype=np.int64)
-        forward = self.remap.mapping_array()  # live view: current across swaps
-        frame_writes = self._frame_writes
-        total = int(seq.size)
-        start = 0
-        while start < total:
-            if self.phase == PHASE_PREDICTION:
-                room = self.prediction_length - self._phase_writes
-            else:
-                room = self.running_length - self._phase_writes
-            stop = min(total, start + room)
-            segment = seq[start:stop]
-            physical = forward[segment]
-            applied = array.apply_batch(physical)
-            frame_writes += np.bincount(physical[:applied], minlength=frame_writes.size)
-            self.demand_writes += applied
-            if self.phase == PHASE_PREDICTION:
-                self.wnt.record_write_batch(segment[:applied])
-            self._phase_writes += applied
-            if applied < stop - start:
-                return out[: start + applied]
-            if self.phase == PHASE_PREDICTION and self._phase_writes >= self.prediction_length:
-                out[stop - 1] += self._swap_phase()
-                self.phase = PHASE_RUNNING
-                self._phase_writes = 0
-            elif self.phase == PHASE_RUNNING and self._phase_writes >= self.running_length:
-                self.wnt.clear()
-                self.phase = PHASE_PREDICTION
-                self._phase_writes = 0
-            if array.failed:
-                return out[:stop]
-            start = stop
-        return out
+        return self._serve_segments(addresses, stop_at)
+
+    def _next_segment(self, seq: np.ndarray, start: int, plan):
+        room = self._phase_length - self._phase_writes
+        stop = min(int(seq.size), start + room)
+        frames = self.remap.mapping_array()[seq[start:stop]]
+        return stop, frames, stop - start == room
+
+    def _commit_segment(self, seq, start, end, frames, plan) -> None:
+        self._frame_writes += np.bincount(frames, minlength=self._frame_writes.size)
+        if self.phase == PHASE_PREDICTION:
+            self.wnt.record_write_batch(seq[start:end])
+        # A segment never runs past its phase's boundary, where the
+        # count wraps to 0 for the next phase.
+        self._phase_writes = (self._phase_writes + end - start) % self._phase_length
+
+    def _segment_event(self, logical: int) -> int:
+        """End the phase: prediction -> swap -> running -> prediction."""
+        if self.phase == PHASE_RUNNING:
+            self.wnt.clear()
+            self.phase = PHASE_PREDICTION
+            return 0
+        cost = self._swap_phase()
+        self.phase = PHASE_RUNNING
+        return cost
 
     def _snapshot_state(self):
         return {

@@ -98,3 +98,24 @@ class TestPhaseAccounting:
         # Right after a swap the detection state restarts; eventually the
         # detection-writes counter must be below a full phase.
         assert scheme._detection_writes < scheme._max_phase_writes
+
+
+class TestBatchFailure:
+    def test_failure_on_an_untriggered_window_end_ends_the_batch(self):
+        """A window ends at the minimum phase length without a trigger
+        when the hot list is empty.  If that write wears a page out, the
+        batch ends there, as the per-write loop does: it used to run on
+        for 110 more requests."""
+        from repro.attacks.registry import make_attack
+        from repro.wearlevel.base import WearLeveler
+
+        seq = make_attack("random", 16, seed=1).next_writes(16 * 75 * 3)
+        served = []
+        for serve in (WearLeveler.write_batch, BloomWearLeveling.write_batch):
+            array = PCMArray.uniform(16, 75)
+            scheme = BloomWearLeveling(array, seed=1)
+            served.append(serve(scheme, seq).size)
+            assert scheme._detection_writes == scheme._min_phase_writes
+            assert scheme._hot_list == []
+            assert array.first_failure.device_writes == 934
+        assert served == [884, 884]

@@ -6,10 +6,8 @@ import pytest
 from repro.attacks.inconsistent import InconsistentWriteAttack
 from repro.attacks.scan import ScanWriteAttack
 from repro.engine import SimulationEngine
-from repro.errors import ExtrapolationError
 from repro.pcm.array import PCMArray
-from repro.sim.drivers import AttackDriver, StreamDriver
-from repro.sim.fastforward import FastForwardConfig, fast_forward_to_failure
+from repro.sim.drivers import AttackDriver
 from repro.traces.request import OP_READ
 from repro.traces.trace import Trace
 from repro.wearlevel.nowl import NoWearLeveling
@@ -51,24 +49,6 @@ class TestTraceEdges:
 
     def test_repr_mentions_name(self):
         assert "demo" in repr(Trace.writes_only([0], name="demo"))
-
-
-class TestFastForwardEdges:
-    def test_max_rounds_exhaustion(self):
-        """A workload that never revisits pages defeats rate estimation
-        and must terminate with ExtrapolationError, not hang."""
-
-        array = PCMArray.uniform(1024, 10**9)
-        scheme = NoWearLeveling(array)
-        # Visit each page once per full loop: with endurance 1e9 the
-        # time-to-death estimate stays astronomically far, jumps are
-        # capped by the doubling rule and rounds run out.
-        driver = StreamDriver(Trace.writes_only(list(range(1024))).stream(), 1024)
-        config = FastForwardConfig(
-            warmup_demand=512, window_demand=512, max_rounds=3
-        )
-        with pytest.raises(ExtrapolationError):
-            fast_forward_to_failure(scheme, driver, config=config)
 
 
 class TestArrayEdges:

@@ -257,17 +257,3 @@ class TestRunnerIntegration:
             "startgap", "repeat", scaled=scaled, batch_size=256
         )
         assert serial == batched
-
-    def test_fastforward_accepts_batch_size(self):
-        from repro.sim import FastForwardConfig, measure_attack_lifetime
-
-        scaled = ScaledArrayConfig(n_pages=64, endurance_mean=768.0)
-        ff = FastForwardConfig(warmup_demand=2000, window_demand=1000)
-        serial = measure_attack_lifetime(
-            "nowl", "random", scaled=scaled, fastforward=True, ff_config=ff
-        )
-        batched = measure_attack_lifetime(
-            "nowl", "random", scaled=scaled, fastforward=True, ff_config=ff,
-            batch_size=128,
-        )
-        assert serial == batched

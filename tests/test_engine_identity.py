@@ -550,35 +550,47 @@ def test_adaptive_segments_equal_the_feedback_loop(
     assert all(counts.size and counts.min() >= 1 for counts in served_counts)
 
 
-@pytest.mark.parametrize("scheme_name", ["sr", "bwl", "twl"])
+@pytest.mark.parametrize("scheme_name", ["sr", "bwl", "twl", "wrl", "startgap"])
 def test_adaptive_stops_inside_the_scheme(scheme_name):
     """Segments that the scheme's own ``write_batch`` stops equal the
-    feedback loop.  The endurance is large, so the run is long enough
-    for a wrong stop to show: a write that SR's pre-drawn trigger words
-    or TWL's toss-up words run past (SR rewinds its trigger RNG, TWL
-    cuts its bulk span after the swap) shifts every later refresh,
-    toss-up or swap phase."""
+    feedback loop, and no stop-bounded batch falls back to the scalar
+    ``write``.  The endurance is large, so the run is long enough for a
+    wrong stop to show: a write that SR's pre-drawn trigger words or
+    TWL's toss-up words run past (SR rewinds its trigger RNG, TWL cuts
+    its bulk span after the swap) shifts every later refresh, toss-up,
+    swap phase or gap move.  WRL swaps once per 5632-write phase cycle,
+    so its run is longer."""
     batch_size = 4096
+    demand = 150_000 if scheme_name == "wrl" else 20_000
     parts = (scheme_name, 10**9, {"n_targets": 16}, {}, 0)
     scheme, attack = _adaptive_parts(*parts)
-    served = _feedback_loop(scheme, attack, 20_000)
+    served = _feedback_loop(scheme, attack, demand)
     expected = _adaptive_state(scheme, attack, served)
 
     scheme, attack = _adaptive_parts(*parts)
     stops = []
+    scalar_writes = []
     write_batch = scheme.write_batch
+    write = scheme.write
+
+    def counting(logical):
+        scalar_writes.append(logical)
+        return write(logical)
 
     def recording(addresses, stop_at=None):
+        scheme.write = counting if stop_at is not None else write
         counts = write_batch(addresses, stop_at)
+        scheme.write = write
         if counts.size < len(addresses):
             stops.append(int(counts[-1]))
         return counts
 
     scheme.write_batch = recording
     engine = SimulationEngine(scheme, AttackDriver(attack), batch_size=batch_size)
-    served = engine.drive(20_000)
+    served = engine.drive(demand)
     assert _adaptive_state(scheme, attack, served) == expected
     assert engine.batches > math.ceil(served / batch_size)
+    assert scalar_writes == []
     assert len(stops) > 20
     assert min(stops) >= attack.detector.segment(_WRITE_CYCLES)[1]
 

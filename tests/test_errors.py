@@ -14,7 +14,6 @@ class TestHierarchy:
             "TableError",
             "TraceError",
             "SimulationError",
-            "ExtrapolationError",
         ):
             exception_class = getattr(errors, name)
             assert issubclass(exception_class, errors.ReproError)

@@ -398,13 +398,6 @@ class TestResumePolicy:
         )
         assert result == clean
 
-    def test_fastforward_rejects_snapshots(self, tmp_path):
-        plan = SnapshotPlan(path=str(tmp_path / "cell.snap"), every=EVERY)
-        with pytest.raises(ConfigError, match="fastforward"):
-            measure_attack_lifetime(
-                "nowl", "scan", scaled=SCALED, fastforward=True, snapshots=plan
-            )
-
     def test_emit_without_plan_is_an_error(self):
         engine = _attack_engine("nowl", None)
         with pytest.raises(SimulationError, match="no snapshot plan"):

@@ -481,17 +481,6 @@ class TestExecPlumbing:
         )
         assert decode_result(*encode_result(clean)) == clean
 
-    def test_fastforward_rejects_faults(self):
-        with pytest.raises(ConfigError, match="fastforward"):
-            measure_attack_lifetime(
-                "twl_swp",
-                "random",
-                scaled=_SCALED,
-                seed=7,
-                fastforward=True,
-                soft_errors=SoftErrorConfig(rate=1e-3, seed=7),
-            )
-
     def test_nowl_reports_no_counters(self):
         result = _faulted("nowl")
         assert result.soft_errors is None
