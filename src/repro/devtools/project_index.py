@@ -35,7 +35,7 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 #: Method names that capture state for mid-run persistence.  A class
 #: "implements the snapshot protocol" iff its project MRO defines at
@@ -538,16 +538,6 @@ class ProjectIndex:
         self._mro_cache[qualname] = result
         return result
 
-    def find_method(
-        self, qualname: str, method_name: str
-    ) -> Optional[Tuple[ClassInfo, MethodInfo]]:
-        """First definition of ``method_name`` along the project MRO."""
-        for info in self.mro(qualname):
-            method = info.methods.get(method_name)
-            if method is not None:
-                return info, method
-        return None
-
     def mro_properties(self, qualname: str) -> Set[str]:
         names: Set[str] = set()
         for info in self.mro(qualname):
@@ -580,13 +570,3 @@ def build_index(sources: Iterable[IndexSource]) -> ProjectIndex:
         index.add_module(path, module_name, tree, is_package=is_package)
     return index
 
-
-def index_paths(paths: Sequence[str]) -> ProjectIndex:
-    """Convenience: index every Python file under ``paths``."""
-    from .lint import iter_python_files, module_name_for
-
-    sources: List[IndexSource] = []
-    for path in iter_python_files(paths):
-        with open(path, encoding="utf-8") as handle:
-            sources.append((path, module_name_for(path), handle.read()))
-    return build_index(sources)

@@ -11,6 +11,8 @@ declarative grids of independent cells:
   under ``~/.cache/twl-repro/``;
 * :mod:`repro.exec.executor` — serial or process-pool execution with
   progress lines and per-cell timing;
+* :mod:`repro.exec.pool` — :class:`PoolSupervisor`, the worker pool and
+  its worker-loss policy, shared by the executor and ``twl-repro serve``;
 * :mod:`repro.exec.deadline` — :class:`CellDeadline`, the portable
   any-thread per-cell wall-clock budget behind ``FailurePolicy.timeout``;
 * :mod:`repro.exec.policy` — :class:`FailurePolicy` (retries with

@@ -5,9 +5,8 @@ perfect inside a pool worker (the cell runs on the worker's main
 thread), silently *unenforced* anywhere else: signal handlers are
 main-thread-only, so a cell driven from a non-main thread degraded to
 warn-and-run.  That "anywhere else" is exactly how a long-lived service
-drives cells — :mod:`repro.serve` executes them from asyncio executor
-threads and from serially-degraded pools — so the hole became a
-liability the moment the executor grew a server on top.
+drives cells, so the hole became a liability the moment the executor
+grew a server on top.
 
 :class:`CellDeadline` replaces the alarm with a mechanism that works on
 any thread and any platform with CPython:

@@ -35,16 +35,17 @@ Resilience is governed by a :class:`~repro.exec.policy.FailurePolicy`
 (retries with deterministic backoff, per-cell wall-clock timeout,
 ``fail-fast`` vs ``keep-going``) and a
 :class:`~repro.exec.checkpoint.CheckpointJournal` (crash-safe resume).
-A worker killed outright (OOM, SIGKILL) surfaces as
-``BrokenProcessPoolError``; the executor rebuilds the pool and
-re-submits the in-flight cells, degrading to serial execution once the
-pool has broken more than ``max_pool_rebuilds`` times.  The per-cell
-timeout is enforced *inside* the worker via a
-:class:`~repro.exec.deadline.CellDeadline` watchdog so no pool teardown
-is needed to reclaim a hung cell — and, unlike the earlier
-``SIGALRM``-based budget, it enforces on any thread, which is how the
-campaign server (:mod:`repro.serve`) and serially-degraded pools drive
-cells.
+With ``jobs > 1`` the cells run on a
+:class:`~repro.exec.pool.PoolSupervisor`.  A worker killed outright
+(OOM, SIGKILL) breaks the pool; the supervisor rebuilds it, at half the
+width once it has broken more than ``max_pool_rebuilds`` times, and the
+cells the break interrupted are resubmitted.  The resubmission is free
+unless the pool that broke had one worker: that worker runs its cells
+in submission order, so the oldest interrupted cell is the one it died
+on, and the break is one of that cell's failed attempts under
+``max_retries``.  The per-cell timeout is enforced
+*inside* the worker via a :class:`~repro.exec.deadline.CellDeadline`
+watchdog, so no pool teardown is needed to reclaim a hung cell.
 
 The cache (:class:`~repro.exec.cache.CellCache`) is consulted in the
 parent before any work is scheduled and written back from the parent as
@@ -53,6 +54,7 @@ results arrive, so workers never touch cache files.
 
 from __future__ import annotations
 
+import contextlib
 import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -75,6 +77,7 @@ from .deadline import CellDeadline, DeadlineReached
 from .faults import maybe_inject
 from .hashing import cell_fingerprint
 from .policy import DEFAULT_FAILURE_POLICY, CellFailure, FailurePolicy
+from .pool import PoolSupervisor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..experiments.setups import ExperimentSetup
@@ -140,23 +143,19 @@ def _execute_one(
     :class:`~repro.errors.CellTimeoutError` naming the cell.  The budget
     is enforced worker-side so a hung cell never requires tearing down
     the pool, and — unlike the ``SIGALRM`` interval timer it replaces —
-    it works on *any* thread: pool workers, the serial path, asyncio
-    executor threads under :mod:`repro.serve`.  Only interpreters
-    without the CPython async-exception hook degrade to unenforced
-    (with a one-line warning from :meth:`CellDeadline.arm`).
+    it works on *any* thread, not only a pool worker's main thread.
+    Only interpreters without the CPython async-exception hook degrade
+    to unenforced (with a one-line warning from :meth:`CellDeadline.arm`).
     """
+    guard: contextlib.AbstractContextManager[object] = (
+        contextlib.nullcontext() if timeout is None else CellDeadline(timeout)
+    )
     start = time.perf_counter()
-    if timeout is None:
-        with error_context(f"cell {cell.describe()}", CellExecutionError):
-            # Pool workers are reused across cells: a kill armed for a
-            # previous cell (but never reached) must not leak.
-            engine_interrupt.clear()
-            maybe_inject(cell)
-            result = run_cell(cell)
-        return result, time.perf_counter() - start
     try:
-        with CellDeadline(timeout):
+        with guard:
             with error_context(f"cell {cell.describe()}", CellExecutionError):
+                # Pool workers are reused across cells: a kill armed for
+                # a previous cell (but never reached) must not leak.
                 engine_interrupt.clear()
                 maybe_inject(cell)
                 result = run_cell(cell)
@@ -296,15 +295,13 @@ def execute_cells(
                     finish(index, result, seconds)
                     break
 
-    def run_pool(indices: Sequence[int]) -> List[int]:
-        """Pool execution; returns the indices left for serial fallback."""
-        workers = min(jobs, len(indices))
-        rebuilds = 0
-        pool = ProcessPoolExecutor(max_workers=workers)
-        futures: Dict[Future, int] = {}
+    def run_pool(indices: Sequence[int]) -> None:
+        supervisor = PoolSupervisor(min(jobs, len(indices)), policy.max_pool_rebuilds)
+        futures: Dict[Future, Tuple[int, ProcessPoolExecutor]] = {}
 
         def submit(index: int) -> None:
-            futures[pool.submit(_execute_one, cells[index], policy.timeout)] = index
+            pool, future = supervisor.submit(_execute_one, cells[index], policy.timeout)
+            futures[future] = (index, pool)
 
         def drain_on_abort() -> None:
             """Before a fail-fast raise: cancel what we can, then bank
@@ -315,7 +312,7 @@ def execute_cells(
                 return
             settled, _ = wait(set(futures))
             for future in settled:
-                index = futures[future]
+                index = futures[future][0]
                 if future.cancelled() or future.exception() is not None:
                     continue
                 finish(index, *future.result())
@@ -327,19 +324,37 @@ def execute_cells(
                 settled, _ = wait(set(futures), return_when=FIRST_COMPLETED)
                 successes: List[Tuple[int, Tuple[CellResult, float]]] = []
                 errors: List[Tuple[int, BaseException]] = []
-                broken: List[int] = []
+                broken: Optional[ProcessPoolExecutor] = None
                 for future in settled:
-                    index = futures.pop(future)
-                    if future.cancelled():
-                        broken.append(index)
+                    index, pool = futures[future]
+                    error = None if future.cancelled() else future.exception()
+                    if isinstance(error, BrokenProcessPool):
+                        broken = pool
                         continue
-                    error = future.exception()
-                    if error is None:
+                    del futures[future]
+                    if future.cancelled():
+                        submit(index)  # its pool was replaced before it started
+                    elif error is None:
                         successes.append((index, future.result()))
-                    elif isinstance(error, BrokenProcessPool):
-                        broken.append(index)
                     else:
                         errors.append((index, error))
+                if broken is not None:
+                    # A dead worker breaks every future of its pool at
+                    # once.  One worker runs its cells in submission
+                    # order, so there the oldest is the cell it died on.
+                    lost = [future for future in futures if futures[future][1] is broken]
+                    orphans = [futures.pop(future)[0] for future in lost]
+                    if supervisor.note_broken(broken):
+                        died = BrokenProcessPool("its worker died running it")
+                        errors.append((orphans.pop(0), died))
+                    note(
+                        f"[warning] worker pool broke (crashed worker?); "
+                        f"rebuilding at {supervisor.workers} worker(s)"
+                        f"{', degraded' if supervisor.degraded else ''} "
+                        f"(rebuild {supervisor.rebuilds}/{policy.max_pool_rebuilds})"
+                    )
+                    for index in orphans:
+                        submit(index)
                 # Drain every finished sibling first: their results hit
                 # the cache/journal even when another future in this
                 # same batch is about to abort the campaign.
@@ -347,8 +362,8 @@ def execute_cells(
                     finish(index, result, seconds)
                 for index, error in errors:
                     if not isinstance(error, CellExecutionError):
-                        # An exception that escaped the worker wrapper
-                        # (a programming error); keep the cell identity.
+                        # A dead worker, or an exception that escaped the
+                        # worker wrapper; keep the cell identity.
                         error = CellExecutionError(
                             f"cell {cells[index].describe()}: "
                             f"{type(error).__name__}: {error}"
@@ -360,41 +375,15 @@ def execute_cells(
                     else:
                         drain_on_abort()
                         raise error
-                if broken:
-                    # A killed worker breaks every in-flight future at
-                    # once; gather them all and either rebuild or
-                    # degrade to serial.
-                    broken.extend(futures.values())
-                    futures.clear()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    rebuilds += 1
-                    remaining = sorted(broken)
-                    if rebuilds > policy.max_pool_rebuilds:
-                        note(
-                            f"[warning] worker pool broke {rebuilds} time(s); "
-                            f"degrading to serial execution for "
-                            f"{len(remaining)} remaining cell(s)"
-                        )
-                        return remaining
-                    note(
-                        f"[warning] worker pool broke (crashed worker?); "
-                        f"rebuilding and re-submitting {len(remaining)} "
-                        f"in-flight cell(s) "
-                        f"(rebuild {rebuilds}/{policy.max_pool_rebuilds})"
-                    )
-                    pool = ProcessPoolExecutor(max_workers=workers)
-                    for index in remaining:
-                        submit(index)
-            pool.shutdown(wait=True)
-            return []
+            supervisor.shutdown(wait=True)
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            supervisor.shutdown()
 
     if pending:
         if jobs <= 1 or len(pending) == 1:
             run_serial(pending)
         else:
-            run_serial(run_pool(pending))
+            run_pool(pending)
 
     if cache is not None and report is not None and (total > 1 or cache.corrupt):
         report(cache.summary())

@@ -65,8 +65,9 @@ class FailurePolicy:
     timeout: float | None = None
     #: ``"fail-fast"`` or ``"keep-going"``.
     on_error: str = ON_ERROR_FAIL_FAST
-    #: Pool rebuilds tolerated after worker crashes before the executor
-    #: degrades to serial execution for the remaining cells.
+    #: Pool rebuilds at full width after worker crashes; each later
+    #: rebuild halves the pool (floor 1).  A crash counts as a failed
+    #: attempt only when the pool had one worker (:mod:`repro.exec.pool`).
     max_pool_rebuilds: int = 2
 
     def __post_init__(self) -> None:

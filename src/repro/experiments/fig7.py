@@ -75,25 +75,6 @@ def _gmean_swap_ratio(overheads) -> float:
     )
 
 
-def swap_ratio_for_interval(
-    interval: int,
-    setup: Optional[ExperimentSetup] = None,
-) -> float:
-    """Figure 7(a): PARSEC-gmean toss-up swap/write ratio at an interval."""
-    setup = setup or default_setup()
-    return _gmean_swap_ratio(run_setup_cells(_ratio_cells(interval, setup), setup))
-
-
-def scan_lifetime_for_interval(
-    interval: int,
-    setup: Optional[ExperimentSetup] = None,
-) -> float:
-    """Figure 7(b): scan-attack lifetime (years) at an interval."""
-    setup = setup or default_setup()
-    result = run_setup_cells([_scan_cell(interval, setup)], setup)[0]
-    return result.lifetime_fraction * attack_ideal_lifetime_years()
-
-
 def run(setup: Optional[ExperimentSetup] = None) -> ResultTable:
     """Reproduce both panels over the interval sweep."""
     setup = setup or default_setup()

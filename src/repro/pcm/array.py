@@ -25,9 +25,8 @@ Three write paths are provided:
   scalar scan only runs when some page can actually cross its endurance
   within the batch.  With ``all_or_nothing`` an unordered batch is
   applied only if no page can cross, and not at all otherwise;
-* :meth:`apply_write_counts` — unordered vectorized bulk application
-  (Start-Gap's closed form, once it has checked that no page can
-  cross), attributing a failure by the fluid approximation.
+* :meth:`apply_write_counts` — unordered per-page counts (Start-Gap's
+  closed form), all or nothing like ``apply_batch(all_or_nothing=True)``.
 """
 
 from __future__ import annotations
@@ -268,16 +267,14 @@ class PCMArray:
             )
         return int(applied.size)
 
-    def apply_write_counts(self, per_page_writes: np.ndarray) -> None:
-        """Vectorized bulk write application (unordered counts).
+    def apply_write_counts(self, per_page_writes: np.ndarray) -> bool:
+        """Apply unordered per-page write counts, all or nothing.
 
-        ``per_page_writes`` must have one entry per page.  If the bulk
-        application wears out pages, the first failure is attributed to
-        the page that would fail earliest assuming each page's writes are
-        spread evenly across the bulk interval — the standard fluid
-        approximation.  (Use
-        :meth:`apply_batch` when the write *order* is known and exact
-        attribution is required.)
+        ``per_page_writes`` must have one entry per page.  As with
+        ``apply_batch(..., all_or_nothing=True)``, before the first
+        failure counts that would bring some page to its endurance are
+        not applied at all: the caller must replay those writes in
+        order.  Returns whether the counts were applied.
         """
         counts = np.asarray(per_page_writes, dtype=np.int64)
         if counts.shape != (self.n_pages,):
@@ -286,31 +283,11 @@ class PCMArray:
             )
         if (counts < 0).any():
             raise ConfigError("write counts must be non-negative")
-        chunk_total = int(counts.sum())
-        if chunk_total == 0:
-            return
+        if self._first_failure is None and (self.writes + counts >= self.endurance).any():
+            return False
         self.writes += counts
-        self.total_writes += chunk_total
-        if self._first_failure is None:
-            crossed = np.nonzero(self.writes >= self.endurance)[0]
-            if crossed.size:
-                # Fluid approximation: page p fails after fraction
-                # (endurance - before) / counts of the chunk.
-                before_crossed = self.writes[crossed] - counts[crossed]
-                fractions = (
-                    self.endurance[crossed] - before_crossed
-                ) / counts[crossed].astype(np.float64)
-                winner = int(crossed[np.argmin(fractions)])
-                fraction = float(np.min(fractions))
-                device_writes = (
-                    self.total_writes - chunk_total + int(round(fraction * chunk_total))
-                )
-                self.failed = True
-                self._first_failure = FirstFailure(
-                    physical_page=winner,
-                    device_writes=max(1, device_writes),
-                    page_endurance=int(self.endurance[winner]),
-                )
+        self.total_writes += int(counts.sum())
+        return True
 
     # ------------------------------------------------------------------
     # Mid-run persistence

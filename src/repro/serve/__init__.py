@@ -4,19 +4,19 @@
 long-lived, failure-tolerant service (ROADMAP open item 2): many
 concurrent clients submit experiment cells and trace-stream specs as
 newline-delimited JSON over TCP or a UNIX socket, and the server runs
-them on the existing process-pool executor under the full robustness
-stack — bounded admission with structured backpressure, per-request
-deadlines, deterministic retry on worker loss, pool rebuild and
-graceful degradation, per-session journal persistence, and
-drain-then-exit shutdown.  SoftWear (arxiv 2004.03244) frames wear
-leveling itself as a runtime service; this package makes the same move
-for the reproduction.
+them on the executor's pool supervisor (:mod:`repro.exec.pool`, one
+worker-loss policy for both) under the full robustness stack — bounded
+admission with structured backpressure, per-request deadlines, pool
+rebuild with retry on worker loss and graceful degradation,
+per-session journal persistence, and drain-then-exit shutdown.
+SoftWear (arxiv 2004.03244) frames wear leveling itself as a runtime
+service; this package makes the same move for the reproduction.
 
 * :mod:`repro.serve.protocol` — the NDJSON wire codec: request/response
   schemas, the cell codec (canonical dataclass-tagged JSON), error
   codes, frame limits;
 * :mod:`repro.serve.server` — :class:`CampaignServer`, the asyncio
-  front-end over the process pool;
+  front-end over the pool supervisor;
 * :mod:`repro.serve.session` — :class:`SessionStore`, per-session
   exclusively-locked checkpoint journals giving bit-identical resume
   across server restarts;

@@ -51,7 +51,8 @@ def _serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--queue-limit", type=int, default=16)
     parser.add_argument("--default-deadline", type=float, default=None)
     parser.add_argument("--retries", type=int, default=2,
-                        help="worker-loss retries per request")
+                        help="retries per request after its worker dies "
+                        "in a one-worker pool")
     parser.add_argument("--max-pool-rebuilds", type=int, default=2)
     parser.add_argument("--health-interval", type=float, default=5.0)
     parser.add_argument("--idle-timeout", type=float, default=60.0)

@@ -18,13 +18,16 @@ every robustness mechanism the executor stack already has:
   worker-count gate keeps queued cells out of the pool, so the
   deadline starts when the cell starts — queue wait behind a saturated
   pool is never charged against it.
-* **Worker-loss retry, pool rebuild, graceful degradation.**  A
-  ``BrokenProcessPool`` triggers a deterministic-backoff retry
-  (:meth:`FailurePolicy.retry_delay`, keyed by cell fingerprint) on a
-  rebuilt pool; past ``max_pool_rebuilds`` the pool is rebuilt at half
-  the concurrency (repeatedly, floor 1) and every subsequent response
-  carries ``degraded: true``.  A periodic health probe detects silently
-  dead pools between requests.
+* **Worker-loss retry, pool rebuild, graceful degradation.**  The pool
+  is a :class:`~repro.exec.pool.PoolSupervisor`, under the same
+  worker-loss policy as ``twl-repro fig6 --jobs N``: a broken pool is
+  rebuilt, past ``max_pool_rebuilds`` at half the width (repeatedly,
+  floor 1), and every later response carries ``degraded: true``.  The
+  cells a break interrupts are resubmitted; the break counts against a
+  request's ``max_retries`` (with deterministic backoff,
+  :meth:`FailurePolicy.retry_delay`) only when the pool that broke had
+  one worker, so a sibling's crash never fails an innocent request.  A
+  periodic health probe detects silently dead pools between requests.
 * **Duplicate coalescing.**  Submissions of an already-in-flight
   fingerprint await the same execution (``source: "coalesced"``) — the
   content-addressed-cache contract applied to in-flight work.
@@ -56,12 +59,13 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Optional, Set
 
-from ..errors import CellTimeoutError, ConfigError, ReproError
+from ..errors import CellExecutionError, CellTimeoutError, ConfigError, ReproError
 from ..exec.cache import CellCache, encode_result
 from ..exec.cells import CellResult, ExperimentCell
 from ..exec.executor import _execute_one
 from ..exec.hashing import cell_fingerprint
 from ..exec.policy import FailurePolicy
+from ..exec.pool import PoolSupervisor
 from .protocol import (
     ERROR_DEADLINE,
     ERROR_FAILED,
@@ -119,7 +123,8 @@ class ServerConfig:
     queue_limit: int = 16
     #: Deadline applied to submissions that name none (None = no limit).
     default_deadline: Optional[float] = None
-    #: Worker-loss retries per request (deterministic backoff).
+    #: Retries per request after worker loss that names it: a break of
+    #: a one-worker pool (deterministic backoff).
     max_retries: int = 2
     #: Pool rebuilds at full concurrency before degrading to half.
     max_pool_rebuilds: int = 2
@@ -234,19 +239,26 @@ class CampaignServer:
         self._retry_policy = FailurePolicy(
             max_retries=config.max_retries, backoff_base=0.05
         )
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_workers = config.workers
-        self._rebuilds = 0
-        self.degraded = False
+        # Spawn, never fork: the server process runs an event loop plus
+        # watchdog threads (fork is undefined behavior there), and forked
+        # workers would inherit every client connection fd — so a
+        # SIGKILLed server's orphaned workers would hold client sockets
+        # open and the listener bound, turning instant EOFs into client
+        # timeouts and blocking the restart.
+        self._pool = PoolSupervisor(
+            config.workers,
+            config.max_pool_rebuilds,
+            multiprocessing.get_context("spawn"),
+        )
+        #: Submission gate sized to the current pool's width, with the
+        #: pool it was sized for (see :meth:`_gate`).
+        self._gated: Optional[ProcessPoolExecutor] = None
+        self._pool_gate: Optional[asyncio.Semaphore] = None
         self._active = 0
         self._inflight: Dict[str, _Inflight] = {}
         self._draining = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._health_task: Optional[asyncio.Task] = None
-        self._pool_lock: Optional[asyncio.Lock] = None
-        #: Submission gate sized to the worker count: the pool never
-        #: buffers more cells than it can execute (see :meth:`_execute`).
-        self._pool_gate: Optional[asyncio.Semaphore] = None
         #: Single-thread executor for journal/cache I/O: off the event
         #: loop (flock + fsync block), single so appends stay ordered.
         self._io: Optional[ThreadPoolExecutor] = None
@@ -262,33 +274,19 @@ class CampaignServer:
             "coalesced": 0,
             "cache_hits": 0,
             "journal_hits": 0,
-            "pool_rebuilds": 0,
             "disconnects": 0,
         }
 
-    def _make_pool(self) -> ProcessPoolExecutor:
-        """A spawn-context worker pool.
-
-        Spawn, never fork: the server process runs an event loop plus
-        watchdog threads (fork is undefined behavior there), and forked
-        workers would inherit every client connection fd — so a
-        SIGKILLed server's orphaned workers would hold client sockets
-        open and the listener bound, turning instant EOFs into client
-        timeouts and blocking the restart.
-        """
-        return ProcessPoolExecutor(
-            max_workers=self._pool_workers,
-            mp_context=multiprocessing.get_context("spawn"),
-        )
+    @property
+    def degraded(self) -> bool:
+        """Whether worker loss has halved the pool."""
+        return self._pool.degraded
 
     # ------------------------------------------------------------------
     # lifecycle
 
     async def start(self) -> None:
-        """Bind the socket and start the pool + health loop."""
-        self._pool_lock = asyncio.Lock()
-        self._pool = self._make_pool()
-        self._pool_gate = asyncio.Semaphore(self._pool_workers)
+        """Bind the socket and start the health loop."""
         self._io = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="twl-serve-io"
         )
@@ -356,9 +354,7 @@ class CampaignServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        self._pool.shutdown()
         io = self._io
         if io is not None:
             # Flush pending journal/cache writes before releasing the
@@ -373,57 +369,25 @@ class CampaignServer:
     # ------------------------------------------------------------------
     # pool management
 
-    async def _ensure_pool(self) -> ProcessPoolExecutor:
-        assert self._pool_lock is not None
-        async with self._pool_lock:
-            if self._pool is None:
-                self._pool = self._make_pool()
-                self._pool_gate = asyncio.Semaphore(self._pool_workers)
-            return self._pool
+    def _gate(self) -> asyncio.Semaphore:
+        """The worker-count gate of the supervisor's current pool.
 
-    async def _note_pool_broken(self, broken: ProcessPoolExecutor) -> None:
-        """Rebuild a crashed pool exactly once, degrading past budget.
-
-        Many requests observe the same ``BrokenProcessPool`` at once;
-        the identity check under the lock makes the first one rebuild
-        and the rest adopt the replacement.
+        A rebuilt pool gets a fresh gate sized to its (possibly halved)
+        width; cells still blocked on the old gate drain as its holders
+        finish.
         """
-        assert self._pool_lock is not None
-        async with self._pool_lock:
-            if self._pool is not broken:
-                return  # someone else already rebuilt
-            broken.shutdown(wait=False, cancel_futures=True)
-            self._rebuilds += 1
-            self.stats["pool_rebuilds"] += 1
-            if self._rebuilds > self.config.max_pool_rebuilds:
-                self._pool_workers = max(1, self._pool_workers // 2)
-                self.degraded = True
-            self._pool = self._make_pool()
-            # A fresh gate sized to the (possibly degraded) pool; cells
-            # still blocked on the old gate drain as its holders finish.
-            self._pool_gate = asyncio.Semaphore(self._pool_workers)
-
-    @staticmethod
-    def _pool_looks_alive(pool: ProcessPoolExecutor) -> bool:
-        """Best-effort liveness check on the pool's worker processes.
-
-        Inspects the executor's (private) process table; an empty or
-        missing table means workers haven't spawned yet — not evidence
-        of death — so the benefit of the doubt goes to the pool.  Only
-        a table whose every process is dead reads as broken.
-        """
-        processes = getattr(pool, "_processes", None)
-        if not processes:
-            return True
-        return any(proc.is_alive() for proc in processes.values())
+        if self._gated is not self._pool.pool or self._pool_gate is None:
+            self._gated = self._pool.pool
+            self._pool_gate = asyncio.Semaphore(self._pool.workers)
+        return self._pool_gate
 
     async def _health_loop(self) -> None:
         """Detect silently dead pools between requests and rebuild.
 
         The probe only decides "broken" on hard evidence: a
-        ``BrokenProcessPool``/``RuntimeError`` from submission, or a
-        probe timeout on a pool whose worker processes are all dead.  A
-        timeout alone proves nothing — with every worker busy on long
+        ``BrokenProcessPool`` from the probe, or a probe timeout on a
+        pool whose worker processes are all dead.  A timeout alone
+        proves nothing — with every worker busy on long
         cells the probe just sits in the queue — so a loaded-but-alive
         pool is never torn down (which would cancel queued admitted
         cells and burn the degradation budget on phantom failures).
@@ -432,30 +396,22 @@ class CampaignServer:
         """
         while not self._draining:
             await asyncio.sleep(self.config.health_interval)
-            pool = self._pool
-            if pool is None:
-                continue
             if self._active > 0:
                 continue
-            loop = asyncio.get_running_loop()
-            try:
-                probe_future: PoolFuture = pool.submit(_probe)
-            except (BrokenProcessPool, RuntimeError):
-                await self._note_pool_broken(pool)
-                continue
+            pool, probe_future = self._pool.submit(_probe)
             try:
                 await asyncio.wait_for(
-                    asyncio.wrap_future(probe_future, loop=loop),
+                    asyncio.wrap_future(probe_future),
                     timeout=max(self.config.health_interval, 1.0),
                 )
             except asyncio.TimeoutError:
                 # Inconclusive: a submission may have raced in ahead of
                 # the probe.  Rebuild only if the workers are truly dead.
                 probe_future.cancel()
-                if not self._pool_looks_alive(pool):
-                    await self._note_pool_broken(pool)
-            except (BrokenProcessPool, RuntimeError):
-                await self._note_pool_broken(pool)
+                if not self._pool.looks_alive(pool):
+                    self._pool.note_broken(pool)
+            except BrokenProcessPool:
+                self._pool.note_broken(pool)
 
     # ------------------------------------------------------------------
     # connection handling
@@ -577,10 +533,10 @@ class CampaignServer:
                 "ok": True,
                 "status": "stats",
                 "degraded": self.degraded,
-                "stats": dict(self.stats),
+                "stats": dict(self.stats, pool_rebuilds=self._pool.rebuilds),
                 "active": self._active,
                 "draining": self._draining,
-                "workers": self._pool_workers,
+                "workers": self._pool.workers,
                 "sessions": self._sessions.open_count(),
             }
         return await self._respond_submit(frame, request_id)
@@ -844,8 +800,8 @@ class CampaignServer:
     ) -> CellResult:
         """Run one cell on the pool, retrying across worker loss.
 
-        Submission is throttled by ``_pool_gate``, a semaphore sized to
-        the worker count: the pool never holds more cells than it can
+        Submission is throttled by :meth:`_gate`, a semaphore sized to
+        the pool's width: the pool never holds more cells than it can
         actually execute, so queueing happens here in asyncio-land —
         uncharged against the deadline, and instantly reclaimed on
         cancellation.  (``ProcessPoolExecutor`` marks a future running
@@ -856,28 +812,28 @@ class CampaignServer:
         worker at once: the worker-side :class:`CellDeadline` and the
         parent-side ``deadline + grace`` backstop start together, and a
         backstop expiry is hard evidence of a wedged worker — the pool
-        is rebuilt on the spot to reclaim it.
+        is rebuilt on the spot to reclaim it.  The same bound is what
+        lets a one-worker pool's break name its dying cell.
         """
-        loop = asyncio.get_running_loop()
         attempt = 0
         while True:
-            pool = await self._ensure_pool()
-            gate = self._pool_gate
-            assert gate is not None
+            gate = self._gate()
             async with gate:
-                pool_future: PoolFuture = pool.submit(
-                    _execute_one, cell, deadline
-                )
-                wrapped = asyncio.wrap_future(pool_future, loop=loop)
+                if gate is not self._gate():
+                    continue  # the pool was rebuilt while this cell queued
+                try:
+                    pool, pool_future = self._pool.submit(_execute_one, cell, deadline)
+                except RuntimeError:
+                    raise _ExecutionCancelled(
+                        "execution cancelled before it started (server shutdown); resubmit"
+                    ) from None
                 try:
                     # The worker's own run time is dropped: a response's
                     # ``seconds`` is the server-side time of the request.
-                    if deadline is not None:
-                        result, _ = await asyncio.wait_for(
-                            wrapped, timeout=deadline + DEADLINE_GRACE
-                        )
-                    else:
-                        result, _ = await wrapped
+                    result, _ = await asyncio.wait_for(
+                        asyncio.wrap_future(pool_future),
+                        timeout=None if deadline is None else deadline + DEADLINE_GRACE,
+                    )
                     return result
                 except asyncio.TimeoutError:
                     # The worker failed to enforce its own budget
@@ -886,16 +842,20 @@ class CampaignServer:
                     # and bank the result if the cell ever finishes.
                     pool_future.cancel()
                     self._bank_abandoned(pool_future, cell)
-                    await self._note_pool_broken(pool)
+                    self._pool.note_broken(pool)
                     raise CellTimeoutError(
                         f"cell {cell.describe()} missed its {deadline:.6g}s "
                         "deadline (worker unresponsive)"
                     ) from None
-                except BrokenProcessPool:
-                    await self._note_pool_broken(pool)
+                except BrokenProcessPool as error:
+                    if not self._pool.note_broken(pool):
+                        continue  # a wider pool broke: resubmit free
                     attempt += 1
                     if attempt > self.config.max_retries:
-                        raise
+                        raise CellExecutionError(
+                            f"cell {cell.describe()}: worker died "
+                            f"{attempt} time(s): {error}"
+                        ) from None
                 except asyncio.CancelledError:
                     # Last waiter gone: the cell is already on a worker
                     # (the gate saw to that), so it finishes there and

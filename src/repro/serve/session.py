@@ -80,11 +80,6 @@ class SessionStore:
         with self._lock:
             return len(self._journals)
 
-    def resumed_total(self) -> int:
-        """Records served from disk across all open sessions."""
-        with self._lock:
-            return sum(journal.resumed for journal in self._journals.values())
-
     def close(self, session: Optional[str] = None) -> None:
         """Release owner locks — one session, or all of them."""
         with self._lock:

@@ -101,9 +101,10 @@ class StartGap(WearLeveler):
         to a handful of vector expressions and one bulk accumulate.
 
         Device-write *order* inside the batch is observable only through
-        first-failure attribution, so the fast path first checks whether
-        any page could reach its endurance under the batch's combined
-        counts; if so, :meth:`_serve_segments` replays the serial
+        first-failure attribution, so the array applies the batch's
+        combined counts only if no page would reach its endurance under
+        them (:meth:`PCMArray.apply_write_counts` is all or nothing); if
+        one would, :meth:`_serve_segments` replays the serial
         interleaving instead, one segment per gap move (including the
         move a failing boundary write still performs).  The guard
         triggers at most once per run — the batch that contains the
@@ -150,10 +151,8 @@ class StartGap(WearLeveler):
         counts = np.bincount(physical, minlength=array.n_pages)
         if move_frames.size:
             counts += np.bincount(move_frames, minlength=array.n_pages)
-        if (array.writes + counts >= array.endurance).any():
+        if not array.apply_write_counts(counts):
             return self._serve_segments(seq, None)
-
-        array.apply_write_counts(counts)
         out = np.ones(m, dtype=np.int64)
         if total_moves:
             # Move j fires right after demand write (j+1)*interval-wsm0-1

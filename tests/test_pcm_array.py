@@ -102,18 +102,19 @@ class TestWriteMany:
 class TestBulkApply:
     def test_apply_counts(self, uniform_array):
         counts = np.full(16, 10, dtype=np.int64)
-        uniform_array.apply_write_counts(counts)
+        assert uniform_array.apply_write_counts(counts)
         assert uniform_array.total_writes == 160
         assert (uniform_array.write_counts() == 10).all()
 
-    def test_failure_fluid_attribution(self):
+    def test_counts_reaching_endurance_are_refused(self):
         array = PCMArray(np.array([100, 1000]))
-        counts = np.array([200, 200])
-        array.apply_write_counts(counts)
-        failure = array.first_failure
-        assert failure.physical_page == 0
-        # Page 0 fails halfway through its share of the chunk.
-        assert 150 <= failure.device_writes <= 250
+        array.apply_write_counts(np.array([99, 0]))
+        # Page 0 would reach its endurance: nothing is applied, and the
+        # caller replays the writes in order.
+        assert not array.apply_write_counts(np.array([1, 5]))
+        assert array.write_counts().tolist() == [99, 0]
+        assert array.total_writes == 99
+        assert not array.failed and array.first_failure is None
 
     def test_mixed_scalar_then_bulk(self, uniform_array):
         uniform_array.write(0)

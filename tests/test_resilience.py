@@ -8,7 +8,8 @@ boundary via the ``REPRO_FAULTS`` environment variable:
 * transient worker exceptions are retried and the final results are
   bit-identical to a clean serial run;
 * a SIGKILL'd worker triggers a pool rebuild (and, past the rebuild
-  budget, graceful degradation to serial) and the campaign completes;
+  budget, a halved pool) and the campaign completes, even when a cell
+  dies again on the halved pool;
 * a cell exceeding the per-cell timeout fails with a
   ``CellExecutionError`` naming it, and under ``keep-going`` does not
   block the remaining cells;
@@ -19,6 +20,8 @@ boundary via the ``REPRO_FAULTS`` environment variable:
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -39,6 +42,7 @@ from repro.exec import (
     execute_cells,
     run_cells,
 )
+from repro.exec.cache import encode_result
 from repro.exec.faults import (
     FAULTS_ENV,
     FaultInjectionError,
@@ -47,6 +51,7 @@ from repro.exec.faults import (
     maybe_inject,
 )
 from repro.exec.policy import ON_ERROR_KEEP_GOING, CellFailure
+from repro.exec.pool import PoolSupervisor
 
 SCALED = ScaledArrayConfig(n_pages=64, endurance_mean=768.0)
 
@@ -278,18 +283,105 @@ class TestWorkerCrashRecovery:
         assert results == clean
         assert any("rebuilding" in line for line in lines)
 
-    def test_repeated_breaks_degrade_to_serial(self, monkeypatch, tmp_path):
+    def test_repeated_breaks_halve_the_pool(self, monkeypatch, tmp_path):
         cells = _grid()
         clean = run_cells(cells, jobs=1)
-        # One kill, zero tolerated rebuilds: the first break sends the
-        # whole remainder to the serial fallback (kill budget already
-        # spent, so the fallback is safe).
+        # One kill, zero tolerated rebuilds: the first break rebuilds
+        # the pool at half the width and marks it degraded.
         _arm(monkeypatch, tmp_path, mode="kill", rate=1.0, times=1, max_total=1)
         policy = FailurePolicy(max_pool_rebuilds=0)
         lines = []
         results = run_cells(cells, jobs=2, policy=policy, progress=lines.append)
         assert results == clean
-        assert any("degrading to serial" in line for line in lines)
+        assert any(
+            "rebuilding at 1 worker(s), degraded" in line for line in lines
+        ), lines
+
+    def test_kills_past_the_rebuild_budget_stay_in_workers(self, tmp_path):
+        """A cell killed again on the halved pool dies in a worker, and
+        the charged retries carry the campaign to the clean results.
+
+        Runs in a subprocess, so that a kill landing in the campaign
+        process cannot take pytest with it.
+        """
+        plan = FaultPlan(
+            mode="kill", rate=1.0, times=3, max_total=3,
+            state_dir=str(tmp_path / "fault-state"),
+        )
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, 'tests')\n"
+            "from test_resilience import _grid\n"
+            "from repro.exec import FailurePolicy, run_cells\n"
+            "from repro.exec.cache import encode_result\n"
+            "import json\n"
+            "policy = FailurePolicy(max_pool_rebuilds=0, max_retries=3, backoff_base=0)\n"
+            "results = run_cells(_grid(), jobs=2, policy=policy)\n"
+            "print(json.dumps([encode_result(r) for r in results]))\n"
+        )
+        env = dict(os.environ, **{FAULTS_ENV: plan.to_env()})
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, ["src", env.get("PYTHONPATH", "")])
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        clean = [list(encode_result(r)) for r in run_cells(_grid(), jobs=1)]
+        assert json.loads(done.stdout) == json.loads(json.dumps(clean))
+
+
+class TestPoolSupervisor:
+    """The one worker-loss policy, without starting a worker."""
+
+    def test_rebuilds_then_halves_and_charges_only_one_worker(self):
+        supervisor = PoolSupervisor(workers=4, max_rebuilds=1)
+        try:
+            seen = []
+            for _ in range(4):
+                broken = supervisor.pool
+                charged = supervisor.note_broken(broken)
+                seen.append((charged, supervisor.workers, supervisor.degraded))
+            assert seen == [
+                (False, 4, False),
+                (False, 2, True),
+                (False, 1, True),
+                (True, 1, True),
+            ]
+            assert supervisor.rebuilds == 4
+        finally:
+            supervisor.shutdown()
+
+    def test_concurrent_breaks_rebuild_once(self):
+        import threading
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                supervisor = PoolSupervisor(workers=2, max_rebuilds=0)
+                broken = supervisor.pool
+                start = threading.Barrier(8)
+                charged = []
+
+                def observe():
+                    start.wait(timeout=10)
+                    charged.append(supervisor.note_broken(broken))
+
+                threads = [threading.Thread(target=observe) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                supervisor.shutdown()
+                assert not any(thread.is_alive() for thread in threads)
+                assert charged == [False] * 8
+                assert supervisor.rebuilds == 1 and supervisor.workers == 1
+                assert supervisor.pool is not broken
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestCheckpointResume:

@@ -9,8 +9,9 @@ here against a real :class:`CampaignServer` on an ephemeral TCP port:
 * admission past ``queue_limit`` is rejected with a structured
   ``overloaded`` frame instead of unbounded buffering;
 * per-request deadlines expire hung cells (portable, off-main-thread);
-* a SIGKILLed worker is retried on a rebuilt pool, and past the
-  rebuild budget the server degrades (and says so in every response);
+* a SIGKILLed worker is retried on a rebuilt pool, free of charge when
+  the pool had siblings, and past the rebuild budget the server halves
+  its pool (and says so in every response);
 * a vanished client's execution is cancelled, reclaiming its slot;
 * a drained server rejects new work but a restarted server on the same
   state dir resumes its sessions from the journal;
@@ -224,6 +225,7 @@ class TestServeRoundTrip:
         assert stats["workers"] == 2
         assert stats["draining"] is False
         assert "submitted" in stats["stats"]
+        assert stats["stats"]["pool_rebuilds"] == 0
 
     def test_duplicate_inflight_submissions_coalesce(self, tmp_path):
         cell = _cell(seed=17)
@@ -398,7 +400,7 @@ class TestWorkerLossAndDegradation:
         assert response["ok"] is True
         assert response["source"] == "run"
         assert response["degraded"] is False
-        assert server.stats["pool_rebuilds"] >= 1
+        assert server._pool.rebuilds >= 1
         # The fault plan spent its budget, so the retry ran clean — and
         # must match serial execution exactly.
         monkeypatch.delenv(FAULTS_ENV)
@@ -433,7 +435,34 @@ class TestWorkerLossAndDegradation:
         assert response["ok"] is True
         assert response["degraded"] is True
         assert server.degraded
-        assert server._pool_workers == 1
+        assert server._pool.workers == 1
+
+    def test_a_wide_pool_break_is_not_charged(self, monkeypatch, tmp_path):
+        """A break of a two-worker pool cannot name its dying cell, so
+        it resubmits the request free: no retries needed."""
+        _arm(
+            monkeypatch, tmp_path,
+            mode="kill", rate=1.0, times=1, max_total=1,
+        )
+        cell = _cell(seed=38)
+
+        async def scenario():
+            server = CampaignServer(_config(tmp_path, workers=2, max_retries=0))
+            await server.start()
+            try:
+                reader, writer = await open_connection(_tcp(server))
+                response = await submit_cell(reader, writer, cell, "free")
+                await _closed(writer)
+            finally:
+                await server.shutdown()
+            return server, response
+
+        server, response = asyncio.run(scenario())
+        assert response["ok"] is True, response
+        assert server._pool.rebuilds == 1
+        monkeypatch.delenv(FAULTS_ENV)
+        expected = _serial_payload(cell)
+        assert {"kind": response["kind"], "payload": response["payload"]} == expected
 
     def test_client_disconnect_reclaims_the_slot(self, monkeypatch, tmp_path):
         _arm(
@@ -526,7 +555,7 @@ class TestServerRobustnessRegressions:
 
         server, response = asyncio.run(scenario())
         assert response["ok"] is True
-        assert server.stats["pool_rebuilds"] == 0
+        assert server._pool.rebuilds == 0
         assert server.degraded is False
 
     def test_health_probe_still_rebuilds_a_dead_idle_pool(self, tmp_path):
@@ -542,11 +571,11 @@ class TestServerRobustnessRegressions:
                 first = await submit_cell(reader, writer, _cell(seed=62), "warm")
                 # Kill every worker behind the pool's back; the idle
                 # health probe must notice and rebuild.
-                for proc in list(server._pool._processes.values()):
+                for proc in list(server._pool.pool._processes.values()):
                     os.kill(proc.pid, signal.SIGKILL)
                 for _ in range(300):
                     await asyncio.sleep(0.02)
-                    if server.stats["pool_rebuilds"] >= 1:
+                    if server._pool.rebuilds >= 1:
                         break
                 second = await submit_cell(
                     reader, writer, _cell(seed=63), "after"
@@ -559,7 +588,7 @@ class TestServerRobustnessRegressions:
         server, first, second = asyncio.run(scenario())
         assert first["ok"] is True
         assert second["ok"] is True
-        assert server.stats["pool_rebuilds"] >= 1
+        assert server._pool.rebuilds >= 1
 
     def test_cancelled_execution_answers_with_a_frame(
         self, monkeypatch, tmp_path
