@@ -10,8 +10,8 @@ test:
 
 # Full lint gate: ruff (style/pyflakes/isort) + mypy on the typed core
 # + the repo's own two-phase analyzer (per-file determinism rules
-# TWL001-TWL007 plus the project-wide state & effect rules
-# TWL008-TWL010, see docs/invariants.md).  ruff/mypy are dev extras;
+# TWL001-TWL007 plus the project-wide rules TWL008-TWL011, see
+# docs/invariants.md).  ruff/mypy are dev extras;
 # when absent locally the corresponding step is skipped with a notice
 # (CI installs both).
 lint:

@@ -82,7 +82,18 @@ def start_server(state_dir: str, socket_path: str, log_path: str) -> subprocess.
         stdout=log,
         stderr=log,
         env=env,
+        # Its own process group, so reap_group can take down the spawn
+        # workers and resource tracker a SIGKILLed server orphans.
+        start_new_session=True,
     )
+
+
+def reap_group(server: subprocess.Popen) -> None:
+    """SIGKILL whatever is left of the server's process group."""
+    try:
+        os.killpg(server.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
 
 
 async def wait_ready(address, timeout: float = 60.0) -> bool:
@@ -141,6 +152,7 @@ async def run_gate(args: argparse.Namespace, artifacts: Path) -> int:
             kill_mid_campaign(),
         )
         server.wait(timeout=30)
+        reap_group(server)
         # The warm-up response is part of life 1's surviving record set.
         campaign1.completed.setdefault(
             cell_fingerprint(cells[0]),
@@ -155,6 +167,7 @@ async def run_gate(args: argparse.Namespace, artifacts: Path) -> int:
         if server.poll() is None:
             server.kill()
             server.wait(timeout=30)
+        reap_group(server)
 
     # ---- life 2: restart on the same state dir, resubmit everything --
     # The dead server left its socket file and its journal owner locks
@@ -208,6 +221,7 @@ async def run_gate(args: argparse.Namespace, artifacts: Path) -> int:
         if server.poll() is None:
             server.kill()
             server.wait(timeout=30)
+        reap_group(server)
 
     report = {
         "cells": len(cells),

@@ -155,14 +155,5 @@ class ResultTable:
         ordered = [[row[c] for c in self.columns] for row in self._rows]
         return format_table(self.columns, ordered, precision=precision, title=title)
 
-    def to_csv(self) -> str:
-        """Comma-separated export (simple cells only)."""
-        lines = [",".join(self.columns)]
-        for row in self._rows:
-            lines.append(
-                ",".join(_format_cell(row[c], precision=6) for c in self.columns)
-            )
-        return "\n".join(lines)
-
     def __len__(self) -> int:
         return len(self._rows)

@@ -171,16 +171,6 @@ class InconsistentWriteAttack(AttackWorkload):
             self._scale(),
         )
 
-    def victim_share(self) -> float:
-        """Traffic share of the most-hammered page after a reversal.
-
-        Scale-invariant given a fixed period/footprint ratio; used by
-        the full-scale extrapolation of the Figure-6 "worn out quickly"
-        entries.
-        """
-        weights = self._staircase_weights()
-        return int(weights.max()) / len(self._pass_schedule)
-
     @property
     def period_estimate(self) -> float:
         """Current online estimate of the victim scheme's phase length."""

@@ -40,11 +40,6 @@ class CountingBloomFilter:
         self._counters = [0] * bits
         self.inserted = 0
 
-    @property
-    def storage_bits(self) -> int:
-        """Total storage the filter occupies."""
-        return self.bits * self.counter_bits
-
     def insert(self, key: int) -> None:
         """Count one occurrence of ``key`` (counters saturate)."""
         for index in self._family.indices(key):
@@ -118,12 +113,6 @@ class CountingBloomFilter:
             return np.frombuffer(bytes(self._counters), dtype=np.uint8)
         return np.fromiter(self._counters, dtype=np.int64, count=self.bits)
 
-    def contains(self, key: int, threshold: int = 1) -> bool:
-        """Whether ``key``'s estimated count reaches ``threshold``."""
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        return self.estimate(key) >= threshold
-
     def snapshot(self) -> dict:
         """Counters plus the insert total (the hash family is derivable)."""
         return {"counters": list(self._counters), "inserted": self.inserted}
@@ -155,8 +144,3 @@ class CountingBloomFilter:
         """Reset all counters (done at each phase boundary in BWL)."""
         self._counters = [0] * self.bits
         self.inserted = 0
-
-    def load_factor(self) -> float:
-        """Fraction of counters that are non-zero."""
-        occupied = sum(1 for c in self._counters if c)
-        return occupied / self.bits

@@ -90,11 +90,6 @@ class PCMConfig:
         """Number of memory lines per page."""
         return self.page_bytes // self.line_bytes
 
-    @property
-    def endurance_sigma(self) -> float:
-        """Absolute standard deviation of per-page endurance."""
-        return self.endurance_mean * self.endurance_sigma_fraction
-
 
 #: The paper's full-scale memory, used as the reference population for
 #: tail-faithful endurance sampling and for full-scale extrapolation.
@@ -126,18 +121,6 @@ class ScaledArrayConfig:
         _require(
             0.0 <= self.endurance_sigma_fraction < 1.0,
             "endurance sigma fraction must be in [0, 1)",
-        )
-
-    def to_pcm_config(self) -> PCMConfig:
-        """PCM geometry of the scaled array (4 KiB pages retained)."""
-        return PCMConfig(
-            capacity_bytes=self.n_pages * PAPER_PAGE_BYTES,
-            page_bytes=PAPER_PAGE_BYTES,
-            line_bytes=PAPER_LINE_BYTES,
-            ranks=1,
-            banks=1,
-            endurance_mean=self.endurance_mean,
-            endurance_sigma_fraction=self.endurance_sigma_fraction,
         )
 
 
@@ -173,10 +156,6 @@ class TimingConfig:
     def write_cycles(self) -> int:
         """Worst-case page write latency (SET dominates RESET)."""
         return self.set_cycles
-
-    def cycles_to_seconds(self, cycles: float) -> float:
-        """Convert a cycle count to seconds at the configured clock."""
-        return cycles / self.clock_hz
 
 
 #: Pairing policies for TWL.

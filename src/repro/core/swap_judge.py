@@ -74,10 +74,3 @@ class SwapJudge:
             (addr_not_choose, addr_choose),
             remap_swapped=True,
         )
-
-    def swap_fraction(self) -> float:
-        """Fraction of judged writes that required a swap."""
-        total = self.direct + self.swapped
-        if total == 0:
-            return 0.0
-        return self.swapped / total

@@ -61,9 +61,3 @@ class TossUp:
         if result:
             self.chose_a += 1
         return result
-
-    def observed_a_fraction(self) -> float:
-        """Empirical fraction of decisions that chose A."""
-        if self.decisions == 0:
-            return 0.0
-        return self.chose_a / self.decisions

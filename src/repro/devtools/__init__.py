@@ -12,7 +12,7 @@ This package makes those invariants *enforced* instead of folklore:
   per-file determinism rules plus a project-wide index pass
   (:mod:`repro.devtools.project_index`) feeding the cross-module state
   and effect rules in :mod:`repro.devtools.state_rules`.  Named,
-  suppressible rules ``TWL001``–``TWL010``; ``twl-repro lint`` and
+  suppressible rules ``TWL001``–``TWL011``; ``twl-repro lint`` and
   ``make lint`` run it, and ``--format json`` emits the stable finding
   schema CI annotates from.
 * :mod:`repro.devtools.sanitize` — a runtime determinism sanitizer

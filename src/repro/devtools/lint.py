@@ -17,7 +17,8 @@ and effect index (:mod:`repro.devtools.project_index`: classes,
 cross-module base resolution, per-method ``self.*`` effect sets); phase
 two runs the cross-module state rules
 (:mod:`repro.devtools.state_rules`) against that index and audits every
-suppression pragma.  Violations are reported as named rules:
+suppression pragma, and finds public callables no program calls.
+Violations are reported as named rules:
 
 ``TWL001``
     No ``random.*`` calls, no global-state ``numpy.random.*`` calls,
@@ -72,6 +73,14 @@ suppression pragma.  Violations are reported as named rules:
     No stale suppressions: a ``# twl: allow(...)`` pragma that no
     longer matches any finding on its line is itself a finding, so
     suppressions cannot rot in place.
+``TWL011``
+    No dead API (cross-module): a public function, method or property
+    must have a caller in the linted tree or in the ``benchmarks/`` and
+    ``examples/`` trees beside its ``src/``; tests do not count.  Names
+    in a package ``__all__`` (the published API), dunders, ``visit_*``
+    methods of ``ast.NodeVisitor`` subclasses and console-script entry
+    points are exempt.  A callable kept as a test oracle carries a
+    reasoned pragma saying so.
 
 A genuine exception is silenced inline with a *reasoned* pragma::
 
@@ -94,7 +103,21 @@ import re
 import sys
 import tokenize
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
+
+if TYPE_CHECKING:  # the index module is imported lazily by the project pass
+    from .project_index import ProjectIndex
 
 #: Rule identifiers and their one-line summaries.
 RULES: Dict[str, str] = {
@@ -108,12 +131,13 @@ RULES: Dict[str, str] = {
     "TWL008": "mutable state not covered by the snapshot/restore protocol",
     "TWL009": "write_batch effect set differs from the scalar write path",
     "TWL010": "stale twl: allow pragma suppressing no finding",
+    "TWL011": "public callable with no caller outside tests",
 }
 
-#: Rules a single-file pass can decide on its own.  TWL008/TWL009 need
-#: the whole-tree index and TWL010 needs the full finding set, so
-#: :func:`lint_source`/:func:`lint_file` audit only pragmas whose rule
-#: list stays within this set; the project pass audits the rest.
+#: Rules a single-file pass can decide on its own.  TWL008/TWL009/TWL011
+#: need the whole tree and TWL010 needs the full finding set, so
+#: :func:`lint_source` audits only pragmas whose rule list stays within
+#: this set; the project pass audits the rest.
 _SINGLE_FILE_RULES: FrozenSet[str] = frozenset(
     {"TWL000", "TWL001", "TWL002", "TWL003", "TWL004", "TWL005", "TWL006", "TWL007"}
 )
@@ -636,12 +660,7 @@ class _FileLinter(ast.NodeVisitor):
     def _check_dunder_all(self, tree: ast.Module) -> None:
         dunder_all: Optional[ast.Assign] = None
         for statement in tree.body:
-            if (
-                isinstance(statement, ast.Assign)
-                and len(statement.targets) == 1
-                and isinstance(statement.targets[0], ast.Name)
-                and statement.targets[0].id == "__all__"
-            ):
+            if isinstance(statement, ast.Assign) and _is_dunder_all(statement):
                 dunder_all = statement
         if dunder_all is None:
             return
@@ -826,9 +845,9 @@ def lint_source(
 
     ``module`` overrides the dotted-name inference from ``path`` (used
     by the rule exemptions and the TWL004 module scoping).  This is the
-    *single-file* pass: the cross-module rules TWL008/TWL009 need the
-    project index (:func:`lint_paths` / :func:`run_lint`), so pragmas
-    naming them are exempt from the TWL010 staleness audit here.
+    *single-file* pass: the cross-module rules TWL008/TWL009/TWL011 need
+    the whole tree (:func:`lint_paths` / :func:`run_lint_report`), so
+    pragmas naming them are exempt from the TWL010 staleness audit here.
     """
     if module is None:
         module = module_name_for(path) if path != "<string>" else ""
@@ -853,13 +872,6 @@ def lint_source(
     return sorted(kept, key=lambda v: (v.line, v.col, v.rule))
 
 
-def lint_file(path: str) -> List[Violation]:
-    """Lint one file on disk."""
-    with open(path, encoding="utf-8") as handle:
-        source = handle.read()
-    return lint_source(source, path=path)
-
-
 def iter_python_files(paths: Sequence[str]) -> List[str]:
     """Python files under ``paths`` (files kept as-is), sorted."""
     found: List[str] = []
@@ -874,8 +886,156 @@ def iter_python_files(paths: Sequence[str]) -> List[str]:
     return sorted(found)
 
 
+# ----------------------------------------------------------------------
+# TWL011 — public callables with no caller outside tests
+# ----------------------------------------------------------------------
+#: Directories beside a ``src/`` layout whose code counts as callers
+#: without being linted.  ``tests/`` is deliberately not one of them.
+_REFERENCE_DIRS = ("benchmarks", "examples")
+
+#: A function or method definition.
+_Def = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+
+#: ``name = "module:function"`` lines of ``[project.scripts]``.
+_SCRIPT_RE = re.compile(r'^\s*[\w.-]+\s*=\s*"([\w.]+):(\w+)"', re.MULTILINE)
+
+
+def _layout_root(paths: Sequence[str]) -> Optional[str]:
+    """The directory holding the ``src/`` that a linted path sits in."""
+    for path in paths:
+        current = os.path.abspath(path)
+        while os.path.dirname(current) != current:
+            if os.path.basename(current) == "src":
+                return os.path.dirname(current)
+            current = os.path.dirname(current)
+    return None
+
+
+def _is_dunder_all(statement: ast.stmt) -> bool:
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, (ast.AnnAssign, ast.AugAssign)):
+        targets = [statement.target]
+    else:
+        return False
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+
+
+def _name_uses(node: ast.AST) -> Dict[str, int]:
+    """Load names, attribute names and string constants under ``node``."""
+    uses: Dict[str, int] = {}
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            name = sub.id
+        elif isinstance(sub, ast.Attribute):
+            name = sub.attr
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            name = sub.value
+        else:
+            continue
+        uses[name] = uses.get(name, 0) + 1
+    return uses
+
+
+def _unused_defs(body: Sequence[ast.stmt], uses: Dict[str, int]) -> List[_Def]:
+    """First public def of each name in ``body`` used only inside its defs.
+
+    A property's getter and setter share a name, so every def of that
+    name in ``body`` counts as the definition itself.
+    """
+    defs = [s for s in body if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    first: Dict[str, _Def] = {}
+    for node in defs:
+        first.setdefault(node.name, node)
+    return [
+        node
+        for name, node in first.items()
+        if not name.startswith("_")
+        and uses.get(name, 0) <= sum(_name_uses(d).get(name, 0) for d in defs if d.name == name)
+    ]
+
+
+def _dead_api_violations(
+    sources: Sequence[Tuple[str, str, ast.Module]],
+    index: ProjectIndex,
+    paths: Sequence[str],
+) -> List[Violation]:
+    """TWL011: public functions, methods and properties nobody calls.
+
+    A use is a load of the name, an attribute of that name, or a string
+    constant equal to it (``getattr(obj, "name")``), anywhere in the
+    linted tree or the reference trees except the definition itself,
+    imports and ``__all__`` lists.  Names in a package ``__all__`` are
+    the published API and exempt, as are dunders, ``visit_*`` methods
+    of ``ast.NodeVisitor`` subclasses and console-script entry points.
+    """
+    trees = [tree for _path, _module, tree in sources]
+    exempt: Set[str] = set()
+    root = _layout_root(paths)
+    if root is not None:
+        references = [os.path.join(root, name) for name in _REFERENCE_DIRS]
+        for path in iter_python_files([d for d in references if os.path.isdir(d)]):
+            try:
+                with open(path, encoding="utf-8") as handle:
+                    trees.append(ast.parse(handle.read(), filename=path))
+            except (SyntaxError, UnicodeDecodeError):
+                continue
+        pyproject = os.path.join(root, "pyproject.toml")
+        if os.path.isfile(pyproject):
+            with open(pyproject, encoding="utf-8") as handle:
+                scripts = handle.read().partition("[project.scripts]")[2]
+            exempt.update(
+                f"{module}.{function}"
+                for module, function in _SCRIPT_RE.findall(scripts.partition("\n[")[0])
+            )
+    uses: Dict[str, int] = {}
+    for tree in trees:
+        for statement in tree.body:
+            if not _is_dunder_all(statement):
+                for name, count in _name_uses(statement).items():
+                    uses[name] = uses.get(name, 0) + count
+    for path, _module, tree in sources:
+        if os.path.basename(path) == "__init__.py":
+            for statement in tree.body:
+                if _is_dunder_all(statement):
+                    exempt.update(
+                        e.value
+                        for e in getattr(statement.value, "elts", ())
+                        if isinstance(e, ast.Constant) and isinstance(e.value, str)
+                    )
+
+    violations: List[Violation] = []
+
+    def flag(path: str, node: _Def, kind: str, label: str) -> None:
+        message = (
+            f"public {kind} {label!r} has no caller outside tests; delete it "
+            "with its tests, or keep it with a reasoned pragma naming its "
+            "caller or oracle role"
+        )
+        violations.append(Violation(path, node.lineno, node.col_offset, "TWL011", message))
+
+    for path, module, tree in sources:
+        for node in _unused_defs(tree.body, uses):
+            if not {node.name, f"{module}.{node.name}"} & exempt:
+                flag(path, node, "function", node.name)
+        for statement in tree.body:
+            if not isinstance(statement, ast.ClassDef):
+                continue
+            visitor = any(
+                chain[-1] == "NodeVisitor"
+                for base in index.mro(f"{module}.{statement.name}" if module else statement.name)
+                for chain in base.base_chains
+            )
+            for node in _unused_defs(statement.body, uses):
+                if not (visitor and node.name.startswith("visit_")):
+                    decorators = [_attr_chain(d) for d in node.decorator_list]
+                    kind = "property" if ["property"] in decorators else "method"
+                    flag(path, node, kind, f"{statement.name}.{node.name}")
+    return violations
+
+
 def _project_findings(paths: Sequence[str]) -> Tuple[List[str], List[Finding]]:
-    """Two-phase project pass: per-file rules, index, state rules, TWL010.
+    """Two-phase project pass: per-file rules, index, TWL008-TWL011.
 
     Each file is parsed once; the shared trees feed both the single-file
     rule pass and the project index the cross-module rules consume.
@@ -911,6 +1071,7 @@ def _project_findings(paths: Sequence[str]) -> Tuple[List[str], List[Finding]]:
         sources.append((path, module, tree))
     index = build_index(sources)
     raw.extend(check_state_rules(index))
+    raw.extend(_dead_api_violations(sources, index, paths))
     violations_by_path: Dict[str, List[Violation]] = {}
     for violation in raw:
         violations_by_path.setdefault(violation.path, []).append(violation)
@@ -938,7 +1099,7 @@ def lint_paths(paths: Sequence[str]) -> List[Violation]:
     """Project-lint every Python file under ``paths``.
 
     Runs the full two-phase analyzer — single-file rules, the
-    whole-tree index, the cross-module state rules TWL008/TWL009, and
+    whole-tree index, the cross-module rules TWL008/TWL009/TWL011, and
     the TWL010 pragma audit — and returns the unsuppressed violations.
     """
     _, findings = _project_findings(paths)
@@ -1044,20 +1205,13 @@ def run_lint_report(
     return LintReport(findings=tuple(findings), files=tuple(files))
 
 
-def run_lint(
-    paths: Optional[Sequence[str]] = None, classify: bool = True
-) -> List[Violation]:
-    """Full lint pass: AST + state rules over ``paths`` plus TWL003."""
-    return run_lint_report(paths, classify=classify).violations
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point: ``python -m repro.devtools.lint [paths…]``."""
     parser = argparse.ArgumentParser(
         prog="twl-repro lint",
         description=(
             "Static determinism/purity/state checks for the TWL "
-            "reproduction (rules TWL001-TWL010; see docs/invariants.md)."
+            "reproduction (rules TWL001-TWL011; see docs/invariants.md)."
         ),
     )
     parser.add_argument(

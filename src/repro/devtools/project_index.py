@@ -1,13 +1,15 @@
 """Project-wide symbol and effect index (the lint analyzer's phase one).
 
 The single-file rules (TWL001-TWL007) can be decided by looking at one
-module at a time.  The state rules (TWL008-TWL010, see
+module at a time.  The state rules (TWL008/TWL009, see
 :mod:`repro.devtools.state_rules`) cannot: whether a scheme's
 ``self._cursor`` is snapshotted depends on methods *inherited across
 modules*, and whether a ``write_batch`` override mutates the same state
 surface as its scalar ``write`` depends on the transitive closure of
 every helper either path calls.  This module builds the shared index
-those rules consume:
+those rules consume (the dead-API rule TWL011 uses only its class
+resolution, to find ``ast.NodeVisitor`` subclasses; TWL010 audits the
+pragmas of all of them):
 
 * one :class:`ModuleInfo` per file — its import map (absolute and
   relative imports resolved to dotted names) and top-level classes;
@@ -174,7 +176,7 @@ class _MethodScanner(ast.NodeVisitor):
     the right instance state: ``frames = self._frame_writes`` followed
     by ``frames[f] += 1`` (or ``frames += bincount(...)``,
     ``frames.append(x)``) is a mutation of ``_frame_writes``; a
-    two-level alias like ``rng = self.toss_up.rng; rng.take_words(n)``
+    two-level alias like ``rng = self.toss_up.rng; rng.next_word()``
     roots at ``toss_up``.
     """
 

@@ -160,9 +160,6 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # Observer management
     # ------------------------------------------------------------------
-    def add_observer(self, observer: EngineObserver) -> None:
-        """Attach ``observer`` to subsequent steps of this engine."""
-        self._observers = self._observers + (observer,)  # twl: allow(TWL008) reason=observers are per-process instrumentation; the harness re-attaches them on resume
 
     def _notify(self, hook: str, *args: object) -> None:
         """Dispatch one observer callback with detach-on-failure.
@@ -184,7 +181,7 @@ class SimulationEngine:
                     # A sanitizer finding is never an observer bug to
                     # shrug off — the run's purity is already broken.
                     raise
-                self._observers = tuple(
+                self._observers = tuple(  # twl: allow(TWL008) reason=observers are per-process instrumentation; the harness re-attaches them on resume
                     existing
                     for existing in self._observers
                     if existing is not observer
@@ -403,10 +400,6 @@ class SimulationEngine:
                 "reduce the array scale"
             )
         return self.end_run()
-
-    def simulated_seconds(self) -> float:
-        """Simulated time at the configured clock, in seconds."""
-        return self.timing.cycles_to_seconds(self.simulated_cycles)
 
     def __repr__(self) -> str:
         return (

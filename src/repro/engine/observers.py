@@ -58,17 +58,9 @@ class BatchSnapshot:
     #: The live scheme (for wear access; do not mutate).
     scheme: "WearLeveler" = field(repr=False)
 
-    def wear_counts(self) -> np.ndarray:
-        """Per-page write counts at this point of the run (a copy)."""
-        return self.scheme.array.write_counts()
-
     def wear_fraction(self) -> np.ndarray:
         """Per-page wear as a fraction of endurance (a copy)."""
         return self.scheme.array.wear_fraction()
-
-    def scheme_stats(self) -> Dict[str, float]:
-        """The scheme's aggregate counters at this point of the run."""
-        return self.scheme.stats()
 
 
 class EngineObserver:

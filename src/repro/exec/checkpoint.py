@@ -111,7 +111,6 @@ class CheckpointJournal:
     ) -> None:
         self.path = path
         self._done: Dict[str, CellResult] = {}
-        self._failed: Dict[str, str] = {}
         self._owns_exclusive = False
         parent = os.path.dirname(os.path.abspath(path))
         try:
@@ -259,17 +258,12 @@ class CheckpointJournal:
             fingerprint = record.get("fingerprint")
             if not isinstance(fingerprint, str):
                 continue
-            status = record.get("status")
-            if status == STATUS_DONE:
+            if record.get("status") == STATUS_DONE:
                 try:
                     result = decode_result(record["kind"], record["payload"])
                 except (KeyError, TypeError, ValueError):
                     continue
                 self._done[fingerprint] = result
-                self._failed.pop(fingerprint, None)
-            elif status == STATUS_FAILED:
-                if fingerprint not in self._done:
-                    self._failed[fingerprint] = str(record.get("error", ""))
 
     def compact(self) -> int:
         """Rewrite the journal keeping the winning record per fingerprint.
@@ -368,11 +362,6 @@ class CheckpointJournal:
     def __len__(self) -> int:
         return len(self._done)
 
-    @property
-    def failed_count(self) -> int:
-        """Failed records carried in the journal (informational)."""
-        return len(self._failed)
-
     def result_for(self, fingerprint: str) -> Optional[CellResult]:
         """The completed result recorded for ``fingerprint``, or None."""
         return self._done.get(fingerprint)
@@ -400,7 +389,6 @@ class CheckpointJournal:
             }
         )
         self._done[fingerprint] = result
-        self._failed.pop(fingerprint, None)
 
     def record_failed(
         self, cell: ExperimentCell, fingerprint: str, error: str
@@ -415,5 +403,3 @@ class CheckpointJournal:
                 "error": error,
             }
         )
-        if fingerprint not in self._done:
-            self._failed[fingerprint] = error

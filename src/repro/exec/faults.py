@@ -130,7 +130,7 @@ class FaultPlan:
         unit = derive_seed(self.seed, "fault-select", fingerprint) / float(2**63)
         return unit < self.rate
 
-    def to_env(self) -> str:
+    def to_env(self) -> str:  # twl: allow(TWL011) reason=oracle: the fault tests arm workers with it, round-tripping the plan the executor parses from REPRO_FAULTS
         """JSON form suitable for ``os.environ[FAULTS_ENV]``."""
         record = {"mode": self.mode, "rate": self.rate, "seed": self.seed,
                   "times": self.times, "hang_seconds": self.hang_seconds}

@@ -35,9 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..config import PCMConfig
 from ..errors import AddressError, ConfigError, PageWornOutError
-from .endurance import sample_gaussian_endurance, sample_tail_faithful
 from .faults import FirstFailure
 
 
@@ -79,35 +77,6 @@ class PCMArray:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    @classmethod
-    def from_config(
-        cls,
-        config: PCMConfig,
-        rng: np.random.Generator,
-        tail_faithful_reference: Optional[int] = None,
-        fail_fast: bool = False,
-    ) -> "PCMArray":
-        """Build an array for ``config`` with sampled endurance.
-
-        If ``tail_faithful_reference`` is given, endurance extremes are
-        pinned to that population size (see ``repro.pcm.endurance``).
-        """
-        if tail_faithful_reference is not None:
-            endurance = sample_tail_faithful(
-                config.n_pages,
-                tail_faithful_reference,
-                config.endurance_mean,
-                config.endurance_sigma_fraction,
-                rng,
-            )
-        else:
-            endurance = sample_gaussian_endurance(
-                config.n_pages,
-                config.endurance_mean,
-                config.endurance_sigma_fraction,
-                rng,
-            )
-        return cls(endurance, fail_fast=fail_fast)
 
     @classmethod
     def uniform(cls, n_pages: int, endurance: int, fail_fast: bool = False) -> "PCMArray":
@@ -144,36 +113,6 @@ class PCMArray:
                 raise PageWornOutError(
                     physical_page, count, int(self.endurance[physical_page])
                 )
-
-    def write_many(self, physical_page: int, count: int) -> None:
-        """Apply ``count`` consecutive writes to one page."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if not 0 <= physical_page < self.n_pages:
-            raise AddressError(
-                f"physical page {physical_page} out of range [0, {self.n_pages})"
-            )
-        if count == 0:
-            return
-        writes = self.writes
-        before = int(writes[physical_page])
-        after = before + count
-        writes[physical_page] = after
-        self.total_writes += count
-        endurance = int(self.endurance[physical_page])
-        if after >= endurance and self._first_failure is None:
-            # The failing write is the one that brought the count to the
-            # endurance value, so attribute the exact device write index.
-            writes_into_burst = endurance - before
-            device_writes = self.total_writes - count + writes_into_burst
-            self.failed = True
-            self._first_failure = FirstFailure(
-                physical_page=physical_page,
-                device_writes=int(device_writes),
-                page_endurance=endurance,
-            )
-            if self.fail_fast:
-                raise PageWornOutError(physical_page, after, endurance)
 
     def apply_batch(
         self, physical_sequence: Sequence[int], all_or_nothing: bool = False
@@ -358,7 +297,7 @@ class PCMArray:
             )
         return int(self.endurance[physical_page])
 
-    def write_counts(self) -> np.ndarray:
+    def write_counts(self) -> np.ndarray:  # twl: allow(TWL011) reason=oracle: the identity suites compare per-page wear of batched and per-write runs through it
         """Copy of the per-page write counts."""
         return self.writes.copy()
 
@@ -378,17 +317,6 @@ class PCMArray:
         failure point (modulo swap-write overhead).
         """
         return float(self.writes.sum() / self.endurance.sum())
-
-    def weakest_pages(self, k: int) -> np.ndarray:
-        """Indices of the ``k`` lowest-endurance pages, weakest first."""
-        if not 1 <= k <= self.n_pages:
-            raise ValueError(f"k must be in [1, {self.n_pages}], got {k}")
-        order = np.argsort(self.endurance, kind="stable")
-        return order[:k]
-
-    def endurance_capacity(self) -> int:
-        """Sum of all page endurances (total writes an ideal leveler serves)."""
-        return int(self.endurance.sum())
 
     def __repr__(self) -> str:
         return (

@@ -4,19 +4,17 @@ The paper assumes "data comparison write is employed [16]" (Zhou et al.,
 ISCA'09): before programming, the old and new data are compared and only
 the differing bits are written.  At the page/wear granularity of this
 reproduction a page write still costs one endurance unit (the paper counts
-page writes), but DCW changes the *energy* and *latency* of a write, which
-feeds the timing model of Figure 9.
+page writes), but DCW changes the *energy* of a write, which the energy
+model (:mod:`repro.timing.energy`) charges.
 
 The model here is analytic: for data with per-bit flip probability ``f``,
 the expected fraction of written bits is ``f`` and the expected per-write
-energy/latency scale accordingly.
+energy scales accordingly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -29,48 +27,10 @@ class DataComparisonWriteModel:
         Probability an individual bit differs between old and new data.
         0.5 models uncorrelated random data; real workloads are lower
         (~0.1-0.25 in the DCW paper's measurements).
-    set_fraction:
-        Of the flipped bits, the fraction that are SET transitions (SET is
-        the slow/expensive operation in PCM).
     """
 
     flip_probability: float = 0.25
-    set_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.flip_probability <= 1.0:
             raise ValueError("flip probability must be in [0, 1]")
-        if not 0.0 <= self.set_fraction <= 1.0:
-            raise ValueError("set fraction must be in [0, 1]")
-
-    def expected_bits_written(self, page_bits: int) -> float:
-        """Expected number of programmed bits per page write."""
-        if page_bits < 0:
-            raise ValueError("page_bits must be non-negative")
-        return page_bits * self.flip_probability
-
-    def energy_scale(self) -> float:
-        """Write energy relative to programming every bit."""
-        return self.flip_probability
-
-    def latency_scale(self) -> float:
-        """Write latency relative to a full-page SET-dominated write.
-
-        The write completes when its slowest bit finishes: if any SET
-        occurs the SET latency dominates; a write with only RESETs (or no
-        flips) completes at RESET latency.  For page-sized writes the
-        probability of zero SET transitions is negligible unless the flip
-        probability is ~0, so the scale transitions smoothly.
-        """
-        probability_any_set = 1.0 - (
-            1.0 - self.flip_probability * self.set_fraction
-        ) ** 64  # per-64-bit-word granularity of the comparator
-        return probability_any_set + (1.0 - probability_any_set) * 0.125
-
-    def sample_bits_written(
-        self, page_bits: int, rng: np.random.Generator, size: int = 1
-    ) -> np.ndarray:
-        """Sample written-bit counts for ``size`` page writes."""
-        if page_bits < 0:
-            raise ValueError("page_bits must be non-negative")
-        return rng.binomial(page_bits, self.flip_probability, size=size)

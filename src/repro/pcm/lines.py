@@ -87,11 +87,6 @@ class LineWearModel:  # twl: allow(TWL008) reason=transient local of effective_p
         """Whether any line has worn out."""
         return bool((self.line_writes >= self.line_endurance).any())
 
-    def weakest_line_margin(self) -> float:
-        """Remaining fraction of the most-worn line's endurance."""
-        fractions = self.line_writes / self.line_endurance
-        return float(1.0 - fractions.max())
-
 
 def effective_page_endurance(
     page_endurance: int,

@@ -9,11 +9,8 @@ percentiles.  They back the ablation benchmarks and several tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
-
-from .array import PCMArray
 
 
 def gini_coefficient(values: np.ndarray) -> float:
@@ -46,27 +43,3 @@ class WearStatistics:
     max_wear_fraction: float
     mean_wear_fraction: float
     p99_wear_fraction: float
-
-    @classmethod
-    def from_array(cls, array: PCMArray) -> "WearStatistics":
-        """Compute statistics for the current state of ``array``."""
-        wear = array.wear_fraction()
-        return cls(
-            total_writes=array.total_writes,
-            utilization=array.utilization(),
-            wear_gini=gini_coefficient(wear),
-            max_wear_fraction=float(wear.max()),
-            mean_wear_fraction=float(wear.mean()),
-            p99_wear_fraction=float(np.percentile(wear, 99)),
-        )
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict view for result tables."""
-        return {
-            "total_writes": float(self.total_writes),
-            "utilization": self.utilization,
-            "wear_gini": self.wear_gini,
-            "max_wear_fraction": self.max_wear_fraction,
-            "mean_wear_fraction": self.mean_wear_fraction,
-            "p99_wear_fraction": self.p99_wear_fraction,
-        }

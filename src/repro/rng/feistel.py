@@ -21,7 +21,7 @@ in ``tests/test_rng_feistel.py``.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -164,7 +164,7 @@ class FeistelNetwork:
             left, right = right, left ^ self._round_function_array(right, key)
         return (left << self.half_bits) | right
 
-    def decrypt(self, value: int) -> int:
+    def decrypt(self, value: int) -> int:  # twl: allow(TWL011) reason=oracle: tests/test_rng_feistel.py inverts encrypt with it to prove the network is a permutation
         """Invert the permutation."""
         self._check_domain(value)
         left = value >> self.half_bits
@@ -261,44 +261,6 @@ class FeistelRNG:
             self._words = None
         return value
 
-    def take_words(self, count: int) -> np.ndarray:
-        """The next ``count`` words as one array (batched draw).
-
-        Bit-identical to ``count`` calls of :meth:`next_word`, including
-        key rolls at epoch boundaries mid-draw.  Table-backed widths
-        gather straight from the epoch word table; wider RNGs fall back
-        to scalar draws.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        out = np.empty(count, dtype=np.int64)
-        if self.bits > self._TABLE_BITS_MAX:
-            for i in range(count):
-                out[i] = self.next_word()
-            return out
-        filled = 0
-        while filled < count:
-            if self._words is None:
-                self._words = self._network.encrypt_array(
-                    np.arange(self._network.period, dtype=np.int64)
-                )
-            take = min(count - filled, self._network.period - self._counter)
-            out[filled : filled + take] = self._words[
-                self._counter : self._counter + take
-            ]
-            self._counter += take
-            filled += take
-            if self._counter == self._network.period:
-                self._counter = 0
-                self._epoch += 1
-                self._network = FeistelNetwork(
-                    bits=self.bits,
-                    seed=self._seed + 0x10001 * self._epoch,
-                    rounds=self._rounds,
-                )
-                self._words = None
-        return out
-
     def next_unit(self) -> float:
         """Next value mapped to [0, 1): ``word / 2**bits``."""
         return self.next_word() / self.period
@@ -308,8 +270,3 @@ class FeistelRNG:
         if not 0 < bound <= self.period:
             raise ValueError(f"bound must be in (0, {self.period}], got {bound}")
         return self.next_word() % bound
-
-    def iter_words(self, count: int) -> Iterator[int]:
-        """Yield ``count`` consecutive words."""
-        for _ in range(count):
-            yield self.next_word()

@@ -7,7 +7,7 @@ period (``2**width - 1``) for the listed widths.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator
+from typing import Dict
 
 from ..errors import ConfigError
 
@@ -92,8 +92,3 @@ class GaloisLFSR:
         for _ in range(bits):
             word = (word << 1) | self.next_bit()
         return word
-
-    def iter_states(self, count: int) -> Iterator[int]:
-        """Yield the next ``count`` states."""
-        for _ in range(count):
-            yield self.step()

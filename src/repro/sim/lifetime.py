@@ -79,16 +79,6 @@ class LifetimeResult:
         )
         return self.lifetime_fraction * ideal / SECONDS_PER_YEAR
 
-    def years_at_bytes_per_second(
-        self,
-        bandwidth_bytes: float,
-        pcm: PCMConfig = PAPER_PCM,
-        calibration: float = PAPER_IDEAL_CALIBRATION,
-    ) -> float:
-        """Full-scale lifetime in years at a bandwidth in bytes/second."""
-        ideal = ideal_lifetime_seconds(bandwidth_bytes, pcm=pcm, calibration=calibration)
-        return self.lifetime_fraction * ideal / SECONDS_PER_YEAR
-
 
 def run_to_failure(
     scheme: WearLeveler,

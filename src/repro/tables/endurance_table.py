@@ -59,9 +59,5 @@ class EnduranceTable:
         """Copy of all entries."""
         return self._values.copy()
 
-    def sorted_by_endurance(self) -> np.ndarray:
-        """Physical pages ordered weakest-first (for strong-weak pairing)."""
-        return np.argsort(self._values, kind="stable")
-
     def __len__(self) -> int:
         return self.n_pages

@@ -10,22 +10,21 @@ The canonical workload source in this repo is the *streaming* protocol
 a ``Trace`` is its thin fully-materialized adapter, appropriate for
 small synthetic workloads and tests where holding both arrays in RAM is
 fine.  :meth:`Trace.stream` wraps a trace as a chunked stream;
-:meth:`Trace.from_stream` gathers a (finite or capped) stream back into
-a trace.
+``TraceStream.materialize`` gathers a (finite or capped) stream back
+into a trace.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
 from ..errors import TraceError
-from ..units import mbps_to_bytes_per_second
 from .request import MemoryRequest, OP_READ, OP_WRITE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from .stream import MaterializedStream, TraceStream
+    from .stream import MaterializedStream
 
 
 class Trace:
@@ -61,17 +60,6 @@ class Trace:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @classmethod
-    def from_requests(
-        cls,
-        requests: List[MemoryRequest],
-        name: str = "trace",
-        write_bandwidth_mbps: Optional[float] = None,
-    ) -> "Trace":
-        """Build a trace from request objects."""
-        ops = np.array([r.op for r in requests], dtype=np.uint8)
-        pages = np.array([r.logical_page for r in requests], dtype=np.int64)
-        return cls(ops, pages, name=name, write_bandwidth_mbps=write_bandwidth_mbps)
 
     @classmethod
     def writes_only(
@@ -84,13 +72,6 @@ class Trace:
         pages_array = np.asarray(pages, dtype=np.int64)
         ops = np.full(pages_array.size, OP_WRITE, dtype=np.uint8)
         return cls(ops, pages_array, name=name, write_bandwidth_mbps=write_bandwidth_mbps)
-
-    @classmethod
-    def from_stream(
-        cls, stream: "TraceStream", max_requests: Optional[int] = None
-    ) -> "Trace":
-        """Materialize a stream (rewound; capped at ``max_requests``)."""
-        return stream.materialize(max_requests=max_requests)
 
     def stream(self, chunk_size: Optional[int] = None) -> "MaterializedStream":
         """This trace as a chunked :class:`TraceStream` (zero-copy views)."""
@@ -123,30 +104,9 @@ class Trace:
         """Number of distinct pages the trace touches."""
         return int(np.unique(self.pages).size)
 
-    @property
-    def max_page(self) -> int:
-        """Highest page address referenced."""
-        return int(self.pages.max())
-
-    @property
-    def write_bandwidth_bytes(self) -> Optional[float]:
-        """Write bandwidth in bytes/second, if the trace declares one."""
-        if self.write_bandwidth_mbps is None:
-            return None
-        return mbps_to_bytes_per_second(self.write_bandwidth_mbps)
-
     def write_pages(self) -> np.ndarray:
         """Page addresses of the write requests, in order."""
         return self.pages[self.ops == OP_WRITE]
-
-    def write_histogram(self, n_pages: int) -> np.ndarray:
-        """Per-page write counts over ``[0, n_pages)``."""
-        writes = self.write_pages()
-        if writes.size and int(writes.max()) >= n_pages:
-            raise TraceError(
-                f"trace touches page {int(writes.max())} >= n_pages {n_pages}"
-            )
-        return np.bincount(writes, minlength=n_pages)
 
     def requests(self) -> Iterator[MemoryRequest]:
         """Iterate requests as objects (convenience; slow path)."""

@@ -29,16 +29,6 @@ def mbps_to_bytes_per_second(mbps: float) -> float:
     return mbps * MB
 
 
-def years_to_seconds(years: float) -> float:
-    """Convert years to seconds (Julian year of 365.25 days)."""
-    return years * SECONDS_PER_YEAR
-
-
-def seconds_to_years(seconds: float) -> float:
-    """Convert seconds to years (Julian year of 365.25 days)."""
-    return seconds / SECONDS_PER_YEAR
-
-
 def format_duration(seconds: float) -> str:
     """Human-readable duration, scaled to the most natural unit.
 

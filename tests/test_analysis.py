@@ -106,13 +106,6 @@ class TestResultTable:
         with pytest.raises(ValueError):
             table.column("b")
 
-    def test_csv(self):
-        table = ResultTable(["a", "b"])
-        table.add_row(a=1, b="x")
-        csv = table.to_csv()
-        assert csv.splitlines()[0] == "a,b"
-        assert "x" in csv
-
 
 class TestExtrapolation:
     def test_fraction_to_years(self):

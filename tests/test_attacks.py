@@ -125,10 +125,6 @@ class TestInconsistent:
         attack.observe_response(10_000.0)
         assert attack.period_estimate > 64
 
-    def test_victim_share_positive(self):
-        attack = InconsistentWriteAttack(256, n_targets=16)
-        assert 0 < attack.victim_share() < 1
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             InconsistentWriteAttack(16, n_targets=17)

@@ -76,8 +76,8 @@ class TestCountingBloom:
         bloom = CountingBloomFilter(1024, 3, seed=1)
         for _ in range(4):
             bloom.insert(7)
-        assert bloom.contains(7, threshold=4)
-        assert not bloom.contains(12345, threshold=4)
+        assert bloom.estimate(7) >= 4
+        assert bloom.estimate(12345) < 4
 
     def test_clear(self):
         bloom = CountingBloomFilter(256, 2, seed=1)
@@ -92,22 +92,9 @@ class TestCountingBloom:
             bloom.insert(5)
         assert bloom.estimate(5) == 3
 
-    def test_load_factor(self):
-        bloom = CountingBloomFilter(256, 2, seed=1)
-        assert bloom.load_factor() == 0.0
-        bloom.insert(1)
-        assert bloom.load_factor() > 0.0
-
-    def test_storage_bits(self):
-        assert CountingBloomFilter(1024, 3, counter_bits=8).storage_bits == 8192
-
     def test_rejects_bad_counter_width(self):
         with pytest.raises(ConfigError):
             CountingBloomFilter(256, 2, counter_bits=0)
-
-    def test_contains_rejects_bad_threshold(self):
-        with pytest.raises(ValueError):
-            CountingBloomFilter(256, 2).contains(1, threshold=0)
 
     @given(st.lists(st.integers(0, 100), min_size=1, max_size=300))
     @settings(max_examples=50, deadline=None)

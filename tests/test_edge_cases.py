@@ -37,7 +37,7 @@ class TestTraceEdges:
             np.array([OP_READ, OP_READ], dtype=np.uint8),
             np.array([1, 2], dtype=np.int64),
         )
-        histogram = trace.write_histogram(4)
+        histogram = np.bincount(trace.write_pages(), minlength=4)
         assert histogram.sum() == 0
 
     def test_write_fraction_zero(self):
@@ -73,15 +73,6 @@ class TestArrayEdges:
 
 
 class TestConfigEdges:
-    def test_scaled_config_carries_sigma(self):
-        from repro.config import ScaledArrayConfig
-
-        scaled = ScaledArrayConfig(
-            n_pages=64, endurance_mean=100.0, endurance_sigma_fraction=0.2
-        )
-        pcm = scaled.to_pcm_config()
-        assert pcm.endurance_sigma_fraction == 0.2
-
     def test_timing_read_write_distinct(self):
         from repro.config import TimingConfig
 

@@ -71,9 +71,6 @@ class TestDrive:
         write_cycles = float(engine.timing.write_cycles)
         expected = write_cycles * engine.scheme.array.total_writes
         assert engine.simulated_cycles == pytest.approx(expected)
-        assert engine.simulated_seconds() == pytest.approx(
-            engine.timing.cycles_to_seconds(expected)
-        )
 
 
 class TestRun:
@@ -143,16 +140,9 @@ class TestObservers:
                          observers=(recorder,))
         engine.drive(100)
         snapshot = recorder.snapshots[-1]
-        assert snapshot.wear_counts().sum() == snapshot.device_writes
+        assert snapshot.scheme.array.write_counts().sum() == snapshot.device_writes
         assert snapshot.wear_fraction().max() <= 1.0
-        assert "demand_writes" in snapshot.scheme_stats()
-
-    def test_add_observer_after_construction(self):
-        engine = _engine(endurance=10**6, batch_size=50)
-        recorder = _Recorder()
-        engine.add_observer(recorder)
-        engine.drive(100)
-        assert recorder.snapshots
+        assert "demand_writes" in snapshot.scheme.stats()
 
     def test_wear_timeline_observer_thins_samples(self):
         timeline = WearTimelineObserver(every=2)

@@ -50,13 +50,6 @@ class TestLineWearModel:
             pass
         assert model.failed
 
-    def test_margin_decreases(self, rng):
-        model = LineWearModel(1000, LineWearConfig(), rng)
-        first = model.weakest_line_margin()
-        for _ in range(100):
-            model.write_page()
-        assert model.weakest_line_margin() < first
-
     def test_rejects_bad_endurance(self, rng):
         with pytest.raises(ConfigError):
             LineWearModel(0, LineWearConfig(), rng)

@@ -1,6 +1,6 @@
 """Tests for the determinism lint pass and the runtime sanitizer.
 
-Covers ``repro.devtools.lint`` (rules TWL001–TWL010, pragma
+Covers ``repro.devtools.lint`` (rules TWL001–TWL011, pragma
 suppression and staleness auditing, the JSON report schema, the
 full-tree-clean invariant) and ``repro.devtools.sanitize`` (global-RNG
 booby traps armed inside engine stepping and cell runs, disarmed
@@ -31,7 +31,6 @@ from repro.devtools.lint import (
     lint_paths,
     lint_source,
     module_name_for,
-    run_lint,
     run_lint_report,
 )
 from repro.engine import BatchSnapshot, EngineObserver, SimulationEngine
@@ -241,10 +240,9 @@ class TestRuleTWL006ScalarHotLoop:
         import repro.core.twl as twl_module
         import repro.wearlevel.start_gap as sg_module
 
-        from repro.devtools.lint import lint_file
-
         for module in (twl_module, sg_module):
-            assert lint_file(module.__file__) == []
+            with open(module.__file__, encoding="utf-8") as handle:
+                assert lint_source(handle.read(), path=module.__file__) == []
 
 
 class TestRuleTWL007Materialization:
@@ -347,6 +345,7 @@ class TestInfrastructure:
             "TWL008",
             "TWL009",
             "TWL010",
+            "TWL011",
         }
 
 
@@ -412,6 +411,22 @@ CHILD_SCHEME = textwrap.dedent(
     class Rotating(Scheme):
         def write(self, logical):
             self.cursor = logical
+
+
+    scheme = Rotating()
+    scheme.write(0)
+    scheme.restore_state(scheme.snapshot_state())
+    """
+)
+
+DEAD_API = textwrap.dedent(
+    """
+    def used():
+        return 1
+
+
+    def unused():
+        return used() + unused()
     """
 )
 
@@ -484,9 +499,81 @@ class TestProjectPass:
         assert [f["rule"] for f in unsuppressed] == ["TWL008"]
 
 
+    def _api_lint(self, tmp_path, module=DEAD_API, init="", bench=None):
+        """TWL011 over a ``src/`` layout with an optional benchmark tree."""
+        package = tmp_path / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text(init)
+        (package / "mod.py").write_text(module)
+        if bench is not None:
+            (tmp_path / "benchmarks").mkdir()
+            (tmp_path / "benchmarks" / "bench.py").write_text(bench)
+        return lint_paths([str(package)])
+
+    def test_twl011_dead_function_flagged_at_its_def_line(self, tmp_path):
+        (violation,) = self._api_lint(tmp_path)
+        assert (violation.rule, violation.line) == ("TWL011", 6)
+        assert violation.path.endswith("mod.py")
+        assert "public function 'unused'" in violation.message
+
+    def test_twl011_dead_property_reported_once_at_its_getter(self, tmp_path):
+        module = (
+            "class Box:\n    @property\n    def size(self):\n        return 1\n\n"
+            "    @size.setter\n    def size(self, value):\n        pass\n"
+        )
+        out = self._api_lint(tmp_path, module)
+        assert [(v.line, v.message.split(" has")[0]) for v in out] == [
+            (3, "public property 'Box.size'")
+        ]
+
+    def test_twl011_benchmark_caller_clears_it(self, tmp_path):
+        bench = "from pkg.mod import unused\n\nunused()\n"
+        assert self._api_lint(tmp_path, bench=bench) == []
+
+    def test_twl011_getattr_string_clears_it(self, tmp_path):
+        module = DEAD_API + 'HOOK = getattr(object(), "unused", None)\n'
+        assert self._api_lint(tmp_path, module) == []
+
+    def test_twl011_import_or_module_all_alone_does_not_clear_it(self, tmp_path):
+        module = '__all__ = ["used", "unused"]\n' + DEAD_API
+        out = self._api_lint(tmp_path, module, bench="from pkg.mod import unused\n")
+        assert [(v.rule, v.line) for v in out] == [("TWL011", 7)]
+
+    def test_twl011_package_all_is_exempt_but_its_class_methods_are_not(self, tmp_path):
+        module = DEAD_API + "\n\nclass Api:\n    def dead(self):\n        pass\n"
+        init = 'from .mod import Api, unused\n\n__all__ = ["Api", "unused"]\n'
+        out = self._api_lint(tmp_path, module, init=init)
+        assert [v.message.split(" has")[0] for v in out] == ["public method 'Api.dead'"]
+
+    def test_twl011_visitors_dunders_and_entry_points_are_exempt(self, tmp_path):
+        module = (
+            "import ast\n\n\nclass Finder(ast.NodeVisitor):\n"
+            "    def __repr__(self):\n        return 'f'\n\n"
+            "    def visit_Name(self, node):\n        pass\n\n\n"
+            "def main():\n    Finder()\n"
+        )
+        (tmp_path / "pyproject.toml").write_text(
+            '[project.scripts]\npkg = "pkg.mod:main"\n\n[tool.other]\nx = 1\n'
+        )
+        assert self._api_lint(tmp_path, module) == []
+
+    def test_twl011_reasoned_pragma_suppresses(self, tmp_path):
+        module = DEAD_API.replace(
+            "def unused():", "def unused():  # twl: allow(TWL011) reason=test oracle"
+        )
+        assert self._api_lint(tmp_path, module) == []
+
+    def test_twl011_stale_pragma_is_twl010(self, tmp_path):
+        module = DEAD_API.replace(
+            "def used():", "def used():  # twl: allow(TWL011) reason=obsolete"
+        )
+        out = self._api_lint(tmp_path, module, bench="from pkg.mod import unused\nunused()\n")
+        assert [(v.rule, v.line) for v in out] == [("TWL010", 2)]
+
+
 class TestTreeClean:
     def test_full_source_tree_is_lint_clean(self):
-        violations = run_lint()
+        violations = run_lint_report().violations
         assert violations == [], "\n".join(v.format() for v in violations)
 
     def test_walker_finds_the_source_tree(self):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.config import PCMConfig
 from repro.errors import AddressError, ConfigError, PageWornOutError
 from repro.pcm.array import PCMArray
 
@@ -17,21 +16,6 @@ class TestConstruction:
     def test_uniform(self):
         array = PCMArray.uniform(4, 500)
         assert (array.endurance == 500).all()
-
-    def test_from_config(self, rng):
-        config = PCMConfig(
-            capacity_bytes=256 * 4096, endurance_mean=1000, endurance_sigma_fraction=0.1
-        )
-        array = PCMArray.from_config(config, rng)
-        assert array.n_pages == 256
-        assert (array.endurance > 0).all()
-
-    def test_from_config_tail_faithful(self, rng):
-        config = PCMConfig(
-            capacity_bytes=256 * 4096, endurance_mean=1000, endurance_sigma_fraction=0.1
-        )
-        array = PCMArray.from_config(config, rng, tail_faithful_reference=1 << 23)
-        assert array.endurance.min() < 700
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigError):
@@ -79,26 +63,6 @@ class TestScalarWrites:
             tiny_array.page_writes(-1)
 
 
-class TestWriteMany:
-    def test_bulk_counts(self, tiny_array):
-        tiny_array.write_many(2, 50)
-        assert tiny_array.page_writes(2) == 50
-
-    def test_failure_attribution_mid_burst(self, tiny_array):
-        tiny_array.write_many(0, 250)  # endurance 100
-        failure = tiny_array.first_failure
-        assert failure.physical_page == 0
-        assert failure.device_writes == 100
-
-    def test_zero_count_noop(self, tiny_array):
-        tiny_array.write_many(0, 0)
-        assert tiny_array.total_writes == 0
-
-    def test_rejects_negative(self, tiny_array):
-        with pytest.raises(ValueError):
-            tiny_array.write_many(0, -1)
-
-
 class TestBulkApply:
     def test_apply_counts(self, uniform_array):
         counts = np.full(16, 10, dtype=np.int64)
@@ -133,31 +97,18 @@ class TestBulkApply:
 
 class TestInspection:
     def test_remaining(self, tiny_array):
-        tiny_array.write_many(0, 40)
+        tiny_array.apply_batch([0] * 40)
         remaining = tiny_array.remaining()
         assert remaining[0] == 60
         assert remaining[7] == 800
 
     def test_wear_fraction(self, tiny_array):
-        tiny_array.write_many(1, 100)
+        tiny_array.apply_batch([1] * 100)
         assert tiny_array.wear_fraction()[1] == pytest.approx(0.5)
 
     def test_utilization(self, tiny_array):
-        tiny_array.write_many(7, 360)  # total endurance = 3600
+        tiny_array.apply_batch([7] * 360)  # total endurance = 3600
         assert tiny_array.utilization() == pytest.approx(0.1)
-
-    def test_weakest_pages(self, tiny_array):
-        weakest = tiny_array.weakest_pages(3)
-        assert list(weakest) == [0, 1, 2]
-
-    def test_weakest_pages_bounds(self, tiny_array):
-        with pytest.raises(ValueError):
-            tiny_array.weakest_pages(0)
-        with pytest.raises(ValueError):
-            tiny_array.weakest_pages(9)
-
-    def test_endurance_capacity(self, tiny_array):
-        assert tiny_array.endurance_capacity() == 3600
 
     def test_repr(self, tiny_array):
         assert "PCMArray" in repr(tiny_array)
@@ -242,13 +193,13 @@ class TestCanonicalState:
 
     def test_mixed_scalar_and_bulk_paths(self, tiny_array):
         tiny_array.write(0)
-        tiny_array.write_many(1, 10)
+        tiny_array.apply_batch([1] * 10)
         tiny_array.apply_write_counts(
             np.array([1, 0, 2, 0, 0, 0, 0, 0], dtype=np.int64)
         )
         tiny_array.write(2)
         tiny_array.apply_batch([3, 3, 4])
-        tiny_array.write_many(5, 4)
+        tiny_array.apply_batch([5] * 4)
         counts = tiny_array.write_counts()
         assert list(counts) == [2, 10, 3, 2, 1, 4, 0, 0]
         assert tiny_array.total_writes == 22

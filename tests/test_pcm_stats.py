@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.pcm.array import PCMArray
 from repro.pcm.dcw import DataComparisonWriteModel
-from repro.pcm.stats import WearStatistics, gini_coefficient
+from repro.pcm.stats import gini_coefficient
 
 
 class TestGini:
@@ -44,57 +43,7 @@ class TestGini:
         )
 
 
-class TestWearStatistics:
-    def test_from_array(self):
-        array = PCMArray.uniform(8, 100)
-        array.write_many(0, 50)
-        stats = WearStatistics.from_array(array)
-        assert stats.total_writes == 50
-        assert stats.max_wear_fraction == pytest.approx(0.5)
-        assert stats.utilization == pytest.approx(50 / 800)
-        assert stats.wear_gini > 0.8
-
-    def test_as_dict_keys(self):
-        array = PCMArray.uniform(4, 100)
-        stats = WearStatistics.from_array(array)
-        data = stats.as_dict()
-        assert set(data) == {
-            "total_writes",
-            "utilization",
-            "wear_gini",
-            "max_wear_fraction",
-            "mean_wear_fraction",
-            "p99_wear_fraction",
-        }
-
-
 class TestDCW:
-    def test_expected_bits(self):
-        model = DataComparisonWriteModel(flip_probability=0.25)
-        assert model.expected_bits_written(1000) == pytest.approx(250.0)
-
-    def test_energy_scale(self):
-        assert DataComparisonWriteModel(flip_probability=0.1).energy_scale() == 0.1
-
-    def test_latency_scale_monotone(self):
-        low = DataComparisonWriteModel(flip_probability=0.01).latency_scale()
-        high = DataComparisonWriteModel(flip_probability=0.5).latency_scale()
-        assert low < high <= 1.0
-
-    def test_latency_floor_without_sets(self):
-        model = DataComparisonWriteModel(flip_probability=0.0)
-        assert model.latency_scale() == pytest.approx(0.125)
-
-    def test_sample_bits(self, rng):
-        model = DataComparisonWriteModel(flip_probability=0.25)
-        samples = model.sample_bits_written(32768, rng, size=200)
-        assert samples.shape == (200,)
-        assert abs(samples.mean() - 8192) < 200
-
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             DataComparisonWriteModel(flip_probability=1.5)
-
-    def test_rejects_negative_bits(self):
-        with pytest.raises(ValueError):
-            DataComparisonWriteModel().expected_bits_written(-1)

@@ -91,38 +91,6 @@ class TestFeistelRNG:
         with pytest.raises(ValueError):
             generator.next_below(257)
 
-    def test_iter_words(self):
-        generator = FeistelRNG(bits=8, seed=1)
-        assert len(list(generator.iter_words(10))) == 10
-
-    def test_take_words_matches_next_word(self):
-        serial = FeistelRNG(bits=8, seed=5)
-        batched = FeistelRNG(bits=8, seed=5)
-        expected = [serial.next_word() for _ in range(40)]
-        assert batched.take_words(40).tolist() == expected
-
-    def test_take_words_across_epoch_roll(self):
-        # 600 words spans two key rolls of the 256-word epoch; the
-        # batched gather must replicate them at the exact draw counts.
-        serial = FeistelRNG(bits=8, seed=5)
-        batched = FeistelRNG(bits=8, seed=5)
-        expected = [serial.next_word() for _ in range(600)]
-        got = []
-        for chunk in (100, 200, 300):
-            got.extend(batched.take_words(chunk).tolist())
-        assert got == expected
-        assert batched.next_word() == serial.next_word()
-
-    def test_take_words_zero_and_interleaved(self):
-        serial = FeistelRNG(bits=8, seed=2)
-        batched = FeistelRNG(bits=8, seed=2)
-        assert batched.take_words(0).size == 0
-        expected = [serial.next_word() for _ in range(7)]
-        got = batched.take_words(3).tolist()
-        got.append(batched.next_word())
-        got.extend(batched.take_words(3).tolist())
-        assert got == expected
-
     def test_mean_is_unbiased(self):
         generator = FeistelRNG(bits=8, seed=3)
         mean = sum(generator.next_unit() for _ in range(2560)) / 2560

@@ -56,10 +56,6 @@ class TestGaloisLFSR:
         lfsr = GaloisLFSR(width=17, seed=1, taps=0x12000)
         assert lfsr.step() >= 0
 
-    def test_iter_states(self):
-        lfsr = GaloisLFSR(width=8, seed=1)
-        assert len(list(lfsr.iter_states(10))) == 10
-
     def test_all_builtin_taps_are_maximal_small_widths(self):
         for width in (4, 5, 6, 7, 8, 9, 10):
             lfsr = GaloisLFSR(width=width, seed=1, taps=MAXIMAL_TAPS[width])

@@ -42,6 +42,6 @@ class TestGenerators:
 
     def test_factory_generators_independent(self):
         factory = SeedSequenceFactory(3)
-        a = factory.generator("one")
-        b = factory.generator("two")
+        a = make_generator(factory.seed("one"))
+        b = make_generator(factory.seed("two"))
         assert float(a.random()) != float(b.random())

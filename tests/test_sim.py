@@ -155,12 +155,6 @@ class TestLifetimeResultConversions:
         )
         assert result.overhead_ratio == pytest.approx(0.2)
 
-    def test_years_at_bytes(self):
-        result = self._result(1.0)
-        mbps = result.years(100.0)
-        direct = result.years_at_bytes_per_second(100e6)
-        assert mbps == pytest.approx(direct)
-
 
 class TestMetrics:
     def test_overheads_measured(self):

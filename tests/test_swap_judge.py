@@ -34,10 +34,6 @@ class TestSwapJudge:
         judge.judge(1, 2, 1)
         assert judge.direct == 1
         assert judge.swapped == 2
-        assert judge.swap_fraction() == 2 / 3
-
-    def test_fraction_zero_initially(self):
-        assert SwapJudge().swap_fraction() == 0.0
 
     def test_plan_is_frozen(self):
         plan = WritePlan(PLAN_DIRECT, (1,), remap_swapped=False)

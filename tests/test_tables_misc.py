@@ -25,10 +25,6 @@ class TestEnduranceTable:
         table = EnduranceTable([100_000_000], bits=27)
         assert table.saturated_entries == 0
 
-    def test_sorted_by_endurance(self):
-        table = EnduranceTable([30, 10, 20])
-        assert list(table.sorted_by_endurance()) == [1, 2, 0]
-
     def test_as_array_is_copy(self):
         table = EnduranceTable([5, 6])
         copy = table.as_array()

@@ -59,10 +59,6 @@ class TestTossUp:
             toss.choose_a(1, 1)
         assert toss.decisions == 10
         assert 0 <= toss.chose_a <= 10
-        assert toss.observed_a_fraction() == toss.chose_a / 10
-
-    def test_fraction_zero_before_decisions(self):
-        assert TossUp().observed_a_fraction() == 0.0
 
     def test_deterministic_given_seed(self):
         a = TossUp(seed=7)

@@ -23,7 +23,7 @@ class TestTraceIO:
         trace = Trace.writes_only([0])
         path = str(tmp_path / "nb.npz")
         save_trace(trace, path)
-        assert load_trace(path).write_bandwidth_bytes is None
+        assert load_trace(path).write_bandwidth_mbps is None
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceError):

@@ -43,29 +43,6 @@ class TestTrace:
         assert trace.write_fraction == 1.0
         assert trace.footprint_pages == 3
 
-    def test_from_requests(self):
-        requests = [MemoryRequest(OP_WRITE, 1), MemoryRequest(OP_READ, 2)]
-        trace = Trace.from_requests(requests)
-        assert trace.n_writes == 1
-        assert list(trace.write_pages()) == [1]
-
-    def test_histogram(self):
-        trace = Trace.writes_only([0, 0, 3])
-        histogram = trace.write_histogram(4)
-        assert list(histogram) == [2, 0, 0, 1]
-
-    def test_histogram_rejects_small_space(self):
-        trace = Trace.writes_only([0, 5])
-        with pytest.raises(TraceError):
-            trace.write_histogram(4)
-
-    def test_bandwidth_conversion(self):
-        trace = Trace.writes_only([0], write_bandwidth_mbps=100.0)
-        assert trace.write_bandwidth_bytes == 100e6
-
-    def test_bandwidth_none(self):
-        assert Trace.writes_only([0]).write_bandwidth_bytes is None
-
     def test_requests_iterator(self):
         trace = Trace.writes_only([4, 5])
         requests = list(trace.requests())
@@ -119,11 +96,11 @@ class TestGenerators:
     def test_zipf_trace_shape(self, rng):
         trace = make_zipf_trace(64, 5000, 0.8, rng)
         assert trace.n_writes == 5000
-        assert trace.max_page < 64
+        assert trace.pages.max() < 64
 
     def test_zipf_trace_concentration(self, rng):
         trace = make_zipf_trace(64, 60_000, 0.9, rng)
-        histogram = trace.write_histogram(64)
+        histogram = np.bincount(trace.write_pages(), minlength=64)
         expected = concentration_of_alpha(64, 0.9) / 64
         assert histogram.max() / trace.n_writes == pytest.approx(expected, rel=0.15)
 
@@ -133,7 +110,7 @@ class TestGenerators:
 
     def test_uniform_trace(self, rng):
         trace = make_uniform_trace(32, 6400, rng)
-        histogram = trace.write_histogram(32)
+        histogram = np.bincount(trace.write_pages(), minlength=32)
         assert histogram.min() > 100
 
     def test_sequential_trace(self):

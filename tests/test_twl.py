@@ -113,7 +113,7 @@ class TestEnduranceProportionality:
     def test_remaining_endurance_mode(self):
         array, scheme = _make([2000, 2000], use_remaining_endurance=True)
         # Pre-wear frame 0 heavily through direct array writes.
-        array.write_many(0, 1500)
+        array.apply_batch([0] * 1500)
         for _ in range(500):
             scheme.write(0)
         wear = array.write_counts()
