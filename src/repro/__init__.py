@@ -40,7 +40,7 @@ from .errors import (
     SimulationError,
     CellExecutionError,
 )
-from .pcm import PCMArray, FirstFailure, WearStatistics
+from .pcm import PCMArray, FirstFailure
 from .core import TossUpWearLeveling
 from .wearlevel import (
     WearLeveler,
@@ -128,7 +128,6 @@ __all__ = [
     # device
     "PCMArray",
     "FirstFailure",
-    "WearStatistics",
     # schemes
     "TossUpWearLeveling",
     "WearLeveler",

@@ -61,16 +61,28 @@ def _group(values: np.ndarray):
 
 
 class _SpanLog:  # twl: allow(TWL008) reason=transient record of one span walk; never outlives the write_batch call that made it, nothing to resume
-    """A span walk's gathered frames, event tallies and undo log.
+    """A span walk's planned writes, event tallies and undo log.
 
     Both walks of :meth:`TossUpWearLeveling.write_batch` decide a span's
     events in request order (:meth:`TossUpWearLeveling._span_boundary`,
     :meth:`TossUpWearLeveling._span_toss`), changing the RT, the SWPT
     and both RNG registers as they go.  Every change of the RT first
-    gathers the physical frames of the span's requests since the
-    previous one; migration writes are kept apart.
-    :meth:`TossUpWearLeveling._commit_span` applies them, or undoes the
-    log.
+    gathers the frames of the span's demand writes since the previous
+    one (:meth:`gather`); migration writes are logged beside them
+    (:meth:`migrate`).  :meth:`TossUpWearLeveling._commit_span` applies
+    them all or nothing, or undoes the log.  The planned writes take one
+    of two forms:
+
+    * the event walk's: numpy slices of the span's frames (``pieces``)
+      and a list of migration frames, for one ``apply_batch``;
+    * the short walk's (``tally`` set): a ``{frame: writes}`` dict for
+      one sparse ``apply_write_counts``.  The walk counts each request's
+      demand write in ``since`` (page -> demand writes since the last
+      RT change) once the request's events are decided, so ``since``
+      holds exactly the requests before the current one, and a gather
+      folds it into ``tally`` through the RT of that moment.  The
+      toss-up of ``use_remaining_endurance`` reads a frame's pending
+      wear from ``tally`` after a gather.
 
     The undo log: a repeated ``swap_logical`` restores the forward RT
     exactly (and the inverse wherever the RT is consistent, which only
@@ -83,6 +95,7 @@ class _SpanLog:  # twl: allow(TWL008) reason=transient record of one span walk; 
     def __init__(
         self,
         span,
+        tally,
         *,
         mapping,
         partners,
@@ -92,9 +105,9 @@ class _SpanLog:  # twl: allow(TWL008) reason=transient record of one span walk; 
         swap_logical,
         victim_state,
         toss_state,
-        pending,
     ):
         self.span = span
+        self.tally = tally
         # The live RT and SWPT, the ET, the toss-up's word source and
         # width, and the RT's swap.
         self.mapping = mapping
@@ -105,10 +118,7 @@ class _SpanLog:  # twl: allow(TWL008) reason=transient record of one span walk; 
         self.swap_logical = swap_logical
         self.victim_state = victim_state
         self.toss_state = toss_state
-        #: With ``use_remaining_endurance``: the span's writes so far per
-        #: frame, which the toss-up subtracts as the per-write loop's
-        #: array would have counted them (None otherwise).
-        self.pending = pending
+        self.since = {}
         self.start = 0  # first request whose frame is not gathered yet
         self.pieces = []
         self.migrations = []
@@ -117,19 +127,29 @@ class _SpanLog:  # twl: allow(TWL008) reason=transient record of one span walk; 
         self.activations = self.swaps = self.boundaries = 0
 
     def gather(self, pos: int) -> None:
-        """Gather the frames of the requests before ``pos``."""
-        piece = self.mapping[self.span[self.start : pos]]
-        self.pieces.append(piece)
-        self.start = pos
-        if self.pending is not None:
-            np.add.at(self.pending, piece, 1)
+        """Gather the frames of the requests before ``pos`` (with a
+        tally, ``since`` holds exactly those requests)."""
+        tally = self.tally
+        if tally is None:
+            self.pieces.append(self.mapping[self.span[self.start : pos]])
+            self.start = pos
+            return
+        since = self.since
+        if since:
+            mapping = self.mapping
+            for page, writes in since.items():
+                frame = int(mapping[page])
+                tally[frame] = tally.get(frame, 0) + writes
+            since.clear()
 
     def migrate(self, *frames: int) -> None:
         """Record one migration write to each of ``frames``."""
-        self.migrations.extend(frames)
-        if self.pending is not None:
-            for frame in frames:
-                self.pending[frame] += 1
+        tally = self.tally
+        if tally is None:
+            self.migrations.extend(frames)
+            return
+        for frame in frames:
+            tally[frame] = tally.get(frame, 0) + 1
 
 
 class TossUpWearLeveling(WearLeveler):
@@ -205,9 +225,9 @@ class TossUpWearLeveling(WearLeveler):
         (one in ``inter_pair_swap_interval`` demand writes).  A batch is
         cut into spans; each span's events are decided in request order
         by one of two walks, and its writes are committed guard-then-
-        commit (:meth:`_commit_span`): one :meth:`PCMArray.apply_batch`
-        that applies the span only if no frame reaches its endurance in
-        it, or else leaves the array untouched while the walk is undone.
+        commit (:meth:`_commit_span`): one all-or-nothing apply that
+        commits the span only if no frame reaches its endurance in it,
+        or else leaves the array untouched while the walk is undone.
         Each write is served by one of three tiers:
 
         * **event walk** (:meth:`_serve_span`) — a span without a stop
@@ -215,22 +235,24 @@ class TossUpWearLeveling(WearLeveler):
           after ``j`` of its writes is ``(start + j) % interval``, so the
           toss-up triggers follow from one modular comparison against
           the counter array, the inter-pair boundaries are arithmetic in
-          the global demand count, and a Python step is paid per event,
-          not per write;
+          the global demand count, a Python step is paid per event, not
+          per write, and one :meth:`PCMArray.apply_batch` commits;
         * **short walk** (:meth:`_walk_span`) — a span whose stop is at
-          most 4 (so it ends by the next boundary), and every span under
-          ``use_remaining_endurance``: one Python step per request, only
-          as far as the stop, with no planning pass over the span; its
-          toss-ups can read the endurance left after the span's pending
-          writes;
-        * **per-write** — the inherited loop of :meth:`write` serves the
-          rest of a batch whose span the guard rejected (the batch that
-          wears a page out, once per run), and the rest of a batch that
-          reaches the event walk with a corrupted counter: the modular
+          most 4 (so it ends by the next boundary; a stop of 1 ends it
+          at its first request), every span under
+          ``use_remaining_endurance``, and a span that starts with a
+          corrupted counter, walked to the next boundary: the modular
           prediction assumes every counter is below the interval, which
           :meth:`WriteCounterTable.record_write` maintains by
-          construction and an injected fault can break (the short walk
-          follows ``record_write``'s wrap and serves such a counter).
+          construction and an injected fault can break, while the short
+          walk follows ``record_write``'s wrap.  One Python step per
+          request, only as far as the stop, with no planning pass; it
+          tallies its writes per frame in dicts, and one sparse
+          :meth:`PCMArray.apply_write_counts` commits; its toss-ups can
+          read the endurance left after the span's pending writes;
+        * **per-write** — the inherited loop of :meth:`write` serves
+          only the rest of a batch whose span the guard rejected (the
+          batch that wears a page out, once per run).
 
         With ``stop_at``, the batch ends after the first request that
         performs that many physical writes: only a toss-up swap (two
@@ -239,15 +261,13 @@ class TossUpWearLeveling(WearLeveler):
         ``stop_at`` <= 4 a span reaches no further than the next
         boundary.
         """
-        if stop_at is not None and stop_at <= 1:
-            # The stop falls on the first request (each performs at
-            # least one write).
-            return WearLeveler.write_batch(self, addresses, stop_at)
         seq = np.asarray(addresses, dtype=np.int64)
         if self.array.failed:
             return np.zeros(0, dtype=np.int64)
         self.check_logical_batch(seq)
-        stop = stop_at or 0
+        # Each request performs at least one write, so any stop below 2
+        # falls on the first request.
+        stop = max(stop_at, 1) if stop_at else 0
         # A boundary performs three or four writes, so a span with a stop
         # of at most 4 seldom outlives the next one: it is walked no
         # further than that boundary, and only as far as the stop.
@@ -259,21 +279,23 @@ class TossUpWearLeveling(WearLeveler):
         position = 0
         while position < seq.size:
             end = seq.size
-            if short:
+            # A corrupted counter breaks the event walk's trigger
+            # prediction.  Only an external poke, impossible mid-span,
+            # can put a counter there.
+            corrupted = not (short or remaining) and (
+                int(counters.values_array().max()) >= counters.interval
+            )
+            if short or corrupted:
                 end = min(end, position + interval - self._interpair_counter)
-            if short or remaining:
+            if stop == 1:
+                end = position + 1
+            if short or remaining or corrupted:
                 served = self._walk_span(seq[position:end], out, position, stop)
-            elif int(counters.values_array().max()) >= counters.interval:
-                # A corrupted counter breaks the event walk's trigger
-                # prediction.  Only an external poke, impossible
-                # mid-span, can put a counter there.
-                served = 0
             else:
                 served = self._serve_span(seq[position:end], out, position, stop)
             if not served:
-                # A frame would wear out inside the span, or a counter
-                # is corrupted: the per-write loop serves the rest and
-                # stops at the failing write.
+                # A frame would wear out inside the span: the per-write
+                # loop serves the rest and stops at the failing write.
                 rest = WearLeveler.write_batch(self, seq[position:], stop_at)
                 out[position : position + rest.size] = rest
                 return out[: position + rest.size]
@@ -294,36 +316,48 @@ class TossUpWearLeveling(WearLeveler):
         ``toss_on_relocation``, re-phases both pages as
         :meth:`WriteCounterTable.force_trigger_next` does), then the
         page's counter is bumped with :meth:`WriteCounterTable.record_write`'s
-        wrap, and a trigger runs the toss-up.  Counters are kept in a
-        local table and written back only after the commit; the events
-        themselves and the commit are shared with :meth:`_serve_span`
+        wrap, and a trigger runs the toss-up.  The events themselves and
+        the commit are shared with :meth:`_serve_span`
         (:meth:`_span_boundary`, :meth:`_span_toss`,
-        :meth:`_commit_span`).  Returns the requests served, or 0 when
-        the guard rejected the span, which is then undone.
+        :meth:`_commit_span`); the accounting is in dicts, not numpy
+        slices: each request's demand write is counted per page until
+        the next RT change folds it into the span's ``{frame: writes}``
+        tally (:class:`_SpanLog`), and counters are kept per page and
+        written back with :meth:`WriteCounterTable.assign` only after the
+        commit.  Returns the requests served, or 0 when the guard
+        rejected the span, which is then undone.
         """
-        log = self._open_span(span)
-        toss_interval = self.write_counters.interval
+        log = self._open_span(span, {})
+        since = log.since
+        counters_table = self.write_counters
+        toss_interval = counters_table.interval
         swap_interval = self.config.inter_pair_swap_interval
         relocate = self.config.toss_on_relocation
-        start_counters = self.write_counters.values_array()
-        first = start_counters[span].tolist()
+        first = counters_table.values_array()[span].tolist()
         counters = {}  # page -> its counter after the walk's writes
         boundary = self._interpair_counter
         cut = span.size
-        for pos, page in enumerate(span.tolist()):  # twl: allow(TWL006) reason=short walk: spans with a stop of at most 4, which end by the next boundary, and use_remaining_endurance, whose toss-ups read the wear of the moment
-            count = 1
+        for pos, page in enumerate(span.tolist()):  # twl: allow(TWL006) reason=short walk: spans with a stop of at most 4 or a corrupted counter, which end by the next boundary, and use_remaining_endurance, whose toss-ups read the wear of the moment
             boundary += 1
+            value = counters.get(page, first[pos]) + 1
+            if boundary < swap_interval and value < toss_interval:
+                # No event: one direct write.
+                counters[page] = value
+                since[page] = since.get(page, 0) + 1
+                continue
+            count = 1
             if boundary >= swap_interval:
                 boundary = 0
                 victim = self._span_boundary(log, page, pos)
                 count = 3
                 if relocate:
-                    counters[page] = counters[victim] = toss_interval - 1
-            value = counters.get(page, first[pos]) + 1
+                    counters[victim] = toss_interval - 1
+                    value = toss_interval
             if value >= toss_interval:
                 value = 0
                 count += self._span_toss(log, page, pos)
             counters[page] = value
+            since[page] = since.get(page, 0) + 1
             if count > 1:
                 out[base + pos] = count
                 if stop and count >= stop:
@@ -331,10 +365,7 @@ class TossUpWearLeveling(WearLeveler):
                     break
         if not self._commit_span(log, cut):
             return 0
-        pages = np.fromiter(counters, dtype=np.int64, count=len(counters))
-        values = np.fromiter(counters.values(), dtype=np.int64, count=len(counters))
-        # Advancing by the difference sets each counter to its value.
-        self.write_counters.bulk_advance(pages, values - start_counters[pages])
+        counters_table.assign(counters)
         return cut
 
     def _serve_span(
@@ -392,7 +423,7 @@ class TossUpWearLeveling(WearLeveler):
             if relocate:
                 # (page, position) sorts the span by page, then request.
                 keyed = ordered * size + order
-        log = self._open_span(span)
+        log = self._open_span(span, None)
         boundary_event, toss_event = self._span_boundary, self._span_toss
         # Re-phased page -> (counter offset, its slice of ``ordered``).
         rephased = {}
@@ -466,22 +497,24 @@ class TossUpWearLeveling(WearLeveler):
             counters.bulk_advance(forced, shifts % toss_interval)
         return cut
 
-    def _open_span(self, span: np.ndarray) -> _SpanLog:
-        """A fresh log for a walk over ``span``, holding the undo state."""
-        pending = None
-        if self.config.use_remaining_endurance:
-            pending = np.zeros(self.array.n_pages, dtype=np.int64)
+    def _open_span(self, span: np.ndarray, tally: Optional[dict]) -> _SpanLog:
+        """A fresh log for a walk over ``span``, holding the undo state;
+        ``tally`` is the short walk's empty ``{frame: writes}`` dict, or
+        None for the event walk."""
+        rng = self.toss_up.rng
         return _SpanLog(
             span,
+            tally,
             mapping=self.remap.mapping_array(),
             partners=self.pair_table.partners_array(),
             endurance=self.endurance_table.values_array(),
-            next_word=self.toss_up.rng.next_word,
+            next_word=rng.next_word,
             rng_bits=self.toss_up.rng_bits,
             swap_logical=self.remap.swap_logical,
+            # The walk changes only the toss-up's RNG register; its
+            # decision counts are added at the commit.
             victim_state=self._victim_rng.state,
-            toss_state=self.toss_up.snapshot(),
-            pending=pending,
+            toss_state=rng.snapshot(),
         )
 
     def _span_boundary(self, log: _SpanLog, page: int, pos: int) -> int:
@@ -494,7 +527,7 @@ class TossUpWearLeveling(WearLeveler):
             victim = (victim + 1) % n
         mapping = log.mapping
         log.gather(pos)
-        log.migrate(mapping[page], mapping[victim])
+        log.migrate(int(mapping[page]), int(mapping[victim]))
         log.swap_logical(page, victim)
         log.swapped.append((page, victim))
         if self.config.maintain_physical_pairs:
@@ -510,31 +543,34 @@ class TossUpWearLeveling(WearLeveler):
 
         Reads both frames from the live RT and the partner from the live
         SWPT, and draws exactly one word as :meth:`TossUp.choose_a`
-        would.  A swap-then-write gives the event's own frame, gathered
-        here, the migration write and the partner's frame the demand
-        write.
+        would.  A swap-then-write gives the event's own frame the
+        migration write; the demand write lands on the partner's frame,
+        where the swapped RT sends the request when it is gathered.
+        With ``use_remaining_endurance`` (always the short walk), both
+        endurances drop by their frame's wear so far, the span's tallied
+        writes included.
         """
         mate = int(log.partners[page])
         if mate == page:
             return False  # self-paired: a direct write
         log.activations += 1
         mapping = log.mapping
-        frame = mapping[page]
-        partner_frame = mapping[mate]
+        frame = int(mapping[page])
+        partner_frame = int(mapping[mate])
         endurance = log.endurance
         own = int(endurance[frame])
         other = int(endurance[partner_frame])
-        pending = log.pending
-        if pending is not None:
+        if self.config.use_remaining_endurance:
             # _pair_endurance, with the span's writes not yet applied.
             log.gather(pos)
+            tally = log.tally
             writes = self.array.writes
-            own = max(1, own - int(writes[frame] + pending[frame]))
-            other = max(1, other - int(writes[partner_frame] + pending[partner_frame]))
+            own = max(1, own - int(writes[frame]) - tally.get(frame, 0))
+            other = max(1, other - int(writes[partner_frame]) - tally.get(partner_frame, 0))
         if log.next_word() < (own << log.rng_bits) // (own + other):
             return False  # chose its own frame: a direct write
-        log.gather(pos + 1)
-        log.migrate(partner_frame)
+        log.gather(pos)
+        log.migrate(frame)
         log.swap_logical(page, mate)
         log.swapped.append((page, mate))
         log.swaps += 1
@@ -543,24 +579,32 @@ class TossUpWearLeveling(WearLeveler):
     def _commit_span(self, log: _SpanLog, cut: int) -> bool:
         """Guard-then-commit the first ``cut`` requests of a walked span.
 
-        The planned frames are applied with ``all_or_nothing``, so one
-        bincount both decides the span and commits it.  When some frame
-        would reach its endurance, the walk is undone — the RT swaps
-        replayed in reverse, the SWPT and both RNG registers restored —
-        and False is returned, with the statistics untouched; the caller
-        writes the counters only after a commit.
+        The planned writes are applied all or nothing — the short walk's
+        tally by one sparse :meth:`PCMArray.apply_write_counts`, the
+        event walk's frames by one ``apply_batch(...,
+        all_or_nothing=True)`` — so one pass over the counts both decides
+        the span and commits it.  When some frame would reach its
+        endurance, the walk is undone — the RT swaps replayed in reverse,
+        the SWPT and both RNG registers restored — and False is returned,
+        with the statistics untouched; the caller writes the counters
+        only after a commit.
         """
         log.gather(cut)
-        pieces = log.pieces
-        if log.migrations:
-            pieces.append(np.array(log.migrations, dtype=np.int64))
-        if not self.array.apply_batch(np.concatenate(pieces), all_or_nothing=True):
+        array = self.array
+        if log.tally is not None:
+            applied = array.apply_write_counts(log.tally)
+        else:
+            pieces = log.pieces
+            if log.migrations:
+                pieces.append(np.array(log.migrations, dtype=np.int64))
+            applied = array.apply_batch(np.concatenate(pieces), all_or_nothing=True)
+        if not applied:
             for page, other in reversed(log.swapped):
                 log.swap_logical(page, other)
             if log.roles is not None:
                 self.pair_table.restore(log.roles)
             self._victim_rng.state = log.victim_state
-            self.toss_up.restore(log.toss_state)
+            self.toss_up.rng.restore(log.toss_state)
             return False
         activations, swaps, bounds = log.activations, log.swaps, log.boundaries
         self.toss_up_activations += activations

@@ -24,7 +24,7 @@ from .endurance import (
 from .array import PCMArray
 from .dcw import DataComparisonWriteModel
 from .faults import FirstFailure
-from .stats import WearStatistics, gini_coefficient
+from .stats import gini_coefficient
 from .lines import (
     LineWearConfig,
     LineWearModel,
@@ -41,7 +41,6 @@ __all__ = [
     "PCMArray",
     "DataComparisonWriteModel",
     "FirstFailure",
-    "WearStatistics",
     "gini_coefficient",
     "LineWearConfig",
     "LineWearModel",

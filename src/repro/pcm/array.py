@@ -25,13 +25,15 @@ Three write paths are provided:
   scalar scan only runs when some page can actually cross its endurance
   within the batch.  With ``all_or_nothing`` an unordered batch is
   applied only if no page can cross, and not at all otherwise;
-* :meth:`apply_write_counts` — unordered per-page counts (Start-Gap's
-  closed form), all or nothing like ``apply_batch(all_or_nothing=True)``.
+* :meth:`apply_write_counts` — a sparse ``{page: writes}`` tally (the
+  commit of TWL's short walk), all or nothing like
+  ``apply_batch(all_or_nothing=True)``, checked and applied entry by
+  entry.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -206,26 +208,37 @@ class PCMArray:
             )
         return int(applied.size)
 
-    def apply_write_counts(self, per_page_writes: np.ndarray) -> bool:
-        """Apply unordered per-page write counts, all or nothing.
+    def apply_write_counts(self, per_page_writes: Mapping[int, int]) -> bool:
+        """Apply a sparse ``{page: writes}`` tally, all or nothing.
 
-        ``per_page_writes`` must have one entry per page.  As with
-        ``apply_batch(..., all_or_nothing=True)``, before the first
-        failure counts that would bring some page to its endurance are
-        not applied at all: the caller must replay those writes in
-        order.  Returns whether the counts were applied.
+        The commit of TWL's short walk: a span of a few dozen writes
+        touches a handful of pages, so the tally is checked and applied
+        entry by entry rather than through full-array counts.  Every key
+        is range-checked and every count must be non-negative.  Before
+        the first failure, as with ``apply_batch(...,
+        all_or_nothing=True)``, a tally that would bring some page to its
+        endurance is not applied at all and False is returned: the
+        caller must replay those writes in order.  After the first
+        failure the writes just keep counting.  Returns whether the
+        tally was applied.
         """
-        counts = np.asarray(per_page_writes, dtype=np.int64)
-        if counts.shape != (self.n_pages,):
-            raise ConfigError(
-                f"expected shape ({self.n_pages},), got {counts.shape}"
-            )
-        if (counts < 0).any():
-            raise ConfigError("write counts must be non-negative")
-        if self._first_failure is None and (self.writes + counts >= self.endurance).any():
-            return False
-        self.writes += counts
-        self.total_writes += int(counts.sum())
+        n_pages = self.n_pages
+        total = 0
+        for page, count in per_page_writes.items():
+            if not 0 <= page < n_pages:
+                raise AddressError(f"physical page {page} out of range [0, {n_pages})")
+            if count < 0:
+                raise ConfigError(f"write count {count} of page {page} is negative")
+            total += count
+        writes = self.writes
+        if self._first_failure is None:
+            endurance = self.endurance
+            for page, count in per_page_writes.items():
+                if writes[page] + count >= endurance[page]:
+                    return False
+        for page, count in per_page_writes.items():
+            writes[page] += count
+        self.total_writes += total
         return True
 
     # ------------------------------------------------------------------

@@ -1,14 +1,11 @@
 """Wear-distribution statistics for a PCM array.
 
-These metrics quantify *how well* a scheme leveled wear, beyond the single
-lifetime number: the Gini coefficient of wear fractions (0 = perfectly
-even wear relative to endurance), utilization at failure, and summary
-percentiles.  They back the ablation benchmarks and several tests.
+The Gini coefficient of wear fractions quantifies *how well* a scheme
+leveled wear, beyond the single lifetime number (0 = perfectly even wear
+relative to endurance).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,14 +29,3 @@ def gini_coefficient(values: np.ndarray) -> float:
     index = np.arange(1, n + 1)
     return float((2 * (index * sorted_data).sum()) / (n * total) - (n + 1) / n)
 
-
-@dataclass(frozen=True)
-class WearStatistics:
-    """Snapshot of an array's wear distribution."""
-
-    total_writes: int
-    utilization: float
-    wear_gini: float
-    max_wear_fraction: float
-    mean_wear_fraction: float
-    p99_wear_fraction: float

@@ -7,11 +7,14 @@ reaches the toss-up interval, then clears it (interval-triggered toss-up,
 
 The canonical storage is a flat ``int64`` numpy array; the scalar
 accessors are thin views over it, and the batched write path updates
-a whole span of counters with one vectorized call
-(:meth:`WriteCounterTable.bulk_advance`).
+a whole span of counters with one call: the event walk's vectorized
+:meth:`WriteCounterTable.bulk_advance`, or the short walk's
+:meth:`WriteCounterTable.assign` of the few pages it wrote.
 """
 
 from __future__ import annotations
+
+from typing import Dict
 
 import numpy as np
 
@@ -81,11 +84,21 @@ class WriteCounterTable:
         The TWL span walks' counter update: ``steps`` holds a page's
         write count in the span, the shift of its trigger phase when an
         inter-pair swap re-phased it (:meth:`force_trigger_next`
-        mid-span), or the difference to the value the short walk
-        reached; all only matter modulo the interval.
+        mid-span); both only matter modulo the interval.
         """
         values = self._values
         values[pages] = (values[pages] + steps) % self.interval
+
+    def assign(self, values: Dict[int, int]) -> None:
+        """Set each page's counter to ``values[page]``.
+
+        The TWL short walk's counter update: it follows
+        :meth:`record_write` and :meth:`force_trigger_next` page by page
+        in a dict, and writes the values it reached back in one call.
+        """
+        stored = self._values
+        for page, value in values.items():
+            stored[page] = value
 
     def snapshot(self) -> dict:
         """The counter array, copied (mid-run persistence)."""

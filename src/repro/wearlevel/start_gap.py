@@ -103,7 +103,7 @@ class StartGap(WearLeveler):
         Device-write *order* inside the batch is observable only through
         first-failure attribution, so the array applies the batch's
         combined counts only if no page would reach its endurance under
-        them (:meth:`PCMArray.apply_write_counts` is all or nothing); if
+        them (``PCMArray.apply_batch(..., all_or_nothing=True)``); if
         one would, :meth:`_serve_segments` replays the serial
         interleaving instead, one segment per gap move (including the
         move a failing boundary write still performs).  The guard
@@ -148,10 +148,9 @@ class StartGap(WearLeveler):
         nonwrap = gap_at_move != 0
         move_frames = gap_at_move[nonwrap]
 
-        counts = np.bincount(physical, minlength=array.n_pages)
-        if move_frames.size:
-            counts += np.bincount(move_frames, minlength=array.n_pages)
-        if not array.apply_write_counts(counts):
+        if not array.apply_batch(
+            np.concatenate((physical, move_frames)), all_or_nothing=True
+        ):
             return self._serve_segments(seq, None)
         out = np.ones(m, dtype=np.int64)
         if total_moves:

@@ -64,35 +64,66 @@ class TestScalarWrites:
 
 
 class TestBulkApply:
+    """``apply_write_counts`` takes a sparse ``{page: writes}`` tally."""
+
     def test_apply_counts(self, uniform_array):
-        counts = np.full(16, 10, dtype=np.int64)
-        assert uniform_array.apply_write_counts(counts)
-        assert uniform_array.total_writes == 160
-        assert (uniform_array.write_counts() == 10).all()
+        assert uniform_array.apply_write_counts({0: 10, 5: 3, 15: 1})
+        assert uniform_array.total_writes == 14
+        counts = uniform_array.write_counts()
+        assert (counts[0], counts[5], counts[15]) == (10, 3, 1)
+        assert counts.sum() == 14
 
     def test_counts_reaching_endurance_are_refused(self):
         array = PCMArray(np.array([100, 1000]))
-        array.apply_write_counts(np.array([99, 0]))
-        # Page 0 would reach its endurance: nothing is applied, and the
-        # caller replays the writes in order.
-        assert not array.apply_write_counts(np.array([1, 5]))
+        assert array.apply_write_counts({0: 99})
+        # Page 0 would reach its endurance: nothing is applied, not even
+        # page 1's writes, and the caller replays the writes in order.
+        assert not array.apply_write_counts({1: 5, 0: 1})
         assert array.write_counts().tolist() == [99, 0]
         assert array.total_writes == 99
         assert not array.failed and array.first_failure is None
 
+    def test_rejected_tally_leaves_writes_and_total_untouched(self, tiny_array):
+        tiny_array.apply_batch([0, 1, 1, 7])
+        before = tiny_array.writes.copy()
+        assert not tiny_array.apply_write_counts({2: 4, 7: 799, 3: 1})
+        assert tiny_array.writes.tolist() == before.tolist()
+        assert tiny_array.total_writes == 4
+
+    def test_counting_goes_on_after_the_first_failure(self):
+        array = PCMArray(np.array([2, 1000]))
+        array.apply_batch([0, 0])
+        assert array.failed
+        failure = array.first_failure
+        # Past the first failure nothing is refused: writes just count.
+        assert array.apply_write_counts({0: 5, 1: 3})
+        assert array.write_counts().tolist() == [7, 3]
+        assert array.total_writes == 10
+        assert array.first_failure == failure
+
+    def test_empty_tally(self, uniform_array):
+        assert uniform_array.apply_write_counts({})
+        assert uniform_array.total_writes == 0
+        assert not uniform_array.write_counts().any()
+
     def test_mixed_scalar_then_bulk(self, uniform_array):
         uniform_array.write(0)
-        uniform_array.apply_write_counts(np.ones(16, dtype=np.int64))
+        uniform_array.apply_write_counts({page: 1 for page in range(16)})
         assert uniform_array.page_writes(0) == 2
         assert uniform_array.total_writes == 17
 
-    def test_rejects_wrong_shape(self, uniform_array):
-        with pytest.raises(ConfigError):
-            uniform_array.apply_write_counts(np.ones(4, dtype=np.int64))
+    @pytest.mark.parametrize("page", [-1, 16, 10**6])
+    def test_rejects_out_of_range_key(self, uniform_array, page):
+        with pytest.raises(AddressError):
+            uniform_array.apply_write_counts({0: 1, page: 1})
+        assert uniform_array.total_writes == 0
+        assert not uniform_array.write_counts().any()
 
     def test_rejects_negative_counts(self, uniform_array):
         with pytest.raises(ConfigError):
-            uniform_array.apply_write_counts(np.full(16, -1, dtype=np.int64))
+            uniform_array.apply_write_counts({3: 2, 4: -1})
+        assert uniform_array.total_writes == 0
+        assert not uniform_array.write_counts().any()
 
 
 class TestInspection:
@@ -194,9 +225,7 @@ class TestCanonicalState:
     def test_mixed_scalar_and_bulk_paths(self, tiny_array):
         tiny_array.write(0)
         tiny_array.apply_batch([1] * 10)
-        tiny_array.apply_write_counts(
-            np.array([1, 0, 2, 0, 0, 0, 0, 0], dtype=np.int64)
-        )
+        tiny_array.apply_write_counts({0: 1, 2: 2})
         tiny_array.write(2)
         tiny_array.apply_batch([3, 3, 4])
         tiny_array.apply_batch([5] * 4)

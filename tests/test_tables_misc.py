@@ -72,6 +72,14 @@ class TestWriteCounterTable:
         table.reset(0)
         assert table.value(0) == 0
 
+    def test_assign_sets_only_the_given_pages(self):
+        table = WriteCounterTable(4, interval=8)
+        table.record_write(1)
+        table.record_write(3)
+        table.assign({0: 5, 3: 7})
+        assert [table.value(page) for page in range(4)] == [5, 1, 0, 7]
+        assert table.record_write(3) is True
+
     def test_entry_bits(self):
         assert WriteCounterTable(1, bits=7, interval=32).entry_bits == 7
 

@@ -507,12 +507,15 @@ class TestGuardedSpan:
 
 
 class TestShortWalk:
-    """Spans with a stop of at most 4, and every span under
-    ``use_remaining_endurance``, are walked request by request only as
-    far as the stop; a higher stop takes the event walk.  The short walk
-    follows ``record_write``'s wrap, so it also serves a counter poked at
-    or above the interval, which sends the event walk's batch to the
-    per-write loop."""
+    """Spans with a stop of at most 4 (a stop of 1 ends at the first
+    request), and every span under ``use_remaining_endurance``, are
+    walked request by request only as far as the stop; a higher stop or
+    none takes the event walk.  The short walk follows ``record_write``'s
+    wrap, so it also serves a batch that starts with a counter poked at
+    or above the interval, up to the next boundary.  Its writes are
+    committed as one sparse ``apply_write_counts`` tally, and the
+    per-write loop serves only the rest of a batch whose commit the
+    guard rejected."""
 
     @given(
         config=st.builds(
@@ -523,14 +526,14 @@ class TestShortWalk:
             toss_on_relocation=st.booleans(),
             use_remaining_endurance=st.booleans(),
         ),
-        stop_at=st.sampled_from([2, 3, 4, 5]),
+        stop_at=st.sampled_from([None, 1, 2, 3, 4, 5]),
         chunk=st.sampled_from([37, 129, 300]),
         n_targets=st.integers(1, 6),
         poke=st.one_of(st.none(), st.tuples(st.integers(0, 5), st.integers(0, 3))),
         endurance=st.sampled_from([10**9, 400]),
         seed=st.integers(0, 2**16),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_matches_the_per_write_loop(
         self, config, stop_at, chunk, n_targets, poke, endurance, seed
     ):
@@ -557,8 +560,9 @@ class TestShortWalk:
 
     def test_adaptive_steps_are_one_walk_and_one_apply(self, monkeypatch):
         """At batch 4096, each stop-bounded step of an ``inconsistent``
-        run is one short walk and one ``apply_batch``: no planning pass
-        (``_group``) and no per-write ``write()``."""
+        run is one short walk and one sparse ``apply_write_counts``
+        commit: no planning pass (``_group``), no ``apply_batch`` and no
+        per-write ``write()``."""
         import repro.core.twl as twl_module
         from repro.attacks.registry import make_attack
         from repro.engine import SimulationEngine
@@ -571,6 +575,7 @@ class TestShortWalk:
             (twl_module, "_group"),
             (scheme, "_walk_span"),
             (scheme.array, "apply_batch"),
+            (scheme.array, "apply_write_counts"),
             (scheme, "write"),
         ):
             real = getattr(target, name)
@@ -595,5 +600,52 @@ class TestShortWalk:
         assert engine.drive(5000) == 5000
         stopped = [made for stop_at, made in steps if stop_at is not None]
         assert len(stopped) > 50 and len(stopped) == len(steps) - 1
-        assert all(made == ["_walk_span", "apply_batch"] for made in stopped)
+        assert all(made == ["_walk_span", "apply_write_counts"] for made in stopped)
         assert scheme.swap_judge.swapped > 0 and scheme.inter_pair_swaps > 0
+
+    @pytest.mark.parametrize("poke", [False, True])
+    @pytest.mark.parametrize("stop_at", [None, 1, 2, 5])
+    def test_per_write_runs_only_after_a_rejected_commit(self, monkeypatch, stop_at, poke):
+        """Stops of 1, corrupted counters and stopless spans all stay on
+        the walks: ``write()`` runs only in the batch that wears a page
+        out, after its span's commit was rejected."""
+        from repro.wearlevel.base import WearLeveler
+
+        def scheme():
+            endurance = np.random.default_rng(4).integers(1500, 4500, size=15)
+            return TossUpWearLeveling(PCMArray(endurance), config=TWLConfig(), seed=5)
+
+        batched, serial = scheme(), scheme()
+        events = []
+        real_commit, real_write = batched._commit_span, batched.write
+        monkeypatch.setattr(
+            batched,
+            "_commit_span",
+            lambda log, cut: events.append(real_commit(log, cut)) or events[-1],
+        )
+        monkeypatch.setattr(
+            batched, "write", lambda logical: events.append("write") or real_write(logical)
+        )
+        addresses = np.random.default_rng(11).integers(0, 15, size=400_000)
+        start = batches = pokes = 0
+        while not batched.array.failed:
+            if poke and batches % 50 == 7:
+                page = batches % 15
+                for built in (batched, serial):
+                    built.write_counters.poke(page, built.config.toss_up_interval + 3)
+                pokes += 1
+            events.clear()
+            chunk = addresses[start : start + 300]
+            counts = batched.write_batch(chunk, stop_at)
+            assert counts.tolist() == WearLeveler.write_batch(serial, chunk, stop_at).tolist()
+            start += counts.size
+            batches += 1
+            if not batched.array.failed:
+                assert "write" not in events and False not in events
+        # The failing batch: one rejected commit, then the per-write loop.
+        assert batches > 20 and (pokes >= 2 or not poke)
+        rejected = events.index(False)
+        assert "write" not in events[:rejected]
+        assert events[rejected + 1 :] == ["write"] * (len(events) - rejected - 1)
+        assert len(events) > rejected + 1
+        assert _full_state(batched) == _full_state(serial)
