@@ -90,7 +90,7 @@ quick-chaos:
 	REPRO_SANITIZE=1 \
 	PYTHONPATH=src python -m repro.cli stream --quick --jobs 2 \
 		--cache-dir "$$CACHE" --snapshot-every 20000 \
-		--resume "$$STATE/manifest.jsonl"
+		--resume "$$STATE/resume"
 
 # Smoke the campaign service end-to-end: a real `twl-repro serve`
 # process on a UNIX socket, the seeded chaos load generator (duplicate

@@ -11,7 +11,7 @@ the headline contract where it actually matters — against a real server
    duplicate resubmissions, malformed frames, oversized frames,
    mid-request disconnects, slow-loris writers) — and **SIGKILL the
    server in the middle of the campaign**;
-3. restart the server on the same state dir (stale journal owner locks
+3. restart the server on the same state dir (stale session owner locks
    from the dead process must be broken automatically) and run a
    second chaos campaign resubmitting the same cell grid;
 4. require the acceptance contract of ``docs/serving.md``:
@@ -21,7 +21,7 @@ the headline contract where it actually matters — against a real server
 5. drain the server with SIGTERM and require a clean exit.
 
 Everything the run touches (server logs, the state dir with its
-per-session journals and cache) lives under one artifacts directory
+per-session result directories and cache) lives under one artifacts directory
 whose path is printed on failure so CI can upload it.
 
 Usage::
@@ -170,9 +170,9 @@ async def run_gate(args: argparse.Namespace, artifacts: Path) -> int:
         reap_group(server)
 
     # ---- life 2: restart on the same state dir, resubmit everything --
-    # The dead server left its socket file and its journal owner locks
+    # The dead server left its socket file and its session owner locks
     # behind; the socket is ours to clear, the locks are the restarted
-    # server's job (stale-owner breaking in CheckpointJournal).
+    # server's job (stale-owner breaking in repro.exec.cache.OwnerLock).
     if os.path.exists(socket_path):
         os.unlink(socket_path)
     server = start_server(str(state_dir), socket_path, str(artifacts / "server2.log"))
@@ -193,7 +193,7 @@ async def run_gate(args: argparse.Namespace, artifacts: Path) -> int:
         check(bool(campaign2.completed), "second campaign completed work")
 
         # Responses that survived both lives must agree with each other
-        # (journal-resumed results equal pre-kill results) ...
+        # (session-resumed results equal pre-kill results) ...
         overlap = set(campaign1.completed) & set(campaign2.completed)
         disagreements = [
             fingerprint

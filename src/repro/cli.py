@@ -19,8 +19,8 @@ engine's batched write protocol (also bit-identical; see
 Long campaigns can be hardened (``docs/robustness.md``): ``--retries``
 re-runs failed cells, ``--cell-timeout`` bounds each cell's wall
 clock, ``--keep-going`` finishes the campaign past failures (a single
-summary error is raised at the end), and ``--resume PATH`` checkpoints
-progress to an append-only journal so a killed campaign restarted with
+summary error is raised at the end), and ``--resume DIR`` stores each
+finished cell in a result directory so a killed campaign restarted with
 the same flag skips every finished cell — all execution knobs, so the
 results stay bit-identical to a clean serial run.  ``--snapshot-every
 N`` goes sub-cell: the engine periodically writes a crash-consistent
@@ -292,10 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--resume",
         default=None,
-        metavar="MANIFEST",
+        metavar="DIR",
         help=(
-            "checkpoint journal (JSONL) to append campaign progress to; "
-            "cells already recorded there are skipped, so re-running a "
+            "result directory the campaign stores each finished cell in; "
+            "cells already stored there are skipped, so re-running a "
             "killed campaign with the same flag resumes it — works even "
             "with --no-cache"
         ),

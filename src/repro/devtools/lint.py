@@ -148,7 +148,6 @@ ORDERED_ITERATION_MODULES: FrozenSet[str] = frozenset(
     {
         "repro.exec.hashing",
         "repro.exec.cache",
-        "repro.exec.checkpoint",
     }
 )
 

@@ -16,11 +16,11 @@ covers header and payload, so truncation or corruption anywhere raises
 :class:`repro.errors.SnapshotError` instead of silently resuming from
 garbage.
 
-Writes are crash-consistent: the container is written to a
-``<path>.<pid>.tmp`` sibling, fsynced, then atomically renamed over the
-target (the same idiom as the result cache), so a reader only ever sees
-a complete snapshot or none at all — a ``SIGKILL`` mid-write leaves the
-previous snapshot intact.
+Writes are crash-consistent: :func:`atomic_write` (which the result
+cache shares) writes the container to a ``<path>.<pid>.….tmp`` sibling,
+fsyncs it, then atomically renames it over the target, so a reader only
+ever sees a complete snapshot or none at all — a ``SIGKILL`` mid-write
+leaves the previous snapshot intact.
 
 Derivable state (endurance tables, Feistel word tables, hash families,
 FTL layout permutations) is deliberately **not** serialized: restore
@@ -36,9 +36,11 @@ reads the clock itself (rule TWL002).
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import struct
+import threading
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -107,14 +109,49 @@ def _unpack(node: Any, arrays: List[np.ndarray]) -> Any:
 # ---------------------------------------------------------------------
 # Container I/O
 # ---------------------------------------------------------------------
+#: Process-wide counter making concurrent same-process temp names
+#: unique.  The pid alone is not enough: the campaign server writes
+#: cache entries from many threads of one process, and two threads
+#: writing the same path with a pid-only temp name would interleave
+#: writes into one file and rename garbage into place.
+_temp_counter = itertools.count()
+_temp_lock = threading.Lock()
+
+
+def atomic_write(path: str, *chunks: bytes) -> None:
+    """Durably replace ``path`` with the concatenated ``chunks``.
+
+    The bytes go to a unique ``<path>.<pid>.<thread>.<n>.tmp`` sibling,
+    are fsynced, and the sibling is renamed over ``path``: a reader
+    sees the old file or the complete new one, and after a crash the
+    new one is on disk once this returns.  On any failure the temp
+    file is removed.
+    """
+    with _temp_lock:
+        serial = next(_temp_counter)
+    temp_path = f"{path}.{os.getpid()}.{threading.get_ident()}.{serial}.tmp"
+    try:
+        with open(temp_path, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp_path, path)
+    except BaseException:
+        try:
+            os.unlink(temp_path)
+        except OSError:
+            pass
+        raise
+
+
 def write_snapshot(
     path: str, state: Dict[str, Any], meta: Optional[Dict[str, Any]] = None
 ) -> None:
     """Atomically write ``state`` (plus ``meta``) as a snapshot at ``path``.
 
-    The write goes through a pid-suffixed temp file and ``os.replace``;
-    on any failure the temp file is removed, so a crash mid-write can
-    never leave a partial container under the target name.
+    The write goes through :func:`atomic_write`, so a crash mid-write
+    can never leave a partial container under the target name.
     """
     arrays: List[np.ndarray] = []
     skeleton = _pack(state, arrays)
@@ -131,26 +168,13 @@ def write_snapshot(
         b"".join(array.tobytes() for array in arrays), level=1
     )
     crc = zlib.crc32(header_bytes + payload) & 0xFFFFFFFF
-    temp_path = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(temp_path, "wb") as handle:
-            handle.write(SNAPSHOT_MAGIC)
-            handle.write(
-                _FIXED.pack(
-                    SNAPSHOT_FORMAT_VERSION, len(header_bytes), len(payload), crc
-                )
-            )
-            handle.write(header_bytes)
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
+    atomic_write(
+        path,
+        SNAPSHOT_MAGIC,
+        _FIXED.pack(SNAPSHOT_FORMAT_VERSION, len(header_bytes), len(payload), crc),
+        header_bytes,
+        payload,
+    )
 
 
 def read_snapshot(path: str) -> Tuple[Dict[str, Any], Dict[str, Any]]:
@@ -285,6 +309,7 @@ __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
     "SNAPSHOT_MAGIC",
     "SnapshotPlan",
+    "atomic_write",
     "discard_snapshot",
     "read_snapshot",
     "write_snapshot",

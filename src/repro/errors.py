@@ -133,7 +133,7 @@ class CampaignError(ReproError):
     ``CellFailure`` outcomes for the ones that exhausted their retry
     budget, and raises a single :class:`CampaignError` summarizing them
     at the end — the cells that did finish are already in the cache and
-    the checkpoint journal, so a repaired re-run only pays for the
+    the resume directory, so a repaired re-run only pays for the
     failures.  ``failures`` preserves the structured records.
     """
 

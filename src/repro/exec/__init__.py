@@ -6,9 +6,11 @@ declarative grids of independent cells:
 * :mod:`repro.exec.cells` — :class:`ExperimentCell` specs and the
   single-cell runner;
 * :mod:`repro.exec.hashing` — stable content fingerprints keying the
-  cache;
+  cache, over the cell spec and the result-bearing source code;
 * :mod:`repro.exec.cache` — :class:`CellCache`, one JSON file per cell
-  under ``~/.cache/twl-repro/``;
+  under ``~/.cache/twl-repro/``, the one durable result store: the
+  shared cache, a campaign's ``--resume`` directory and each server
+  session are all cache directories;
 * :mod:`repro.exec.executor` — serial or process-pool execution with
   progress lines and per-cell timing;
 * :mod:`repro.exec.pool` — :class:`PoolSupervisor`, the worker pool and
@@ -17,8 +19,6 @@ declarative grids of independent cells:
   any-thread per-cell wall-clock budget behind ``FailurePolicy.timeout``;
 * :mod:`repro.exec.policy` — :class:`FailurePolicy` (retries with
   deterministic backoff, per-cell timeout, fail-fast vs keep-going);
-* :mod:`repro.exec.checkpoint` — :class:`CheckpointJournal`,
-  append-only JSONL campaign manifest for crash-safe ``--resume``;
 * :mod:`repro.exec.faults` — deterministic, env-activated fault
   injection used by ``tests/test_resilience.py`` and the CI smoke job.
 
@@ -57,7 +57,6 @@ from .policy import (
 )
 from .faults import FAULTS_ENV, FaultInjectionError, FaultPlan, active_plan
 from .cache import CellCache, decode_result, default_cache_dir, encode_result
-from .checkpoint import CheckpointJournal
 from .deadline import CellDeadline, DeadlineReached
 from .executor import CellOutcome, execute_cells, run_cells, run_setup_cells
 
@@ -71,7 +70,6 @@ __all__ = [
     "FaultInjectionError",
     "FaultPlan",
     "active_plan",
-    "CheckpointJournal",
     "CellDeadline",
     "DeadlineReached",
     "decode_result",

@@ -12,49 +12,40 @@ cache directory (default ``~/.cache/twl-repro/``, override with
         6c53…e2a1.json    {"cell": "twl_swp×scan seed=2017", "kind": …}
 
 One file per entry (rather than one big JSON) keeps concurrent
-campaigns safe: writes are atomic ``os.replace`` renames and two
-processes caching the same cell simply produce the same file.
+campaigns safe: writes go through
+:func:`~repro.engine.snapshot.atomic_write` (temp file, fsync, atomic
+``os.replace``), so two processes caching the same cell simply produce
+the same file, and an entry that ``put`` returned from survives a crash.
 
 Invalidation is by construction: the fingerprint covers the cell spec
-and ``repro.version.__version__``, so any spec or version change maps
-to a fresh key and the stale file is simply never read again.  What the
-fingerprint *cannot* see is an edit to the simulation code itself —
-after changing scheme behaviour, bump the version or pass
-``--no-cache`` (the rules are spelled out in ``docs/performance.md``).
+and the result-bearing source code
+(:func:`~repro.exec.hashing.code_digest`), so any spec or code change
+maps to a fresh key and the stale file is simply never read again.
+
+The same store doubles as a campaign's resume point (``--resume DIR``)
+and as the campaign server's per-session state: both are just cache
+directories.  A directory that one live process must own alone (a
+server session) is guarded by an :class:`OwnerLock`.
 """
 
 from __future__ import annotations
 
-import itertools
+import contextlib
 import json
 import os
-import threading
 from typing import Dict, Optional, Tuple
 
+from ..engine.snapshot import atomic_write
 from ..errors import ConfigError
 from ..pcm.faults import FirstFailure
 from ..sim.lifetime import LifetimeResult
 from ..sim.metrics import SchemeOverheads
 from .cells import CellResult, ExperimentCell
 from .faults import maybe_corrupt
-from .hashing import CACHE_FORMAT_VERSION, cell_fingerprint
+from .hashing import CACHE_FORMAT_VERSION
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "TWL_REPRO_CACHE_DIR"
-
-#: Process-wide counter making concurrent same-process temp names
-#: unique.  The pid alone is not enough: the campaign server writes
-#: cache entries from many threads of one process, and two threads
-#: putting the same fingerprint with a pid-only temp name would
-#: interleave writes into one file and rename garbage into place.
-_temp_counter = itertools.count()
-_temp_lock = threading.Lock()
-
-
-def _next_temp_suffix() -> str:
-    with _temp_lock:
-        serial = next(_temp_counter)
-    return f"{os.getpid()}.{threading.get_ident()}.{serial}.tmp"
 
 
 def default_cache_dir() -> str:
@@ -144,9 +135,9 @@ def _deserialize_overheads(record: Dict) -> SchemeOverheads:
 def encode_result(result: CellResult) -> Tuple[str, Dict]:
     """``(kind, payload)`` JSON form of a cell result.
 
-    Shared by the cache and the checkpoint journal so a result served
-    from either round-trips identically — the identity contract for
-    resumed campaigns rides on this.
+    Shared by the cache and the campaign server's wire frames, so a
+    result served from either round-trips identically — the identity
+    contract for cached, resumed and served campaigns rides on this.
     """
     if isinstance(result, LifetimeResult):
         return "lifetime", _serialize_lifetime(result)
@@ -199,8 +190,8 @@ class CellCache:
             # still decodes as a miss and gets rewritten on put().
             pass
 
-    def get(self, cell: ExperimentCell) -> Optional[CellResult]:
-        """Cached result for ``cell``, or None.
+    def get(self, fingerprint: str) -> Optional[CellResult]:
+        """Cached result under ``fingerprint``, or None.
 
         A missing entry is a plain miss.  An entry that exists but
         fails to decode is a miss *and* increments ``corrupt``; the bad
@@ -208,7 +199,7 @@ class CellCache:
         half-written or bit-rotted file can never poison a campaign yet
         stays around for diagnosis.
         """
-        path = self.path_for(cell_fingerprint(cell))
+        path = self.path_for(fingerprint)
         try:
             with open(path) as handle:
                 record = json.load(handle)
@@ -238,10 +229,11 @@ class CellCache:
         self.hits += 1
         return result
 
-    def put(self, cell: ExperimentCell, result: CellResult) -> None:
-        """Persist ``result`` atomically under the cell's fingerprint."""
+    def put(
+        self, cell: ExperimentCell, fingerprint: str, result: CellResult
+    ) -> None:
+        """Durably persist ``result`` under the cell's ``fingerprint``."""
         os.makedirs(self.directory, exist_ok=True)
-        fingerprint = cell_fingerprint(cell)
         kind, payload = encode_result(result)
         record = {
             "format": CACHE_FORMAT_VERSION,
@@ -250,19 +242,7 @@ class CellCache:
             "payload": payload,
         }
         path = self.path_for(fingerprint)
-        temp_path = f"{path}.{_next_temp_suffix()}"
-        try:
-            with open(temp_path, "w") as handle:
-                json.dump(record, handle, sort_keys=True)
-            os.replace(temp_path, path)
-        except BaseException:
-            # json.dump can die mid-write (disk full, unserializable
-            # payload, Ctrl-C); never leave the orphaned temp behind.
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, json.dumps(record, sort_keys=True).encode())
         maybe_corrupt(fingerprint, path)
 
     def summary(self) -> str:
@@ -276,3 +256,91 @@ class CellCache:
         if not os.path.isdir(self.directory):
             return 0
         return sum(1 for name in os.listdir(self.directory) if name.endswith(".json"))
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether ``pid`` names a live process (signal-0 probe)."""
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # pragma: no cover - exists, not ours
+        return True
+    except OSError:  # pragma: no cover - defensive
+        return False
+    return True
+
+
+class OwnerLock:
+    """Exclusive ownership of a directory by one live process.
+
+    Taken on construction by ``os.link``-ing a pid-bearing temp file to
+    ``<directory>/owner.lock``: link is atomic *with its content*, so a
+    contender never observes a live owner's lock file before its pid
+    lands in it.  A second owner fails fast with
+    :class:`~repro.errors.ConfigError`.  A lock whose pid is dead (its
+    owner crashed without :meth:`release`) or that is unreadable (no
+    live owner could have produced it) is broken and re-contended; the
+    link re-arbitrates that race against other breakers safely.
+
+    The lock excludes owners only: opening a :class:`CellCache` on the
+    directory is unaffected.  The campaign server takes one per
+    session directory.
+    """
+
+    def __init__(self, directory: str) -> None:
+        self.path = os.path.join(directory, "owner.lock")
+        self._held = False
+        # Unique per instance, not just per pid: two threads in one
+        # process contending for the same path must not share (and
+        # unlink) each other's temp file.
+        tmp = f"{self.path}.{os.getpid()}.{id(self):x}.tmp"
+        try:
+            with open(tmp, "w") as handle:
+                handle.write(f"{os.getpid()}\n")
+            for _ in range(2):
+                try:
+                    os.link(tmp, self.path)
+                except FileExistsError:
+                    owner = self._owner_pid()
+                    if owner is not None and _pid_alive(owner):
+                        raise ConfigError(
+                            f"{directory!r} is exclusively owned by live "
+                            f"process pid {owner}"
+                        ) from None
+                    with contextlib.suppress(OSError):
+                        os.unlink(self.path)
+                    continue
+                self._held = True
+                return
+            raise ConfigError(
+                f"{directory!r}: could not acquire the owner lock (contended)"
+            )
+        finally:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+    def _owner_pid(self) -> Optional[int]:
+        try:
+            with open(self.path) as handle:
+                return int(handle.read().strip())
+        except (OSError, ValueError):
+            return None
+
+    def release(self) -> None:
+        """Give the directory up.  Idempotent."""
+        if self._held:
+            self._held = False
+            # Only remove the file if it is still ours: a breaker that
+            # (wrongly) judged us dead must not have its lock stolen.
+            if self._owner_pid() == os.getpid():
+                with contextlib.suppress(OSError):
+                    os.unlink(self.path)
+
+    def __enter__(self) -> "OwnerLock":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.release()

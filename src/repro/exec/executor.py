@@ -9,7 +9,7 @@ across a :class:`concurrent.futures.ProcessPoolExecutor` when
   its spec (all RNG streams derive from the cell seed), and workers
   receive only the spec, so ``jobs=N`` reproduces ``jobs=1`` exactly —
   enforced by ``tests/test_exec.py``.  The same purity makes *retries,
-  pool rebuilds and checkpoint resume* identity-preserving: re-running
+  pool rebuilds and resume* identity-preserving: re-running
   a cell can only reproduce the result the clean run would have
   produced (``tests/test_resilience.py`` enforces that too).
 * **Failures keep their identity.**  Workers wrap any
@@ -20,7 +20,7 @@ across a :class:`concurrent.futures.ProcessPoolExecutor` when
   exceptions like ``PageWornOutError`` do not survive unpickling
   across the pool boundary.
 * **Partial progress is never lost.**  Results are written to the
-  cache and the checkpoint journal *as they complete*, before any
+  cache and the resume directory *as they complete*, before any
   sibling's failure can abort the campaign — including siblings that
   finished in the same completion batch as, or were still running at,
   the moment of a fail-fast abort.
@@ -33,8 +33,10 @@ across a :class:`concurrent.futures.ProcessPoolExecutor` when
 
 Resilience is governed by a :class:`~repro.exec.policy.FailurePolicy`
 (retries with deterministic backoff, per-cell wall-clock timeout,
-``fail-fast`` vs ``keep-going``) and a
-:class:`~repro.exec.checkpoint.CheckpointJournal` (crash-safe resume).
+``fail-fast`` vs ``keep-going``) and an optional resume point: a second
+:class:`~repro.exec.cache.CellCache` that the campaign owns, consulted
+before the shared cache and written whether or not caching is on
+(crash-safe resume).
 With ``jobs > 1`` the cells run on a
 :class:`~repro.exec.pool.PoolSupervisor`.  A worker killed outright
 (OOM, SIGKILL) breaks the pool; the supervisor rebuilds it, at half the
@@ -47,9 +49,9 @@ on, and the break is one of that cell's failed attempts under
 *inside* the worker via a :class:`~repro.exec.deadline.CellDeadline`
 watchdog, so no pool teardown is needed to reclaim a hung cell.
 
-The cache (:class:`~repro.exec.cache.CellCache`) is consulted in the
-parent before any work is scheduled and written back from the parent as
-results arrive, so workers never touch cache files.
+Both stores are consulted in the parent before any work is scheduled
+and written back from the parent as results arrive, so workers never
+touch cache files.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ from ..errors import (
 )
 from .cache import CellCache
 from .cells import CellResult, ExperimentCell, cell_snapshot_path, run_cell
-from .checkpoint import CheckpointJournal
 from .deadline import CellDeadline, DeadlineReached
 from .faults import maybe_inject
 from .hashing import cell_fingerprint
@@ -89,13 +90,13 @@ ProgressHook = Union[None, bool, Callable[[str], None]]
 
 @dataclass(frozen=True)
 class CellOutcome:
-    """One executed (or cache-/journal-served) cell with its timing."""
+    """One executed (or cache-/resume-served) cell with its timing."""
 
     cell: ExperimentCell
     result: CellResult
     seconds: float
     cached: bool
-    #: True when the result came from a checkpoint journal (a resumed
+    #: True when the result came from the resume directory (a resumed
     #: campaign) rather than fresh execution; such outcomes also report
     #: ``cached=True``.
     resumed: bool = False
@@ -182,19 +183,21 @@ def execute_cells(
     cache: Optional[CellCache] = None,
     progress: ProgressHook = None,
     policy: Optional[FailurePolicy] = None,
-    journal: Optional[CheckpointJournal] = None,
+    resume: Optional[CellCache] = None,
 ) -> List[CellOutcome]:
     """Run every cell, in parallel when ``jobs > 1``, returning outcomes.
 
     Results come back in input order regardless of completion order.
     ``policy`` (default: no retries, no timeout, ``fail-fast``) governs
-    failure handling; ``journal`` records completed/failed cells
-    durably and serves results recorded by a previous, interrupted run.
+    failure handling; ``resume`` is the campaign's own result directory:
+    it serves results stored by a previous, interrupted run (reported
+    as ``resumed``), ahead of ``cache``, and every result is stored in
+    it.
 
     Under ``fail-fast`` the first cell to exhaust its retry budget
     aborts the campaign with its :class:`~repro.errors.CellExecutionError`
     — but only after every already-finished sibling's result has been
-    written to the cache and journal, so a repaired re-run resumes
+    written to the cache and resume directory, so a repaired re-run resumes
     where the failure struck.  Under ``keep-going`` every runnable cell
     is finished and a single :class:`~repro.errors.CampaignError`
     summarizing the structured :class:`~repro.exec.policy.CellFailure`
@@ -218,7 +221,7 @@ def execute_cells(
         nonlocal done
         done += 1
         cell = cells[index]
-        resumed = source == "journal"
+        resumed = source == "resume"
         cached = source != "run"
         outcomes[index] = CellOutcome(
             cell, result, seconds, cached=cached, resumed=resumed
@@ -226,10 +229,9 @@ def execute_cells(
         # Write-back precedes the progress line so an interrupt raised
         # by the progress hook (or Ctrl-C between cells) always leaves
         # this cell durably recorded — the resumability contract.
-        if cache is not None and source != "cache":
-            cache.put(cell, result)
-        if journal is not None:
-            journal.record_done(cell, fingerprints[index], result, seconds)
+        for store, served_from in ((cache, "cache"), (resume, "resume")):
+            if store is not None and source != served_from:
+                store.put(cell, fingerprints[index], result)
         note(_progress_line(done, total, cell, seconds, cached=cached, resumed=resumed))
 
     def fail(index: int, error: BaseException, attempt_count: int) -> None:
@@ -244,8 +246,6 @@ def execute_cells(
                 attempts=attempt_count,
             )
         )
-        if journal is not None:
-            journal.record_failed(cell, fingerprints[index], str(error))
         note(
             f"[{done}/{total}] {cell.describe()} FAILED "
             f"after {attempt_count} attempt(s): {error}"
@@ -266,18 +266,14 @@ def execute_cells(
             time.sleep(delay)
         return True
 
-    for index, cell in enumerate(cells):
-        if journal is not None:
-            resumed_result = journal.result_for(fingerprints[index])
-            if resumed_result is not None:
-                finish(index, resumed_result, 0.0, source="journal")
-                continue
-        if cache is not None:
-            hit = cache.get(cell)
+    for index in range(total):
+        for store, source in ((resume, "resume"), (cache, "cache")):
+            hit = None if store is None else store.get(fingerprints[index])
             if hit is not None:
-                finish(index, hit, 0.0, source="cache")
-                continue
-        pending.append(index)
+                finish(index, hit, 0.0, source=source)
+                break
+        else:
+            pending.append(index)
 
     def run_serial(indices: Sequence[int]) -> None:
         for index in indices:
@@ -356,7 +352,7 @@ def execute_cells(
                     for index in orphans:
                         submit(index)
                 # Drain every finished sibling first: their results hit
-                # the cache/journal even when another future in this
+                # the cache/resume directory even when another future in this
                 # same batch is about to abort the campaign.
                 for index, (result, seconds) in successes:
                     finish(index, result, seconds)
@@ -398,7 +394,7 @@ def run_cells(
     cache: Optional[CellCache] = None,
     progress: ProgressHook = False,
     policy: Optional[FailurePolicy] = None,
-    journal: Optional[CheckpointJournal] = None,
+    resume: Optional[CellCache] = None,
 ) -> List[CellResult]:
     """Like :func:`execute_cells` but returning bare results."""
     return [
@@ -409,7 +405,7 @@ def run_cells(
             cache=cache,
             progress=progress,
             policy=policy,
-            journal=journal,
+            resume=resume,
         )
     ]
 
@@ -428,9 +424,10 @@ def run_setup_cells(
     caching, the batched write protocol and the failure policy.  The
     setup's ``batch_size`` is authoritative: it replaces every cell's,
     so ``--batch-size 1`` reaches the per-write oracle path.  A
-    ``resume`` path opens (creating if needed) the checkpoint journal
+    ``resume`` path opens (creating if needed) a result directory
     there, so an interrupted campaign restarted with the same setup
-    skips every cell the journal already records.  Progress defaults to
+    skips every cell the directory already holds, with or without the
+    shared cache.  Progress defaults to
     the stderr printer only when a cell actually has to run or more
     than one is requested (a single cached lookup stays quiet so helper
     calls don't chatter).
@@ -451,12 +448,11 @@ def run_setup_cells(
     if progress is None and len(cells) <= 1:
         progress = False
     resume = getattr(setup, "resume", None)
-    journal = CheckpointJournal(resume) if resume else None
     return run_cells(
         cells,
         jobs=getattr(setup, "jobs", 1),
         cache=cache,
         progress=progress,
         policy=getattr(setup, "failure", None),
-        journal=journal,
+        resume=CellCache(resume) if resume else None,
     )

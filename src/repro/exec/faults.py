@@ -1,7 +1,7 @@
 """Deterministic fault injection for the campaign executor.
 
 ``tests/test_resilience.py`` has to prove that retries, pool rebuilds,
-timeouts and checkpoint resume actually work — which requires making
+timeouts and resume actually work — which requires making
 workers fail *on demand, deterministically, across the process spawn
 boundary*.  This module is that harness.  It is test infrastructure
 that ships in the package (like :mod:`repro.exec.hashing`) because the

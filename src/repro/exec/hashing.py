@@ -3,16 +3,19 @@
 The on-disk result cache keys each cell on a digest of *everything that
 determines its outcome*: the full cell spec (scheme, workload, scaled
 array, seed, kwargs with their configuration dataclasses) plus the
-package version.  The digest must be stable across processes and Python
-versions — ``hash()`` is salted per interpreter, so the canonical form
-is built by hand and hashed with BLAKE2b.
+source code that computes it.  The digest must be stable across
+processes and Python versions — ``hash()`` is salted per interpreter,
+so the canonical form is built by hand and hashed with BLAKE2b.
 
 Dataclasses are canonicalized field-by-field (recursively), so changing
 any knob of a nested config — say ``TWLConfig.toss_up_interval`` inside
 ``scheme_kwargs`` — changes the fingerprint and invalidates the cached
-entry.  Bumping ``repro.version.__version__`` invalidates *every*
-entry, which is the documented escape hatch after editing scheme code
-(see ``docs/performance.md``).
+entry.  The code is covered by :func:`code_digest`, a hash of the bytes
+of every module in :data:`RESULT_SOURCES`: an edit to a scheme, the
+engine or the array model moves *every* key, so a cache filled by older
+code never serves the edited code.  Code that cannot change a result
+(the server, the CLI, the docs) is not digested, so editing it keeps
+the cache warm.
 
 >>> from repro.config import ScaledArrayConfig
 >>> from repro.exec.cells import attack_cell
@@ -36,11 +39,6 @@ False
 >>> cell_fingerprint(cell) == cell_fingerprint(attack_cell(
 ...     "twl_swp", "scan", scaled=scaled, seed=7,
 ...     scheme_kwargs={"config": TWLConfig(toss_up_interval=16)}))
-False
-
-So does a version bump:
-
->>> cell_fingerprint(cell, version="0.0.0") == cell_fingerprint(cell)
 False
 
 A cell that streams an on-disk trace (``trace_path``) also hashes the
@@ -87,16 +85,42 @@ never a silent cache-poisoning bug (``docs/invariants.md``).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
-from typing import Any, FrozenSet
+import os
+from typing import Any, FrozenSet, Tuple
 
 from ..errors import ConfigError
 from ..traces.io import trace_digest
-from ..version import __version__
 
 #: Bump when the serialized cache payload layout changes.
 CACHE_FORMAT_VERSION = 1
+
+#: The ``repro`` source that decides a cell's result, as packages and
+#: modules relative to the package root.  :func:`code_digest` hashes
+#: every ``.py`` file under them; ``tests/test_exec.py`` checks that
+#: the static import closure of ``repro/exec/cells.py`` is covered.
+RESULT_SOURCES: Tuple[str, ...] = (
+    "analysis/calibration.py",
+    "attacks",
+    "bloom",
+    "config.py",
+    "core",
+    "engine",
+    "errors.py",
+    "exec/cells.py",
+    "exec/hashing.py",
+    "pcm",
+    "rng",
+    "sim",
+    "tables",
+    "traces",
+    "units.py",
+    "wearlevel",
+)
+
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: ``ExperimentCell`` fields that determine the experiment's outcome —
 #: each one is hashed into the cache fingerprint, so changing it
@@ -178,11 +202,41 @@ def _check_exhaustive(cell: Any) -> None:
         )
 
 
-def cell_fingerprint(cell: Any, version: str = __version__) -> str:
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """Hex digest of the result-bearing source of this ``repro``.
+
+    Covers each ``.py`` file under :data:`RESULT_SOURCES` by its
+    ``/``-separated path relative to the package and by its bytes, in
+    sorted path order.  Computed once per process (the source does not
+    change under a running campaign).
+    """
+    paths = []
+    for source in RESULT_SOURCES:
+        full = os.path.join(_PACKAGE_ROOT, source)
+        if not os.path.isdir(full):
+            paths.append(full)
+            continue
+        for directory, subdirs, files in os.walk(full):
+            subdirs[:] = [name for name in subdirs if name != "__pycache__"]
+            paths.extend(
+                os.path.join(directory, name) for name in files if name.endswith(".py")
+            )
+    digest = hashlib.blake2b(digest_size=16)
+    for path in sorted(paths):
+        with open(path, "rb") as handle:
+            data = handle.read()
+        name = os.path.relpath(path, _PACKAGE_ROOT).replace(os.sep, "/").encode()
+        digest.update(b"%d:%s:%d:" % (len(name), name, len(data)))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def cell_fingerprint(cell: Any) -> str:
     """Hex digest keying ``cell`` in the on-disk result cache.
 
     The digest covers the canonicalized identity fields of the cell
-    spec (:data:`CELL_IDENTITY_FIELDS`), the package ``version``, the
+    spec (:data:`CELL_IDENTITY_FIELDS`), the :func:`code_digest`, the
     cache format version and, for a cell that sets ``trace_path``, the
     trace file's contents (:func:`~repro.traces.io.trace_digest`); see
     the module docstring for the invalidation rules this implies.
@@ -197,7 +251,7 @@ def cell_fingerprint(cell: Any, version: str = __version__) -> str:
             canonical_cell.get("fields", {}).pop(knob, None)
     identity = {
         "cell": canonical_cell,
-        "version": version,
+        "code": code_digest(),
         "format": CACHE_FORMAT_VERSION,
     }
     if cell.trace_path is not None:

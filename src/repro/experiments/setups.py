@@ -10,8 +10,8 @@ Execution knobs ride along on the setup: ``jobs`` fans the experiment
 grids out across worker processes (``repro.exec``), ``cache_dir``
 enables the on-disk result cache, ``failure`` carries the
 :class:`~repro.exec.FailurePolicy` (retries, per-cell timeout,
-fail-fast vs keep-going) and ``resume`` points at a checkpoint
-journal.  ``active_setup`` reads them from ``REPRO_JOBS`` /
+fail-fast vs keep-going) and ``resume`` points at the campaign's own
+result directory.  ``active_setup`` reads them from ``REPRO_JOBS`` /
 ``REPRO_CACHE_DIR`` / ``REPRO_BATCH_SIZE`` / ``REPRO_RETRIES`` /
 ``REPRO_CELL_TIMEOUT`` / ``REPRO_KEEP_GOING`` / ``REPRO_RESUME`` /
 ``REPRO_TRACE`` / ``REPRO_CHUNK_SIZE`` / ``REPRO_SNAPSHOT_EVERY`` so
@@ -114,9 +114,9 @@ class ExperimentSetup:
     #: timeout, fail-fast vs keep-going).  Execution knobs only — a
     #: retried campaign is bit-identical to a clean one.
     failure: FailurePolicy = field(default_factory=FailurePolicy)
-    #: Checkpoint journal path; when set, completed cells recorded
-    #: there are skipped and new completions are appended (crash-safe
-    #: resume, independent of the cache).
+    #: Resume directory; when set, completed cells stored there are
+    #: skipped and new completions are stored there (crash-safe resume,
+    #: independent of the cache).
     resume: Optional[str] = None
     #: On-disk trace for the streaming experiment (None = the built-in
     #: FTL dynamic workload generator).  Identity-bearing: the trace
@@ -170,8 +170,8 @@ def active_setup() -> ExperimentSetup:
     protocol; ``1`` selects the per-write oracle path).  Resilience knobs:
     ``REPRO_RETRIES=N`` retries failed cells, ``REPRO_CELL_TIMEOUT=S``
     bounds each cell's wall clock, ``REPRO_KEEP_GOING=1`` finishes the
-    campaign past failures, and ``REPRO_RESUME=path`` checkpoints to
-    (and resumes from) a journal there.  Streaming knobs:
+    campaign past failures, and ``REPRO_RESUME=dir`` stores results in
+    (and resumes from) a result directory there.  Streaming knobs:
     ``REPRO_TRACE=path`` streams an on-disk trace instead of the FTL
     generator, ``REPRO_CHUNK_SIZE=N`` sets the stream chunk size, and
     ``REPRO_SNAPSHOT_EVERY=N`` emits a mid-run engine snapshot every N

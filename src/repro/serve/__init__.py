@@ -8,7 +8,7 @@ them on the executor's pool supervisor (:mod:`repro.exec.pool`, one
 worker-loss policy for both) under the full robustness stack — bounded
 admission with structured backpressure, per-request deadlines, pool
 rebuild with retry on worker loss and graceful degradation,
-per-session journal persistence, and drain-then-exit shutdown.
+per-session result persistence, and drain-then-exit shutdown.
 SoftWear (arxiv 2004.03244) frames wear leveling itself as a runtime
 service; this package makes the same move for the reproduction.
 
@@ -18,7 +18,7 @@ service; this package makes the same move for the reproduction.
 * :mod:`repro.serve.server` — :class:`CampaignServer`, the asyncio
   front-end over the pool supervisor;
 * :mod:`repro.serve.session` — :class:`SessionStore`, per-session
-  exclusively-locked checkpoint journals giving bit-identical resume
+  exclusively-owned result directories giving bit-identical resume
   across server restarts;
 * :mod:`repro.serve.loadgen` — the load-generator client doubling as
   the heavy-traffic benchmark and the seeded chaos harness;

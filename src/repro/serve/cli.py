@@ -41,7 +41,7 @@ def _serve_parser() -> argparse.ArgumentParser:
         description="Run the resilient campaign server (see docs/serving.md).",
     )
     parser.add_argument("--state-dir", required=True,
-                        help="durable root: per-session journals + shared cache")
+                        help="durable root: per-session result dirs + shared cache")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0,
                         help="TCP port (0 = ephemeral, printed at startup)")

@@ -22,8 +22,9 @@ Responses (server → client) always echo ``id`` and carry the current
      "error": {"code": "overloaded", "message": "..."}, "degraded": false}
 
 ``source`` distinguishes fresh execution (``run``) from the shared
-content-addressed cache (``cache``), a resumed per-session journal
-record (``journal``), and a duplicate submission coalesced onto an
+content-addressed cache (``cache``), a result already in the
+submitting session's own directory (``journal``; clients count that
+label, so it stays), and a duplicate submission coalesced onto an
 in-flight execution (``coalesced``) — all four are bit-identical by the
 executor's identity contract.
 

@@ -31,19 +31,21 @@ every robustness mechanism the executor stack already has:
 * **Duplicate coalescing.**  Submissions of an already-in-flight
   fingerprint await the same execution (``source: "coalesced"``) — the
   content-addressed-cache contract applied to in-flight work.
-* **Per-session persistence.**  Completed cells are journaled per
-  session (:class:`~repro.serve.session.SessionStore`); a SIGKILLed
-  server restarted on the same state directory serves them back
-  bit-identically (``source: "journal"``).
+* **Per-session persistence.**  Completed cells are stored in a
+  per-session result directory
+  (:class:`~repro.serve.session.SessionStore`); a SIGKILLed server
+  restarted on the same state directory serves them back
+  bit-identically (``source: "journal"``, the wire name of a session
+  hit).
 * **Disconnect reclamation.**  A client that vanishes has its pending
   request tasks cancelled; executions nobody else is waiting on are
   cancelled too (reclaiming unstarted pool slots — a cell already on a
-  worker runs to completion and lands in cache/journal, so the work is
+  worker runs to completion and lands in the cache, so the work is
   banked, not wasted).
 * **Drain-then-exit.**  SIGTERM/SIGINT (CLI) or :meth:`begin_drain`
   flips the server into draining: new submissions get ``shutdown``
   rejections while admitted cells finish (bounded by ``drain_grace``),
-  then sockets close and journals release their owner locks.
+  then sockets close and sessions release their owner locks.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ DEADLINE_GRACE = 2.0
 class ServerConfig:
     """Everything one server instance is — address, state, limits."""
 
-    #: Durable state root: per-session journals under ``sessions/``,
+    #: Durable state root: per-session result directories under ``sessions/``,
     #: the shared content-addressed cache under ``cache/``.  Restarting
     #: a server on the same root *is* resuming every session in it.
     state_dir: str
@@ -176,7 +178,7 @@ class SubmitRequest:
     #: The work itself — the only determinant of the result (cache
     #: fingerprint identity).
     cell: ExperimentCell
-    #: Durable scope the result is journaled under.
+    #: Durable scope the result is stored under.
     session: str = DEFAULT_SESSION
     #: Client-side correlation id, echoed verbatim.
     request_id: str = ""
@@ -259,8 +261,8 @@ class CampaignServer:
         self._draining = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._health_task: Optional[asyncio.Task] = None
-        #: Single-thread executor for journal/cache I/O: off the event
-        #: loop (flock + fsync block), single so appends stay ordered.
+        #: Single-thread executor for session/cache writes: off the
+        #: event loop, because every put fsyncs.
         self._io: Optional[ThreadPoolExecutor] = None
         self.stats: Dict[str, int] = {
             "submitted": 0,
@@ -340,7 +342,7 @@ class CampaignServer:
         Waits up to ``drain_grace`` for the admitted count to reach
         zero; cells still running after that are abandoned to their own
         worker-side deadlines (their results, if any, still land in the
-        cache/journal via the completion callbacks that remain alive
+        cache via the completion callbacks that remain alive
         until the loop stops).
         """
         self.begin_drain()
@@ -357,7 +359,7 @@ class CampaignServer:
         self._pool.shutdown()
         io = self._io
         if io is not None:
-            # Flush pending journal/cache writes before releasing the
+            # Flush pending session/cache writes before releasing the
             # owner locks; clear the handle first so a late request
             # degrades to inline I/O instead of a scheduling error.
             self._io = None
@@ -597,27 +599,29 @@ class CampaignServer:
             )
             return record
 
-        # 1. The session journal: a restarted server resumes here.
+        # 1. The session's own directory: a restarted server resumes
+        #    here.  The wire calls such a hit ``journal``.  Lookups read
+        #    small local files on the loop: a hop to the I/O thread costs
+        #    more than the read.  Only fsync'd writes leave the loop.
         try:
-            journal = await self._run_io(
-                self._sessions.journal_for, request.session
-            )
+            session = self._sessions.cache_for(request.session)
         except ConfigError as error:
             self.stats["failed"] += 1
             return error_response(
                 request_id, ERROR_FAILED, str(error), degraded=self.degraded
             )
-        resumed = journal.result_for(fingerprint)
+        resumed = session.get(fingerprint)
         if resumed is not None:
             self.stats["journal_hits"] += 1
             return done(resumed, "journal")
-        # 2. The shared content-addressed cache.
+        # 2. The shared content-addressed cache, copied into the session
+        #    so the session alone can resume it.
         if self._cache is not None:
-            hit = await self._run_io(self._cache.get, request.cell)
+            hit = self._cache.get(fingerprint)
             if hit is not None:
                 self.stats["cache_hits"] += 1
                 await self._persist(
-                    journal, request.cell, fingerprint, hit, cache=False
+                    session, request.cell, fingerprint, hit, cache=False
                 )
                 return done(hit, "cache")
         # 3. Coalesce onto an in-flight duplicate.
@@ -662,7 +666,7 @@ class CampaignServer:
                 request_id, ERROR_FAILED, str(error), degraded=self.degraded
             )
         await self._persist(
-            journal, request.cell, fingerprint, result, cache=(source == "run")
+            session, request.cell, fingerprint, result, cache=(source == "run")
         )
         return done(result, source)
 
@@ -732,12 +736,10 @@ class CampaignServer:
                 entry.future.cancel()
 
     async def _run_io(self, func: Callable[..., Any], *args: Any) -> Any:
-        """Run blocking journal/cache I/O off the event-loop thread.
+        """Run blocking session/cache writes off the event-loop thread.
 
-        A dedicated single-thread executor keeps per-session append
-        ordering while never stalling the loop on a journal's flock +
-        fsync (or a first-open load/compact) — another process holding
-        a ``.lock`` sidecar would otherwise freeze every connection.
+        A dedicated single-thread executor never stalls the loop on an
+        fsync — a slow disk would otherwise freeze every connection.
         In the shutdown tail, after the executor has been drained, the
         call degrades to inline execution: the loop is about to stop,
         and dropping the final persist would be worse than blocking.
@@ -755,22 +757,24 @@ class CampaignServer:
 
     async def _persist(
         self,
-        journal: Any,
+        session: CellCache,
         cell: ExperimentCell,
         fingerprint: str,
         result: CellResult,
         cache: bool,
     ) -> None:
-        """Bank a result durably (journal always; cache for fresh runs)."""
+        """Bank a result durably (session always; cache for fresh runs)."""
 
         def write() -> None:
-            journal.record_done(cell, fingerprint, result)
+            session.put(cell, fingerprint, result)
             if cache and self._cache is not None:
-                self._cache.put(cell, result)
+                self._cache.put(cell, fingerprint, result)
 
         await self._run_io(write)
 
-    def _bank_abandoned(self, pool_future: PoolFuture, cell: ExperimentCell) -> None:
+    def _bank_abandoned(
+        self, pool_future: PoolFuture, cell: ExperimentCell, fingerprint: str
+    ) -> None:
         """Bank the eventual result of a pool future nobody awaits.
 
         An abandoned cell already running on a worker completes there
@@ -788,7 +792,7 @@ class CampaignServer:
             if future.cancelled() or future.exception() is not None:
                 return
             with contextlib.suppress(Exception):
-                cache.put(cell, future.result()[0])
+                cache.put(cell, fingerprint, future.result()[0])
 
         pool_future.add_done_callback(bank)
 
@@ -841,7 +845,7 @@ class CampaignServer:
                     # rebuild the pool to reclaim the wedged worker,
                     # and bank the result if the cell ever finishes.
                     pool_future.cancel()
-                    self._bank_abandoned(pool_future, cell)
+                    self._bank_abandoned(pool_future, cell, fingerprint)
                     self._pool.note_broken(pool)
                     raise CellTimeoutError(
                         f"cell {cell.describe()} missed its {deadline:.6g}s "
@@ -861,7 +865,7 @@ class CampaignServer:
                     # (the gate saw to that), so it finishes there and
                     # its result is banked in the cache.
                     pool_future.cancel()
-                    self._bank_abandoned(pool_future, cell)
+                    self._bank_abandoned(pool_future, cell, fingerprint)
                     raise
             # Worker-loss retry: back off outside the gate (the slot
             # belongs to the rebuilt pool's fresh gate).

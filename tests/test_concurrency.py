@@ -1,4 +1,4 @@
-"""Concurrent writers against the cache and the checkpoint journal.
+"""Concurrent writers against the cache and its owner lock.
 
 The campaign server (:mod:`repro.serve`) multiplexes many sessions over
 one process and one cache directory, so the durability layer has to
@@ -8,13 +8,9 @@ survive contention it never saw under single-campaign CLI use:
   fingerprint must never corrupt an entry or observe a partial file —
   the tmp+``os.replace`` protocol under contention, plus the
   ``.json.corrupt`` quarantine staying silent when nothing is corrupt;
-* concurrent journal appenders (distinct :class:`CheckpointJournal`
-  instances on one path, threads and processes) must never interleave
-  bytes within a record, and a ``compact()`` racing the appenders must
-  never drop an acknowledged record;
-* the opt-in ``exclusive=True`` owner lock must keep two live sessions
-  out of one journal, break locks left by dead owners, and release on
-  :meth:`~CheckpointJournal.close`.
+* the :class:`~repro.exec.cache.OwnerLock` must keep two live owners
+  out of one directory, break locks left by dead owners, and release
+  on :meth:`~repro.exec.cache.OwnerLock.release`.
 """
 
 import os
@@ -29,13 +25,14 @@ from repro.config import ScaledArrayConfig
 from repro.errors import ConfigError
 from repro.exec import (
     CellCache,
-    CheckpointJournal,
     attack_cell,
     cell_fingerprint,
     decode_result,
     encode_result,
     run_cells,
 )
+from repro.exec.cache import OwnerLock
+from repro.serve.session import SessionStore
 
 SCALED = ScaledArrayConfig(n_pages=64, endurance_mean=768.0)
 
@@ -58,22 +55,13 @@ def _cache_contend(directory: str, kind: str, record: dict, rounds: int) -> int:
     cell = _cell()
     result = decode_result(kind, record)
     for _ in range(rounds):
-        cache.put(cell, result)
-        got = cache.get(cell)
+        cache.put(cell, cell_fingerprint(cell), result)
+        got = cache.get(cell_fingerprint(cell))
         # A reader can never see a partial file: os.replace is atomic,
         # so every get() decodes a complete entry (identical bytes here,
         # since every writer writes the same result).
         assert got == result
     return cache.corrupt
-
-
-def _journal_append(path: str, kind: str, record: dict, seeds: list) -> None:
-    """Worker body: append one done-record per seed via a fresh journal."""
-    journal = CheckpointJournal(path, compact_bytes=None)
-    result = decode_result(kind, record)
-    for seed in seeds:
-        cell = _cell(seed)
-        journal.record_done(cell, cell_fingerprint(cell), result)
 
 
 class TestCacheContention:
@@ -101,7 +89,7 @@ class TestCacheContention:
         # Exactly one entry, decodable, and no orphaned temp files.
         cache = CellCache(directory)
         assert len(cache) == 1
-        assert cache.get(_cell()) == decode_result(kind, record)
+        assert cache.get(cell_fingerprint(_cell())) == decode_result(kind, record)
         leftovers = [n for n in os.listdir(directory) if n.endswith(".tmp")]
         assert leftovers == []
 
@@ -121,7 +109,7 @@ class TestCacheContention:
         assert sum(corrupt) == 0
         cache = CellCache(directory)
         assert len(cache) == 1
-        assert cache.get(_cell()) == decode_result(kind, record)
+        assert cache.get(cell_fingerprint(_cell())) == decode_result(kind, record)
         assert cache.corrupt == 0
 
     def test_quarantine_still_works_under_contention(self, tmp_path, payload):
@@ -131,161 +119,87 @@ class TestCacheContention:
         cache = CellCache(str(tmp_path))
         cell = _cell()
         result = decode_result(kind, record)
-        cache.put(cell, result)
+        cache.put(cell, cell_fingerprint(cell), result)
         path = cache.path_for(cell_fingerprint(cell))
         with open(path, "wb") as handle:
             handle.write(b"\x00not json\x00")
-        assert cache.get(cell) is None
+        assert cache.get(cell_fingerprint(cell)) is None
         assert cache.corrupt == 1
         assert os.path.exists(f"{path}.corrupt")
-        cache.put(cell, result)
-        assert cache.get(cell) == result
-
-
-class TestJournalConcurrentSessions:
-    """Satellite: many sessions sharing one journal never lose records."""
-
-    def test_threads_append_with_racing_compact(self, tmp_path, payload):
-        kind, record = payload
-        path = str(tmp_path / "journal.jsonl")
-        stop = threading.Event()
-        errors = []
-
-        def compact_loop():
-            journal = CheckpointJournal(path, compact_bytes=None)
-            while not stop.is_set():
-                try:
-                    journal.compact()
-                except BaseException as error:  # noqa: B036 - recorded
-                    errors.append(error)
-                    return
-
-        def append(seeds):
-            try:
-                _journal_append(path, kind, record, seeds)
-            except BaseException as error:  # noqa: B036 - recorded
-                errors.append(error)
-
-        seed_groups = [list(range(base, base + 12)) for base in (100, 200, 300, 400)]
-        compactor = threading.Thread(target=compact_loop)
-        writers = [threading.Thread(target=append, args=(g,)) for g in seed_groups]
-        compactor.start()
-        for writer in writers:
-            writer.start()
-        for writer in writers:
-            writer.join()
-        stop.set()
-        compactor.join()
-        assert not errors, errors
-        # Every acknowledged record survived the racing compactions.
-        journal = CheckpointJournal(path, compact_bytes=None)
-        expected = decode_result(kind, record)
-        for group in seed_groups:
-            for seed in group:
-                fingerprint = cell_fingerprint(_cell(seed))
-                assert journal.result_for(fingerprint) == expected, seed
-
-    def test_processes_append_concurrently(self, tmp_path, payload):
-        kind, record = payload
-        path = str(tmp_path / "journal.jsonl")
-        seed_groups = [list(range(base, base + 8)) for base in (10, 30, 50, 70)]
-        with ProcessPoolExecutor(max_workers=4) as pool:
-            list(
-                pool.map(
-                    _journal_append,
-                    [path] * 4,
-                    [kind] * 4,
-                    [record] * 4,
-                    seed_groups,
-                )
-            )
-        journal = CheckpointJournal(path, compact_bytes=None)
-        expected = decode_result(kind, record)
-        for group in seed_groups:
-            for seed in group:
-                assert journal.result_for(cell_fingerprint(_cell(seed))) == expected
-        # No record interleaved into garbage: loading skipped nothing.
-        with open(path) as handle:
-            lines = [line for line in handle if line.strip()]
-        assert len(lines) == sum(len(g) for g in seed_groups)
-
-    def test_compact_preserves_concurrent_append(self, tmp_path, payload):
-        """The flock makes compact's read→rename atomic against
-        appenders; simulate the historical torn window by hand and show
-        the locked protocol closes it."""
-        kind, record = payload
-        path = str(tmp_path / "journal.jsonl")
-        # A failed line per seed, each later superseded by a done line:
-        # compact has exactly five superseded records to drop.
-        scratch = CheckpointJournal(path, compact_bytes=None)
-        for seed in range(5):
-            scratch.record_failed(_cell(seed), cell_fingerprint(_cell(seed)), "boom")
-        _journal_append(path, kind, record, list(range(5)))
-        journal = CheckpointJournal(path, compact_bytes=None)
-        dropped = journal.compact()
-        assert dropped == 5
-        reloaded = CheckpointJournal(path, compact_bytes=None)
-        for seed in range(5):
-            assert reloaded.result_for(cell_fingerprint(_cell(seed))) is not None
+        cache.put(cell, cell_fingerprint(cell), result)
+        assert cache.get(cell_fingerprint(cell)) == result
 
 
 class TestExclusiveOwnerLock:
-    """Satellite: ``exclusive=True`` keeps two live sessions apart."""
+    """Satellite: the owner lock keeps two live owners out of one
+    directory (the campaign server takes one per session)."""
 
     def test_second_exclusive_open_fails_while_owned(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
-        with CheckpointJournal(path, exclusive=True) as journal:
-            assert journal._owns_exclusive
+        directory = str(tmp_path)
+        with OwnerLock(directory):
             with pytest.raises(ConfigError, match="exclusively owned"):
-                CheckpointJournal(path, exclusive=True)
-        # close() (via the context manager) released the lock.
-        CheckpointJournal(path, exclusive=True).close()
+                OwnerLock(directory)
+        # Leaving the context released the lock.
+        OwnerLock(directory).release()
 
-    def test_non_exclusive_open_is_unaffected(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
-        with CheckpointJournal(path, exclusive=True):
-            # Read-side consumers (status queries) stay welcome.
-            CheckpointJournal(path)
+    def test_non_exclusive_open_is_unaffected(self, tmp_path, payload):
+        kind, record = payload
+        directory = str(tmp_path)
+        with OwnerLock(directory):
+            # The lock excludes owners only: the directory's entries
+            # stay readable and writable through a plain CellCache.
+            cache = CellCache(directory)
+            cell = _cell()
+            cache.put(cell, cell_fingerprint(cell), decode_result(kind, record))
+            assert CellCache(directory).get(cell_fingerprint(cell)) is not None
+            assert len(cache) == 1
 
     def test_stale_lock_from_dead_owner_is_broken(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
+        lock_path = str(tmp_path / "owner.lock")
         proc = subprocess.Popen([sys.executable, "-c", "pass"])
         proc.wait()
-        with open(f"{path}.owner", "w") as handle:
+        with open(lock_path, "w") as handle:
             handle.write(f"{proc.pid}\n")
-        journal = CheckpointJournal(path, exclusive=True)
-        assert journal._owns_exclusive
-        journal.close()
-        assert not os.path.exists(f"{path}.owner")
+        lock = OwnerLock(str(tmp_path))
+        with open(lock_path) as handle:
+            assert int(handle.read().strip()) == os.getpid()
+        lock.release()
+        assert not os.path.exists(lock_path)
 
     def test_garbage_owner_file_is_broken(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
-        with open(f"{path}.owner", "w") as handle:
+        lock_path = str(tmp_path / "owner.lock")
+        with open(lock_path, "w") as handle:
             handle.write("not-a-pid\n")
-        journal = CheckpointJournal(path, exclusive=True)
-        assert journal._owns_exclusive
-        journal.close()
+        lock = OwnerLock(str(tmp_path))
+        with open(lock_path) as handle:
+            assert int(handle.read().strip()) == os.getpid()
+        lock.release()
 
     def test_close_is_idempotent(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
-        journal = CheckpointJournal(path, exclusive=True)
-        journal.close()
-        journal.close()
-        CheckpointJournal(path, exclusive=True).close()
+        lock = OwnerLock(str(tmp_path))
+        lock.release()
+        lock.release()
+        OwnerLock(str(tmp_path)).release()
+        # A session store closes the same way, and reopens its sessions.
+        store = SessionStore(str(tmp_path / "sessions"))
+        store.cache_for("alice")
+        store.close()
+        store.close()
+        store.cache_for("alice")
+        store.close()
 
     def test_live_owner_lock_always_carries_its_pid(self, tmp_path):
         """The lock file is linked into place *with* its pid.
 
-        The old O_EXCL-create-then-write protocol had a window where a
-        live owner's lock existed but was still empty — a contender
-        reading it then judged it garbage and broke it, leaving two
-        exclusive owners on one journal.  The link protocol makes that
-        state unrepresentable: the moment the path exists it names its
-        owner, and no stray temp files are left behind.
+        An O_EXCL-create-then-write protocol has a window where a live
+        owner's lock exists but is still empty — a contender reading it
+        then judges it garbage and breaks it, leaving two owners of one
+        directory.  The link protocol makes that state unrepresentable:
+        the moment the path exists it names its owner, and no stray
+        temp files are left behind.
         """
-        path = str(tmp_path / "journal.jsonl")
-        with CheckpointJournal(path, exclusive=True):
-            with open(f"{path}.owner") as handle:
+        with OwnerLock(str(tmp_path)):
+            with open(str(tmp_path / "owner.lock")) as handle:
                 assert int(handle.read().strip()) == os.getpid()
             leftovers = [
                 name for name in os.listdir(tmp_path)
@@ -294,20 +208,19 @@ class TestExclusiveOwnerLock:
             assert leftovers == []
 
     def test_contended_acquisition_yields_exactly_one_owner(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
         winners, losers, errors = [], [], []
         barrier = threading.Barrier(8)
 
         def contend():
             barrier.wait()
             try:
-                journal = CheckpointJournal(path, exclusive=True)
+                lock = OwnerLock(str(tmp_path))
             except ConfigError:
                 losers.append(1)
             except Exception as error:  # noqa: BLE001 - must be visible
                 errors.append(error)
             else:
-                winners.append(journal)
+                winners.append(lock)
 
         threads = [threading.Thread(target=contend) for _ in range(8)]
         for thread in threads:
@@ -317,5 +230,5 @@ class TestExclusiveOwnerLock:
         assert errors == []
         assert len(winners) == 1
         assert len(losers) == 7
-        winners[0].close()
-        assert not os.path.exists(f"{path}.owner")
+        winners[0].release()
+        assert not os.path.exists(str(tmp_path / "owner.lock"))

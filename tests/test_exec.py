@@ -1,9 +1,16 @@
 """Tests for the parallel experiment executor and on-disk result cache."""
 
+import ast
 import json
+import os
+import shutil
+import subprocess
+import sys
 import time
 
 import pytest
+
+import repro
 
 from repro.config import ScaledArrayConfig, TWLConfig
 from repro.errors import CellExecutionError, ConfigError, SimulationError, TraceError
@@ -21,6 +28,7 @@ from repro.exec import (
     stream_cell,
     trace_cell,
 )
+from repro.exec.hashing import RESULT_SOURCES
 from repro.pcm.faults import FirstFailure
 from repro.sim.lifetime import LifetimeResult
 from repro.sim.replicates import replicate_attack_lifetime
@@ -152,12 +160,12 @@ class TestCache:
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cell = _grid()[0]
         cache = CellCache(str(tmp_path))
-        cache.put(cell, run_cells([cell])[0])
+        cache.put(cell, cell_fingerprint(cell), run_cells([cell])[0])
         cache.path_for(cell_fingerprint(cell))
         with open(cache.path_for(cell_fingerprint(cell)), "w") as handle:
             handle.write("{not json")
         fresh = CellCache(str(tmp_path))
-        assert fresh.get(cell) is None
+        assert fresh.get(cell_fingerprint(cell)) is None
         assert fresh.misses == 1
 
     def test_overheads_round_trip(self, tmp_path):
@@ -167,7 +175,7 @@ class TestCache:
         )
         cache = CellCache(str(tmp_path))
         direct = run_cells([cell], cache=cache)[0]
-        cached = CellCache(str(tmp_path)).get(cell)
+        cached = CellCache(str(tmp_path)).get(cell_fingerprint(cell))
         assert cached == direct
 
     @pytest.mark.parametrize(
@@ -176,9 +184,9 @@ class TestCache:
     )
     def test_lifetime_round_trip(self, tmp_path, result):
         cell = _grid()[0]
-        CellCache(str(tmp_path)).put(cell, result)
+        CellCache(str(tmp_path)).put(cell, cell_fingerprint(cell), result)
         fresh = CellCache(str(tmp_path))
-        assert fresh.get(cell) == result
+        assert fresh.get(cell_fingerprint(cell)) == result
         assert fresh.hits == 1
 
     def test_lifetime_payload_is_pinned(self):
@@ -229,44 +237,168 @@ class TestFingerprint:
         )
         assert cell_fingerprint(base) != cell_fingerprint(tweaked)
 
-    def test_changes_with_version(self):
+    def test_changes_with_code_digest(self, monkeypatch):
         cell = _grid()[0]
-        assert cell_fingerprint(cell) != cell_fingerprint(cell, version="0.0.0")
+        before = cell_fingerprint(cell)
+        monkeypatch.setattr("repro.exec.hashing.code_digest", lambda: "edited")
+        assert cell_fingerprint(cell) != before
 
-    def test_version_change_invalidates_cache_entry(self, tmp_path):
-        # The cache file is addressed by fingerprint, so a version bump
+    def test_code_change_invalidates_cache_entry(self, monkeypatch, tmp_path):
+        # The cache file is addressed by fingerprint, so edited code
         # maps the same cell to a new key: nothing is found there.
         cell = _grid()[0]
+        run_cells([cell], cache=CellCache(str(tmp_path)))
+        monkeypatch.setattr("repro.exec.hashing.code_digest", lambda: "edited")
         cache = CellCache(str(tmp_path))
-        result = run_cells([cell], cache=cache)[0]
-        stale_path = cache.path_for(cell_fingerprint(cell, version="0.0.0"))
-        fresh_path = cache.path_for(cell_fingerprint(cell))
-        import os
+        assert cache.get(cell_fingerprint(cell)) is None
+        run_cells([cell], cache=cache)
+        assert cache.misses == 2
+        assert len(cache) == 2
 
-        assert os.path.exists(fresh_path)
-        assert not os.path.exists(stale_path)
-        assert result is not None
-
-    def test_fingerprints_without_trace_path_are_pinned(self):
+    def test_fingerprints_without_trace_path_are_pinned(self, monkeypatch):
         """Only cells that set ``trace_path`` hash file contents; every
-        other cell keeps the key it had before content digests."""
+        other cell's key is a pure function of its spec and the code."""
+        monkeypatch.setattr("repro.exec.hashing.code_digest", lambda: "0" * 32)
         cells = {
-            "57073fe3f88a3c0561f2479b6fd13ce3": attack_cell(
+            "f622dc33ffadde54abde61326b7be7de": attack_cell(
                 "twl_swp", "scan", scaled=SCALED, seed=11
             ),
-            "e270d1044db2a63851b2370307451c3c": trace_cell(
+            "f24b41c6749b819d8e8894489e3ca4e0": trace_cell(
                 "sr", "vips", trace_writes=5000, scaled=SCALED, seed=5
             ),
-            "2281650a8aa9ffdeac5ff1dd8da9d543": overheads_cell(
+            "0011cce8e8ea1f6e6e6a767fddc2c76c": overheads_cell(
                 "twl", "vips", trace_writes=5000, drive_writes=4000,
                 scaled=SCALED, seed=5,
             ),
-            "a32d207a6ea4f9b0f56ceee508291b2c": stream_cell(
+            "916208bba281aa8183c87db887a293a9": stream_cell(
                 "twl", stream="ftl", scaled=SCALED, seed=11
             ),
         }
         for expected, cell in cells.items():
-            assert cell_fingerprint(cell, version="0") == expected
+            assert cell_fingerprint(cell) == expected
+
+
+class TestCodeDigest:
+    """The fingerprint covers the result-bearing source: editing it moves
+    every key, editing anything else moves none."""
+
+    #: Prints the fingerprints of a small grid, one of each cell kind,
+    #: under whatever ``repro`` is first on ``PYTHONPATH``.
+    _SCRIPT = (
+        "import json, repro\n"
+        "from repro.config import ScaledArrayConfig\n"
+        "from repro.exec import attack_cell, cell_fingerprint, overheads_cell, "
+        "stream_cell, trace_cell\n"
+        "s = ScaledArrayConfig(n_pages=64, endurance_mean=768.0)\n"
+        "cells = [attack_cell('twl_swp', 'scan', scaled=s, seed=11),\n"
+        "         attack_cell('bwl', 'inconsistent', scaled=s, seed=3),\n"
+        "         trace_cell('sr', 'vips', trace_writes=5000, scaled=s, seed=5),\n"
+        "         overheads_cell('twl', 'vips', trace_writes=5000,\n"
+        "                        drive_writes=4000, scaled=s, seed=5),\n"
+        "         stream_cell('twl', stream='ftl', scaled=s, seed=11)]\n"
+        "print(json.dumps([repro.__file__] + [cell_fingerprint(c) for c in cells]))\n"
+    )
+
+    #: Modules in the import closure of ``repro/exec/cells.py`` that are
+    #: deliberately not digested: none of them can change a result.
+    _EXEMPT = {
+        # The runtime determinism sanitizer only raises on global-RNG
+        # use; it never changes a value.
+        "devtools/__init__.py",
+        "devtools/sanitize.py",
+        # The static analyzer, reached only through the lazy
+        # ``repro.devtools.__getattr__``; it never runs inside a cell.
+        "devtools/lint.py",
+    }
+
+    def _fingerprints(self, root):
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", self._SCRIPT],
+            cwd=str(root), env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        where, *fingerprints = json.loads(out)
+        assert where.startswith(str(root / "src"))
+        return fingerprints
+
+    @staticmethod
+    def _edit(path):
+        with open(path, "ab") as handle:
+            handle.write(b"#")
+
+    def test_one_byte_edit_moves_every_fingerprint(self, tmp_path):
+        package = os.path.dirname(repro.__file__)
+        copy = tmp_path / "src" / "repro"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        before = self._fingerprints(tmp_path)
+        assert len(set(before)) == len(before)
+        # Serving code decides no result: the cache stays warm.
+        self._edit(copy / "serve" / "server.py")
+        assert self._fingerprints(tmp_path) == before
+        # One byte of one scheme module moves every key.
+        self._edit(copy / "wearlevel" / "bwl.py")
+        after = self._fingerprints(tmp_path)
+        assert all(old != new for old, new in zip(before, after))
+
+    def test_import_closure_of_cells_is_digested(self):
+        """Every module ``run_cell`` can reach is digested or exempt.
+
+        The walk is static: ``import repro`` loads every package, so the
+        modules loaded at run time cannot tell result-bearing code from
+        the rest.  Imports inside functions count (schemes and trace
+        readers are imported lazily); ``TYPE_CHECKING`` blocks do not.
+        """
+        root = os.path.dirname(repro.__file__)
+
+        def module_file(name):
+            path = os.path.join(root, *name.split(".")[1:])
+            if os.path.isdir(path):
+                return os.path.join(path, "__init__.py")
+            return path + ".py" if os.path.exists(path + ".py") else None
+
+        def imported(name, path):
+            package = name if path.endswith("__init__.py") else name.rsplit(".", 1)[0]
+            tree = ast.parse(open(path).read())
+            skip = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.dump(node.test):
+                    skip.update(id(child) for stmt in node.body for child in ast.walk(stmt))
+            for node in ast.walk(tree):
+                if id(node) in skip:
+                    continue
+                if isinstance(node, ast.ImportFrom):
+                    if node.level:
+                        parts = package.split(".")
+                        base = parts[: len(parts) - node.level + 1]
+                        target = ".".join(base + ([node.module] if node.module else []))
+                    else:
+                        target = node.module or ""
+                    targets = [target] + [f"{target}.{alias.name}" for alias in node.names]
+                elif isinstance(node, ast.Import):
+                    targets = [alias.name for alias in node.names]
+                else:
+                    continue
+                for target in targets:
+                    if target.split(".")[0] == "repro" and module_file(target):
+                        yield target
+
+        def relative(name):
+            return os.path.relpath(module_file(name), root).replace(os.sep, "/")
+
+        def digested(rel):
+            return any(rel == src or rel.startswith(src + "/") for src in RESULT_SOURCES)
+
+        seen, stack = set(), ["repro.exec.cells"]
+        while stack:
+            name = stack.pop()
+            if name in seen or relative(name) in self._EXEMPT:
+                continue
+            seen.add(name)
+            stack.extend(imported(name, module_file(name)))
+        closure = {relative(name) for name in seen}
+        assert {"core/twl.py", "wearlevel/bwl.py", "traces/chunked.py"} <= closure
+        assert sorted(rel for rel in closure if not digested(rel)) == []
+        assert not any(digested(rel) for rel in self._EXEMPT)
 
 
 class TestTraceContentFingerprint:

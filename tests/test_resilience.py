@@ -13,9 +13,9 @@ boundary via the ``REPRO_FAULTS`` environment variable:
 * a cell exceeding the per-cell timeout fails with a
   ``CellExecutionError`` naming it, and under ``keep-going`` does not
   block the remaining cells;
-* a killed campaign resumed from its checkpoint journal re-runs only
-  the unfinished cells and matches the clean run exactly — with the
-  cache disabled.
+* a killed campaign resumed from its ``--resume`` directory re-runs
+  only the unfinished cells and matches the clean run exactly — with
+  the cache disabled.
 """
 
 import json
@@ -34,7 +34,6 @@ from repro.errors import (
 )
 from repro.exec import (
     CellCache,
-    CheckpointJournal,
     FailurePolicy,
     FaultPlan,
     attack_cell,
@@ -74,12 +73,6 @@ def _arm(monkeypatch, tmp_path, **kwargs):
     plan = FaultPlan(**kwargs)
     monkeypatch.setenv(FAULTS_ENV, plan.to_env())
     return plan
-
-
-def _failed_records(manifest):
-    """Failed-cell records in a journal file (written with sort_keys)."""
-    with open(manifest) as handle:
-        return sum('"status": "failed"' in line for line in handle)
 
 
 class _InterruptAfter:
@@ -410,20 +403,20 @@ class TestCheckpointResume:
         cells = _grid()
         clean = run_cells(cells, jobs=1)
         cache = CellCache(str(tmp_path / "cache"))
-        manifest = str(tmp_path / "campaign.jsonl")
+        resume_dir = str(tmp_path / "campaign")
         hook = _InterruptAfter(2)
         with pytest.raises(KeyboardInterrupt):
             execute_cells(
                 cells, jobs=1, cache=cache,
-                journal=CheckpointJournal(manifest), progress=hook,
+                resume=CellCache(resume_dir), progress=hook,
             )
         # Completed cells are durably recorded in both stores.
         assert len(cache) == 2
-        resumed = CheckpointJournal(manifest)
+        resumed = CellCache(resume_dir)
         assert len(resumed) == 2
         # Resume re-runs only the unfinished cells and matches clean.
         calls = self._counting_run_cell(monkeypatch)
-        results = run_cells(cells, jobs=1, journal=resumed)
+        results = run_cells(cells, jobs=1, resume=resumed)
         assert results == clean
         assert len(calls) == len(cells) - 2
 
@@ -431,72 +424,98 @@ class TestCheckpointResume:
         cells = _grid()
         clean = run_cells(cells, jobs=1)
         cache = CellCache(str(tmp_path / "cache"))
-        manifest = str(tmp_path / "campaign.jsonl")
+        resume_dir = str(tmp_path / "campaign")
         with pytest.raises(KeyboardInterrupt):
             execute_cells(
                 cells, jobs=2, cache=cache,
-                journal=CheckpointJournal(manifest), progress=_InterruptAfter(2),
+                resume=CellCache(resume_dir), progress=_InterruptAfter(2),
             )
-        resumed = CheckpointJournal(manifest)
+        resumed = CellCache(resume_dir)
         assert len(resumed) >= 2
         assert len(cache) >= 2
-        assert run_cells(cells, jobs=1, journal=resumed) == clean
+        assert run_cells(cells, jobs=1, resume=resumed) == clean
 
     def test_resume_without_cache_matches_clean_run(self, monkeypatch, tmp_path):
         cells = _grid()
         clean = run_cells(cells, jobs=1)
-        manifest = str(tmp_path / "campaign.jsonl")
+        resume_dir = str(tmp_path / "campaign")
         with pytest.raises(KeyboardInterrupt):
             execute_cells(
                 cells, jobs=1, cache=None,
-                journal=CheckpointJournal(manifest), progress=_InterruptAfter(2),
+                resume=CellCache(resume_dir), progress=_InterruptAfter(2),
             )
         calls = self._counting_run_cell(monkeypatch)
-        results = run_cells(cells, jobs=1, cache=None, journal=CheckpointJournal(manifest))
+        results = run_cells(cells, jobs=1, cache=None, resume=CellCache(resume_dir))
         assert results == clean
         assert len(calls) == len(cells) - 2
 
     def test_fully_journaled_campaign_reruns_nothing(self, monkeypatch, tmp_path):
         cells = _grid()
-        manifest = str(tmp_path / "campaign.jsonl")
-        clean = run_cells(cells, jobs=1, journal=CheckpointJournal(manifest))
+        resume_dir = str(tmp_path / "campaign")
+        clean = run_cells(cells, jobs=1, resume=CellCache(resume_dir))
 
         def explode(cell):
-            raise AssertionError("cell ran despite a complete journal")
+            raise AssertionError("cell ran despite a complete resume directory")
 
         monkeypatch.setattr("repro.exec.executor.run_cell", explode)
-        outcomes = execute_cells(cells, jobs=1, journal=CheckpointJournal(manifest))
+        outcomes = execute_cells(cells, jobs=1, resume=CellCache(resume_dir))
         assert [outcome.result for outcome in outcomes] == clean
         assert all(outcome.resumed and outcome.cached for outcome in outcomes)
 
-    def test_journal_tolerates_truncated_final_line(self, tmp_path):
+    def test_resume_hit_beats_the_shared_cache(self, tmp_path):
+        """A cell in both stores is reported as resumed, and a shared-cache
+        hit is copied into the resume directory."""
         cells = _grid()
-        manifest = str(tmp_path / "campaign.jsonl")
-        run_cells(cells[:2], jobs=1, journal=CheckpointJournal(manifest))
-        with open(manifest, "a") as handle:
-            handle.write('{"format": 1, "status": "done", "fingerpr')  # crash here
-        resumed = CheckpointJournal(manifest)
-        assert len(resumed) == 2
-        # Appending after a truncated tail still yields decodable lines
-        # for the new records.
-        run_cells(cells, jobs=1, journal=resumed)
-        assert len(CheckpointJournal(manifest)) == len(cells)
+        resume_dir = str(tmp_path / "campaign")
+        cache = CellCache(str(tmp_path / "cache"))
+        run_cells(cells[:2], jobs=1, cache=cache, resume=CellCache(resume_dir))
+        run_cells(cells[2:], jobs=1, cache=cache)
+        outcomes = execute_cells(cells, jobs=1, cache=cache, resume=CellCache(resume_dir))
+        assert [outcome.resumed for outcome in outcomes] == [True, True, False, False]
+        assert all(outcome.cached for outcome in outcomes)
+        assert len(CellCache(resume_dir)) == len(cells)
+
+    def test_truncated_entry_in_resume_dir_reruns_only_that_cell(
+        self, monkeypatch, tmp_path
+    ):
+        cells = _grid()
+        clean = run_cells(cells, jobs=1)
+        resume = CellCache(str(tmp_path / "campaign"))
+        run_cells(cells, jobs=1, resume=resume)
+        # A crash mid-write: one entry holds only a prefix of its bytes.
+        path = resume.path_for(cell_fingerprint(cells[1]))
+        with open(path, "rb") as handle:
+            data = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(data[: len(data) // 2])
+        calls = self._counting_run_cell(monkeypatch)
+        resumed = CellCache(str(tmp_path / "campaign"))
+        assert run_cells(cells, jobs=1, resume=resumed) == clean
+        assert calls == [cells[1].describe()]
+        assert resumed.corrupt == 1
+        assert os.path.exists(f"{path}.corrupt")
+        # The re-run wrote the entry back whole.
+        assert CellCache(str(tmp_path / "campaign")).get(
+            cell_fingerprint(cells[1])
+        ) == clean[1]
 
     def test_failed_cells_are_rerun_on_resume(self, monkeypatch, tmp_path):
         cells = _grid()
         clean = run_cells(cells, jobs=1)
-        manifest = str(tmp_path / "campaign.jsonl")
+        resume_dir = str(tmp_path / "campaign")
         _arm(monkeypatch, tmp_path, mode="transient", rate=1.0, times=10, max_total=2)
         policy = FailurePolicy(
             max_retries=1, on_error=ON_ERROR_KEEP_GOING, **FAST_RETRY
         )
         with pytest.raises(CampaignError):
-            run_cells(cells, jobs=1, policy=policy, journal=CheckpointJournal(manifest))
+            run_cells(cells, jobs=1, policy=policy, resume=CellCache(resume_dir))
         monkeypatch.delenv(FAULTS_ENV)
-        resumed = CheckpointJournal(manifest)
+        # A failed cell leaves no entry: it is simply not done yet.
+        resumed = CellCache(resume_dir)
         assert len(resumed) == len(cells) - 1
-        assert _failed_records(manifest) == 1
-        assert run_cells(cells, jobs=1, journal=resumed) == clean
+        calls = self._counting_run_cell(monkeypatch)
+        assert run_cells(cells, jobs=1, resume=resumed) == clean
+        assert len(calls) == 1
 
 
 class TestCacheRobustness:
@@ -507,44 +526,44 @@ class TestCacheRobustness:
         result = run_cells([cell])[0]
         cache = CellCache(str(tmp_path))
 
-        def exploding_dump(record, handle, **kwargs):
-            handle.write('{"partial":')  # simulate dying mid-write
+        def exploding_fsync(fd):
+            # The temp file holds the bytes; the disk fails before the
+            # rename can publish them.
             raise OSError("disk full")
 
-        monkeypatch.setattr("repro.exec.cache.json.dump", exploding_dump)
+        monkeypatch.setattr("repro.engine.snapshot.os.fsync", exploding_fsync)
         with pytest.raises(OSError):
-            cache.put(cell, result)
-        leftovers = [name for name in os.listdir(str(tmp_path)) if ".tmp" in name]
-        assert leftovers == []
+            cache.put(cell, cell_fingerprint(cell), result)
+        assert os.listdir(str(tmp_path)) == []
 
     def test_corrupt_entry_is_counted_and_quarantined(self, tmp_path):
         cell = _grid()[0]
         cache = CellCache(str(tmp_path))
-        cache.put(cell, run_cells([cell])[0])
+        cache.put(cell, cell_fingerprint(cell), run_cells([cell])[0])
         path = cache.path_for(cell_fingerprint(cell))
         with open(path, "w") as handle:
             handle.write("{not json")
         fresh = CellCache(str(tmp_path))
-        assert fresh.get(cell) is None
+        assert fresh.get(cell_fingerprint(cell)) is None
         assert fresh.misses == 1
         assert fresh.corrupt == 1
         assert not os.path.exists(path)
         assert os.path.exists(f"{path}.corrupt")
         # Quarantined: the next lookup is a plain (non-corrupt) miss.
-        assert fresh.get(cell) is None
+        assert fresh.get(cell_fingerprint(cell)) is None
         assert fresh.corrupt == 1
         assert "corrupt" in fresh.summary()
 
     def test_undecodable_payload_counts_as_corrupt(self, tmp_path):
         cell = _grid()[0]
         cache = CellCache(str(tmp_path))
-        cache.put(cell, run_cells([cell])[0])
+        cache.put(cell, cell_fingerprint(cell), run_cells([cell])[0])
         path = cache.path_for(cell_fingerprint(cell))
         record = {"format": 1, "kind": "lifetime", "payload": {"nope": 1}}
         with open(path, "w") as handle:
             json.dump(record, handle)
         fresh = CellCache(str(tmp_path))
-        assert fresh.get(cell) is None
+        assert fresh.get(cell_fingerprint(cell)) is None
         assert fresh.corrupt == 1
         assert os.path.exists(f"{path}.corrupt")
 
@@ -590,13 +609,13 @@ class TestCLIResilienceFlags:
             [
                 "fig6", "--quick", "--retries", "2",
                 "--cell-timeout", "1.5", "--keep-going",
-                "--resume", "/tmp/manifest.jsonl",
+                "--resume", "/tmp/campaign",
             ]
         )
         assert args.retries == 2
         assert args.cell_timeout == 1.5
         assert args.keep_going
-        assert args.resume == "/tmp/manifest.jsonl"
+        assert args.resume == "/tmp/campaign"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig6", "--retries", "-1"])
         with pytest.raises(SystemExit):
@@ -618,17 +637,47 @@ class TestCLIResilienceFlags:
         from repro import cli
 
         monkeypatch.setattr(cli, "quick_setup", self._tiny_setup)
-        manifest = str(tmp_path / "manifest.jsonl")
+        resume_dir = str(tmp_path / "campaign")
         argv = [
-            "fig6", "--quick", "--no-cache", "--resume", manifest,
+            "fig6", "--quick", "--no-cache", "--resume", resume_dir,
         ]
         assert cli.main(argv) == 0
         first = capsys.readouterr().out
-        # Second run: everything is served from the journal.
+        # Second run: everything is served from the resume directory.
         assert cli.main(argv) == 0
         captured = capsys.readouterr()
         assert captured.out == first
         assert "(resumed)" in captured.err
+
+    def test_cli_no_cache_resume_twice_runs_no_cell(self, monkeypatch, tmp_path, capsys):
+        from repro import cli
+
+        monkeypatch.setattr(cli, "quick_setup", self._tiny_setup)
+        argv = ["fig6", "--quick", "--no-cache", "--resume", str(tmp_path / "campaign")]
+        assert cli.main(argv) == 0
+        first = capsys.readouterr().out
+
+        def explode(cell):
+            raise AssertionError(f"{cell.describe()} ran on a finished resume")
+
+        monkeypatch.setattr("repro.exec.executor.run_cell", explode)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == first
+
+    def test_cli_resume_at_a_regular_file_is_a_config_error(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """An old ``.jsonl`` resume file is refused by name, not a traceback."""
+        from repro import cli
+
+        monkeypatch.setattr(cli, "quick_setup", self._tiny_setup)
+        old = tmp_path / "manifest.jsonl"
+        old.write_text('{"format": 1, "status": "done"}\n')
+        assert cli.main(["fig6", "--quick", "--no-cache", "--resume", str(old)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("twl-repro: error:")
+        assert str(old) in err
+        assert "Traceback" not in err
 
     def test_cli_surfaces_corrupt_entries(self, monkeypatch, tmp_path, capsys):
         from repro import cli
@@ -653,12 +702,12 @@ class TestCLIResilienceFlags:
         monkeypatch.setenv("REPRO_RETRIES", "3")
         monkeypatch.setenv("REPRO_CELL_TIMEOUT", "2.5")
         monkeypatch.setenv("REPRO_KEEP_GOING", "1")
-        monkeypatch.setenv("REPRO_RESUME", "/tmp/m.jsonl")
+        monkeypatch.setenv("REPRO_RESUME", "/tmp/campaign")
         setup = active_setup()
         assert setup.failure.max_retries == 3
         assert setup.failure.timeout == 2.5
         assert setup.failure.keep_going
-        assert setup.resume == "/tmp/m.jsonl"
+        assert setup.resume == "/tmp/campaign"
 
 
 class TestTimeoutOutsideMainThread:
@@ -757,62 +806,6 @@ class TestTimeoutOutsideMainThread:
         # No second delivery: plenty of bytecode boundaries follow.
         for _ in range(100000):
             pass
-
-
-class TestJournalCompaction:
-    """Satellite: ``compact()`` rewrites superseded journal history."""
-
-    def test_compact_drops_superseded_and_garbage(self, tmp_path):
-        cells = _grid()
-        clean = run_cells(cells, jobs=1)
-        manifest = str(tmp_path / "campaign.jsonl")
-        journal = CheckpointJournal(manifest)
-        run_cells(cells[:2], jobs=1, journal=journal)
-        # A cell that failed, then succeeded on a later attempt: the
-        # failed line is superseded history.
-        fingerprint = cell_fingerprint(cells[2])
-        journal.record_failed(cells[2], fingerprint, "transient boom")
-        journal.record_done(cells[2], fingerprint, run_cells([cells[2]])[0])
-        with open(manifest, "a") as handle:
-            handle.write("{garbage, not json\n")
-        assert sum(1 for _ in open(manifest)) == 5
-        assert journal.compact() == 2
-        assert sum(1 for _ in open(manifest)) == 3
-        reloaded = CheckpointJournal(manifest)
-        assert len(reloaded) == 3
-        assert _failed_records(manifest) == 0
-        # Compacting an already-minimal journal is a no-op.
-        assert reloaded.compact() == 0
-        assert run_cells(cells, jobs=1, journal=reloaded) == clean
-
-    def test_failed_only_records_survive(self, tmp_path):
-        manifest = str(tmp_path / "campaign.jsonl")
-        journal = CheckpointJournal(manifest)
-        cell = _grid()[0]
-        journal.record_failed(cell, "fp-a", "first")
-        journal.record_failed(cell, "fp-a", "second")
-        assert journal.compact() == 1
-        reloaded = CheckpointJournal(manifest)
-        assert _failed_records(manifest) == 1
-        assert len(reloaded) == 0
-
-    def test_auto_compact_on_open_past_threshold(self, tmp_path):
-        cells = _grid()
-        manifest = str(tmp_path / "campaign.jsonl")
-        journal = CheckpointJournal(manifest)
-        fingerprint = cell_fingerprint(cells[0])
-        journal.record_failed(cells[0], fingerprint, "boom")
-        journal.record_done(cells[0], fingerprint, run_cells([cells[0]])[0])
-        assert sum(1 for _ in open(manifest)) == 2
-        # Under the (default, generous) threshold: open leaves the file
-        # byte-identical.
-        before = open(manifest).read()
-        CheckpointJournal(manifest)
-        assert open(manifest).read() == before
-        # Past the threshold: open compacts.
-        compacted = CheckpointJournal(manifest, compact_bytes=1)
-        assert compacted.resumed == 1
-        assert sum(1 for _ in open(manifest)) == 1
 
 
 class TestTimeoutSnapshotCleanup:

@@ -4,7 +4,8 @@ Every robustness promise of ``twl-repro serve`` is exercised in-process
 here against a real :class:`CampaignServer` on an ephemeral TCP port:
 
 * a served cell is **bit-identical to serial execution**, and replays
-  from the per-session journal and the shared cache stay identical;
+  from the per-session result directory and the shared cache stay
+  identical;
 * duplicate in-flight submissions coalesce onto one execution;
 * admission past ``queue_limit`` is rejected with a structured
   ``overloaded`` frame instead of unbounded buffering;
@@ -14,7 +15,7 @@ here against a real :class:`CampaignServer` on an ephemeral TCP port:
   its pool (and says so in every response);
 * a vanished client's execution is cancelled, reclaiming its slot;
 * a drained server rejects new work but a restarted server on the same
-  state dir resumes its sessions from the journal;
+  state dir resumes its sessions from their result directories;
 * the chaos load generator's acceptance contract holds end to end.
 
 The heavier out-of-process gate (server SIGKILL + restart mid-campaign)
@@ -191,7 +192,8 @@ class TestServeRoundTrip:
         assert fresh["fingerprint"] == fingerprint
         assert fresh["degraded"] is False
         assert {"kind": fresh["kind"], "payload": fresh["payload"]} == expected
-        # Same session resubmission: served from the session journal.
+        # Same session resubmission: served from the session directory
+        # (still labeled ``journal`` on the wire).
         assert again["source"] == "journal"
         assert {"kind": again["kind"], "payload": again["payload"]} == expected
         # Another session: the shared content-addressed cache answers.
@@ -199,6 +201,11 @@ class TestServeRoundTrip:
         assert {"kind": other["kind"], "payload": other["payload"]} == expected
         assert server.stats["journal_hits"] == 1
         assert server.stats["cache_hits"] == 1
+        # Both sessions are cache directories holding the result: bob's
+        # shared-cache hit was copied into his own.
+        sessions = os.path.join(str(tmp_path / "state"), "sessions")
+        for name in ("alice", "bob"):
+            assert os.listdir(os.path.join(sessions, name)) == [f"{fingerprint}.json"]
 
     def test_ping_and_stats(self, tmp_path):
         async def scenario():
@@ -643,16 +650,17 @@ class TestServerRobustnessRegressions:
         assert server.stats["failed"] == 1
 
     def test_journal_io_does_not_stall_the_event_loop(self, tmp_path):
-        """A held journal lock must not freeze unrelated connections.
+        """A stalled session store must not freeze unrelated connections.
 
-        Journal appends flock + fsync; run on the event-loop thread (as
-        they used to be) a foreign process holding the ``.lock``
-        sidecar froze *every* connection.  Parked on the I/O thread,
-        the loop keeps answering pings and the blocked submit completes
-        once the lock is released.
+        Every session put fsyncs; run on the event-loop thread, one
+        slow disk would freeze *every* connection.  Parked on the I/O
+        thread, the loop keeps answering pings and the blocked submit
+        completes once the store returns.
         """
-        fcntl = pytest.importorskip("fcntl")
+        import threading
+
         cell_a, cell_b = _cell(seed=65), _cell(seed=66)
+        released = threading.Event()
 
         async def scenario():
             server = CampaignServer(_config(tmp_path, drain_grace=0.2))
@@ -662,9 +670,14 @@ class TestServerRobustnessRegressions:
                 await submit_cell(
                     reader, writer, cell_a, "warm", session="locked"
                 )
-                lock_path = server._sessions.journal_path("locked") + ".lock"
-                handle = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
-                fcntl.flock(handle, fcntl.LOCK_EX)
+                session = server._sessions.cache_for("locked")
+                put = session.put
+
+                def stalled_put(*args):
+                    released.wait(30.0)
+                    put(*args)
+
+                session.put = stalled_put
                 try:
                     frame = {
                         "op": "submit",
@@ -674,8 +687,8 @@ class TestServerRobustnessRegressions:
                     }
                     writer.write((json.dumps(frame) + "\n").encode())
                     await writer.drain()
-                    # Let the cell execute and its persist park on the
-                    # foreign flock (settled = admission released, but
+                    # Let the cell execute and its persist park in the
+                    # stalled store (settled = admission released, but
                     # no response written yet).
                     for _ in range(500):
                         await asyncio.sleep(0.02)
@@ -693,8 +706,7 @@ class TestServerRobustnessRegressions:
                     )
                     await _closed(w2)
                 finally:
-                    fcntl.flock(handle, fcntl.LOCK_UN)
-                    os.close(handle)
+                    released.set()
                 blocked = json.loads(
                     await asyncio.wait_for(reader.readline(), timeout=30.0)
                 )
@@ -767,11 +779,11 @@ class TestServerRobustnessRegressions:
                 # the shared cache (the done callback fires inline here).
                 # Pool futures carry the worker's (result, seconds).
                 abandoned = Future()
-                server._bank_abandoned(abandoned, cell)
+                server._bank_abandoned(abandoned, cell, cell_fingerprint(cell))
                 abandoned.set_result((result, 0.5))
                 # Cancelled / failed futures bank nothing.
                 cancelled = Future()
-                server._bank_abandoned(cancelled, cell)
+                server._bank_abandoned(cancelled, cell, cell_fingerprint(cell))
                 cancelled.cancel()
                 reader, writer = await open_connection(_tcp(server))
                 response = await submit_cell(reader, writer, cell, "hit")
@@ -791,7 +803,8 @@ class TestSessionResume:
     def test_restart_serves_from_journal(self, tmp_path):
         cell = _cell(seed=51)
         expected = _serial_payload(cell)
-        # Cache off: the replay can only come from the session journal.
+        # Cache off: the replay can only come from the session's own
+        # result directory.
         config = _config(tmp_path, cache=False)
 
         async def first_life():
@@ -821,6 +834,13 @@ class TestSessionResume:
             return response
 
         fresh = asyncio.run(first_life())
+        # The session is a cache directory holding the result, and a
+        # SIGKILLed owner would have left its lock behind: a dead pid.
+        session_dir = os.path.join(config.state_dir, "sessions", "resume")
+        entry = os.path.join(session_dir, f"{fresh['fingerprint']}.json")
+        assert os.path.exists(entry)
+        with open(os.path.join(session_dir, "owner.lock"), "w") as handle:
+            handle.write("999999999\n")
         resumed = asyncio.run(second_life())
         assert fresh["source"] == "run"
         assert resumed["source"] == "journal"
