@@ -27,7 +27,6 @@ from .config import (
     StartGapConfig,
     WRLConfig,
     BWLConfig,
-    SimConfig,
     PAPER_PCM,
 )
 from .errors import (
@@ -114,7 +113,6 @@ __all__ = [
     "StartGapConfig",
     "WRLConfig",
     "BWLConfig",
-    "SimConfig",
     "PAPER_PCM",
     # errors
     "ReproError",

@@ -1,6 +1,6 @@
 """Result analysis: statistics, calibration, tables, extrapolation."""
 
-from .stats import geometric_mean, summarize
+from .stats import geometric_mean
 from .calibration import (
     PAPER_IDEAL_CALIBRATION,
     PAPER_ATTACK_BANDWIDTH_BYTES,
@@ -8,17 +8,13 @@ from .calibration import (
     ideal_lifetime_years,
     attack_ideal_lifetime_years,
 )
-from .tables import ResultTable, format_table, ascii_bar_chart, grouped_bar_chart
-from .extrapolate import (
-    fraction_to_full_scale_years,
-    targeted_attack_full_scale_seconds,
-)
+from .tables import ResultTable, format_table, ascii_bar_chart
+from .extrapolate import targeted_attack_full_scale_seconds
 from .svg import svg_grouped_bars, svg_line_chart, svg_wear_heatmap, save_svg
 from .models import (
     choose_a_probability,
     swap_probability,
     markov_swap_probability,
-    pair_wear_shares,
     markov_pair_wear_shares,
     slot_repeat_probability,
     pair_lifetime_fraction,
@@ -28,7 +24,6 @@ from .models import (
 
 __all__ = [
     "geometric_mean",
-    "summarize",
     "PAPER_IDEAL_CALIBRATION",
     "PAPER_ATTACK_BANDWIDTH_BYTES",
     "ideal_lifetime_seconds",
@@ -37,8 +32,6 @@ __all__ = [
     "ResultTable",
     "format_table",
     "ascii_bar_chart",
-    "grouped_bar_chart",
-    "fraction_to_full_scale_years",
     "targeted_attack_full_scale_seconds",
     "svg_grouped_bars",
     "svg_line_chart",
@@ -49,7 +42,6 @@ __all__ = [
     "markov_swap_probability",
     "markov_pair_wear_shares",
     "slot_repeat_probability",
-    "pair_wear_shares",
     "pair_lifetime_fraction",
     "uniform_wear_lifetime_fraction",
     "interval_swap_ratio",

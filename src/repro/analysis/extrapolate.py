@@ -23,23 +23,6 @@ Two regimes (DESIGN.md §2):
 from __future__ import annotations
 
 from ..config import PCMConfig, PAPER_PCM
-from ..units import SECONDS_PER_YEAR
-from .calibration import PAPER_IDEAL_CALIBRATION, ideal_lifetime_seconds
-
-
-def fraction_to_full_scale_years(
-    lifetime_fraction: float,
-    bandwidth_bytes_per_second: float,
-    pcm: PCMConfig = PAPER_PCM,
-    calibration: float = PAPER_IDEAL_CALIBRATION,
-) -> float:
-    """Full-scale years for a scale-invariant lifetime fraction."""
-    if lifetime_fraction < 0:
-        raise ValueError("lifetime fraction must be non-negative")
-    ideal = ideal_lifetime_seconds(
-        bandwidth_bytes_per_second, pcm=pcm, calibration=calibration
-    )
-    return lifetime_fraction * ideal / SECONDS_PER_YEAR
 
 
 def targeted_attack_full_scale_seconds(

@@ -27,7 +27,7 @@ def choose_a_probability(endurance_a: float, endurance_b: float) -> float:
     return endurance_a / (endurance_a + endurance_b)
 
 
-def swap_probability(p: float, endurance_a: float, endurance_b: float) -> float:
+def swap_probability(p: float, endurance_a: float, endurance_b: float) -> float:  # twl: allow(TWL011) reason=oracle: the paper's Eq. 1/2, checked at its four cases and against markov_swap_probability in tests/test_models.py
     """The paper's Equation 1/2: per-write swap probability.
 
     ``Prob(swap) = p * E_B/(E_A+E_B) + (1-p) * E_A/(E_A+E_B)``
@@ -65,26 +65,6 @@ class PairWearShares:
     def share_b(self) -> float:  # twl: allow(TWL011) reason=oracle: tests/test_models.py checks the engine's frame-B wear share against this Eq. 1/2 prediction
         """Fraction of pair wear landing on the weaker frame B."""
         return self.wear_b / self.total
-
-
-def pair_wear_shares(
-    p: float, endurance_a: float, endurance_b: float
-) -> PairWearShares:
-    """Expected wear per demand write on frames A and B (interval 1).
-
-    Each write lands on the chosen frame; when the chosen frame differs
-    from the written slot, the swap-then-write also writes the other
-    frame (the two-write plan of Figure 4(c)).  With i.i.d. slot choice:
-
-    ``wear_A = P(choose A) + P(choose B) * P(slot = A)``
-    ``wear_B = P(choose B) + P(choose A) * P(slot = B)``
-    """
-    _check_probability(p)
-    _check_endurance(endurance_a, endurance_b)
-    choose_a = choose_a_probability(endurance_a, endurance_b)
-    wear_a = choose_a + (1 - choose_a) * p
-    wear_b = (1 - choose_a) + choose_a * (1 - p)
-    return PairWearShares(wear_a=wear_a, wear_b=wear_b)
 
 
 def slot_repeat_probability(p: float) -> float:
@@ -140,7 +120,7 @@ def markov_pair_wear_shares(
     return PairWearShares(wear_a=wear_a, wear_b=wear_b)
 
 
-def markov_swap_probability(
+def markov_swap_probability(  # twl: allow(TWL011) reason=oracle: tests/test_models.py checks the TWL engine's measured swap ratio against this
     p: float,
     endurance_a: float,
     endurance_b: float,
@@ -165,7 +145,7 @@ def markov_swap_probability(
     return a * (1 - on_a) + (1 - a) * on_a
 
 
-def pair_lifetime_fraction(
+def pair_lifetime_fraction(  # twl: allow(TWL011) reason=oracle: tests/test_models.py checks a simulated pair's lifetime against this
     p: float,
     endurance_a: float,
     endurance_b: float,
@@ -187,7 +167,7 @@ def pair_lifetime_fraction(
     return demand_at_death / (endurance_a + endurance_b)
 
 
-def uniform_wear_lifetime_fraction(
+def uniform_wear_lifetime_fraction(  # twl: allow(TWL011) reason=oracle: tests/test_models.py checks measured Security Refresh lifetime against this bound
     sigma_fraction: float,
     population: int,
     overhead_ratio: float = 0.0,
@@ -212,7 +192,7 @@ def uniform_wear_lifetime_fraction(
     return weakest / (1.0 + overhead_ratio)
 
 
-def interval_swap_ratio(
+def interval_swap_ratio(  # twl: allow(TWL011) reason=oracle: tests/test_models.py checks the engine's swap ratio at toss-up interval 8 against this
     swap_probability_at_toss: float, toss_up_interval: int
 ) -> float:
     """Expected toss-up swaps per demand write at a given interval.

@@ -6,7 +6,7 @@ aggregates; :func:`geometric_mean` matches that convention.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -24,18 +24,3 @@ def geometric_mean(values: Iterable[float]) -> float:
         raise ValueError("geometric mean requires positive values")
     return float(np.exp(np.mean(np.log(data))))
 
-
-def summarize(values: Iterable[float]) -> Dict[str, float]:
-    """Mean / gmean / min / max / std over a positive sample."""
-    data = np.asarray(list(values), dtype=np.float64)
-    if data.size == 0:
-        raise ValueError("need at least one value")
-    result = {
-        "mean": float(data.mean()),
-        "min": float(data.min()),
-        "max": float(data.max()),
-        "std": float(data.std()),
-    }
-    if (data > 0).all():
-        result["gmean"] = geometric_mean(data)
-    return result

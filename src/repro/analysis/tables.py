@@ -82,42 +82,6 @@ def ascii_bar_chart(
     return "\n".join(lines)
 
 
-def grouped_bar_chart(
-    group_labels: Sequence[str],
-    series: Dict[str, Sequence[float]],
-    width: int = 30,
-    title: Optional[str] = None,
-    unit: str = "",
-) -> str:
-    """Render grouped horizontal bars (one group per label, one bar per
-    series) — the ASCII rendering of the paper's grouped-bar figures.
-
-    >>> print(grouped_bar_chart(["a"], {"s": [1.0]}))  # doctest: +SKIP
-    """
-    if not group_labels:
-        raise ValueError("need at least one group")
-    for name, values in series.items():
-        if len(values) != len(group_labels):
-            raise ValueError(
-                f"series {name!r} has {len(values)} values for "
-                f"{len(group_labels)} groups"
-            )
-        if any(v < 0 for v in values):
-            raise ValueError(f"series {name!r} has negative values")
-    peak = max((max(values) for values in series.values()), default=1.0) or 1.0
-    name_width = max(len(name) for name in series)
-    lines = []
-    if title:
-        lines.append(title)
-    for index, group in enumerate(group_labels):
-        lines.append(f"{group}:")
-        for name, values in series.items():
-            value = values[index]
-            bar = "#" * int(round(width * value / peak))
-            lines.append(f"  {name.ljust(name_width)}  {bar} {value:.3g}{unit}")
-    return "\n".join(lines)
-
-
 class ResultTable:
     """Accumulates experiment rows, then renders or exports them.
 

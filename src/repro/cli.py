@@ -24,9 +24,10 @@ finished cell in a result directory so a killed campaign restarted with
 the same flag skips every finished cell — all execution knobs, so the
 results stay bit-identical to a clean serial run.  ``--snapshot-every
 N`` goes sub-cell: the engine periodically writes a crash-consistent
-snapshot of its full state into the cache directory, and a killed cell
-restarted under the same identity resumes from the last snapshot
-instead of from zero — still bit-identical.
+snapshot of its full state into the cache directory (with
+``--no-cache``, the ``--resume`` directory; with neither it is a usage
+error), and a killed cell restarted under the same identity resumes
+from the last snapshot instead of from zero — still bit-identical.
 
 Streaming workloads (``docs/workloads.md``): ``twl-repro stream`` runs
 every Figure-8 scheme under a streamed workload at constant memory —
@@ -308,8 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "emit a crash-consistent engine snapshot every N demand "
             "writes so a killed cell resumes mid-run instead of from "
-            "zero (snapshots live in the cache directory; an execution "
-            "knob — resumed results are bit-identical)"
+            "zero (snapshots live in the cache directory, or with "
+            "--no-cache in the --resume directory; an execution knob — "
+            "resumed results are bit-identical)"
         ),
     )
     parser.add_argument(
@@ -384,9 +386,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         setup = replace(setup, stream_trace=args.trace)
     if args.chunk_size is not None:
         setup = replace(setup, chunk_size=args.chunk_size)
-    if args.snapshot_every is not None:
-        setup = replace(setup, snapshot_every=args.snapshot_every)
     try:
+        if args.snapshot_every is not None:
+            setup = replace(setup, snapshot_every=args.snapshot_every)
         if args.experiment == "report":
             from .analysis.report import build_report
 

@@ -85,11 +85,6 @@ class PCMConfig:
         """Number of pages in the array."""
         return self.capacity_bytes // self.page_bytes
 
-    @property
-    def lines_per_page(self) -> int:
-        """Number of memory lines per page."""
-        return self.page_bytes // self.line_bytes
-
 
 #: The paper's full-scale memory, used as the reference population for
 #: tail-faithful endurance sampling and for full-scale extrapolation.
@@ -339,16 +334,3 @@ class SoftErrorConfig:
                 f"targets must be non-empty structure names, got {target!r}",
             )
 
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Simulator run parameters."""
-
-    seed: int = 2017
-    max_writes: Optional[int] = None
-    fail_fast: bool = True
-    collect_wear_histogram: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_writes is not None:
-            _require(self.max_writes > 0, "max_writes must be positive")

@@ -31,7 +31,6 @@ from .sanitize import (
     SANITIZE_ENV,
     install,
     maybe_install_from_env,
-    sanitizer_installed,
     uninstall,
 )
 
@@ -43,7 +42,6 @@ __all__ = [
     "SANITIZE_ENV",
     "install",
     "maybe_install_from_env",
-    "sanitizer_installed",
     "uninstall",
 ]
 

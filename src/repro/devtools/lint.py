@@ -25,7 +25,7 @@ Violations are reported as named rules:
     no unseeded ``np.random.default_rng()`` and no OS entropy
     (``os.urandom`` / ``uuid.uuid4`` / ``secrets``) outside
     :mod:`repro.rng`.  All randomness derives from ``derive_seed`` /
-    ``make_generator`` / ``SeedSequenceFactory``.
+    ``make_generator``.
 ``TWL002``
     No wall-clock reads (``time.time`` / ``perf_counter`` /
     ``monotonic`` / ``datetime.now`` …) outside :mod:`repro.exec`,
@@ -74,13 +74,13 @@ Violations are reported as named rules:
     longer matches any finding on its line is itself a finding, so
     suppressions cannot rot in place.
 ``TWL011``
-    No dead API (cross-module): a public function, method or property
-    must have a caller in the linted tree or in the ``benchmarks/`` and
-    ``examples/`` trees beside its ``src/``; tests do not count.  Names
-    in a package ``__all__`` (the published API), dunders, ``visit_*``
-    methods of ``ast.NodeVisitor`` subclasses and console-script entry
-    points are exempt.  A callable kept as a test oracle carries a
-    reasoned pragma saying so.
+    No dead API (cross-module): a public function, class, method or
+    property must have a caller in the linted tree or in the
+    ``benchmarks/`` and ``examples/`` trees beside its ``src/``; tests
+    do not count, and neither does a package ``__all__``.  Dunders,
+    ``visit_*`` methods of ``ast.NodeVisitor`` subclasses and
+    console-script entry points are exempt.  A definition kept as a
+    test oracle carries a reasoned pragma saying so.
 
 A genuine exception is silenced inline with a *reasoned* pragma::
 
@@ -892,8 +892,9 @@ def iter_python_files(paths: Sequence[str]) -> List[str]:
 #: without being linted.  ``tests/`` is deliberately not one of them.
 _REFERENCE_DIRS = ("benchmarks", "examples")
 
-#: A function or method definition.
-_Def = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+#: A function, method or class definition.
+_Def = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef]
+_DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 #: ``name = "module:function"`` lines of ``[project.scripts]``.
 _SCRIPT_RE = re.compile(r'^\s*[\w.-]+\s*=\s*"([\w.]+):(\w+)"', re.MULTILINE)
@@ -937,12 +938,13 @@ def _name_uses(node: ast.AST) -> Dict[str, int]:
 
 
 def _unused_defs(body: Sequence[ast.stmt], uses: Dict[str, int]) -> List[_Def]:
-    """First public def of each name in ``body`` used only inside its defs.
+    """First public def or class of each name in ``body`` used only inside its defs.
 
     A property's getter and setter share a name, so every def of that
-    name in ``body`` counts as the definition itself.
+    name in ``body`` counts as the definition itself; a class that names
+    only itself (in its own methods) is unused too.
     """
-    defs = [s for s in body if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    defs = [s for s in body if isinstance(s, _DEF_NODES)]
     first: Dict[str, _Def] = {}
     for node in defs:
         first.setdefault(node.name, node)
@@ -959,14 +961,16 @@ def _dead_api_violations(
     index: ProjectIndex,
     paths: Sequence[str],
 ) -> List[Violation]:
-    """TWL011: public functions, methods and properties nobody calls.
+    """TWL011: public functions, classes, methods and properties nobody uses.
 
     A use is a load of the name, an attribute of that name, or a string
     constant equal to it (``getattr(obj, "name")``), anywhere in the
     linted tree or the reference trees except the definition itself,
-    imports and ``__all__`` lists.  Names in a package ``__all__`` are
-    the published API and exempt, as are dunders, ``visit_*`` methods
-    of ``ast.NodeVisitor`` subclasses and console-script entry points.
+    imports and ``__all__`` lists; an annotation is a load, so a class
+    named in a used signature is used.  Listing a name in a package
+    ``__all__`` does not keep it: only a caller does.  Dunders,
+    ``visit_*`` methods of ``ast.NodeVisitor`` subclasses and
+    console-script entry points are exempt.
     """
     trees = [tree for _path, _module, tree in sources]
     exempt: Set[str] = set()
@@ -993,19 +997,18 @@ def _dead_api_violations(
             if not _is_dunder_all(statement):
                 for name, count in _name_uses(statement).items():
                     uses[name] = uses.get(name, 0) + count
-    for path, _module, tree in sources:
-        if os.path.basename(path) == "__init__.py":
-            for statement in tree.body:
-                if _is_dunder_all(statement):
-                    exempt.update(
-                        e.value
-                        for e in getattr(statement.value, "elts", ())
-                        if isinstance(e, ast.Constant) and isinstance(e.value, str)
-                    )
 
     violations: List[Violation] = []
 
-    def flag(path: str, node: _Def, kind: str, label: str) -> None:
+    def flag(path: str, node: _Def, label: str, member: bool) -> None:
+        if isinstance(node, ast.ClassDef):
+            kind = "class"
+        elif not member:
+            kind = "function"
+        elif ["property"] in [_attr_chain(d) for d in node.decorator_list]:
+            kind = "property"
+        else:
+            kind = "method"
         message = (
             f"public {kind} {label!r} has no caller outside tests; delete it "
             "with its tests, or keep it with a reasoned pragma naming its "
@@ -1015,8 +1018,8 @@ def _dead_api_violations(
 
     for path, module, tree in sources:
         for node in _unused_defs(tree.body, uses):
-            if not {node.name, f"{module}.{node.name}"} & exempt:
-                flag(path, node, "function", node.name)
+            if f"{module}.{node.name}" not in exempt:
+                flag(path, node, node.name, member=False)
         for statement in tree.body:
             if not isinstance(statement, ast.ClassDef):
                 continue
@@ -1027,9 +1030,7 @@ def _dead_api_violations(
             )
             for node in _unused_defs(statement.body, uses):
                 if not (visitor and node.name.startswith("visit_")):
-                    decorators = [_attr_chain(d) for d in node.decorator_list]
-                    kind = "property" if ["property"] in decorators else "method"
-                    flag(path, node, kind, f"{statement.name}.{node.name}")
+                    flag(path, node, f"{statement.name}.{node.name}", member=True)
     return violations
 
 

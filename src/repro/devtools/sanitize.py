@@ -102,11 +102,6 @@ def _label() -> str:
     return getattr(_state, "label", "protected region")
 
 
-def sanitizer_installed() -> bool:
-    """Whether the global-RNG guards are currently patched in."""
-    return _installed
-
-
 def in_protected_region() -> bool:
     """Whether the calling thread is inside engine/sim execution."""
     return _depth() > 0
@@ -191,7 +186,7 @@ def install() -> None:
     _installed = True
 
 
-def uninstall() -> None:
+def uninstall() -> None:  # twl: allow(TWL011) reason=oracle: tests disarm the process-wide sanitizer with it after each sanitized run
     """Restore every patched entry point (idempotent)."""
     global _installed
     if not _installed:

@@ -427,32 +427,33 @@ def run_setup_cells(
     ``resume`` path opens (creating if needed) a result directory
     there, so an interrupted campaign restarted with the same setup
     skips every cell the directory already holds, with or without the
-    shared cache.  Progress defaults to
+    shared cache.  Snapshots (``snapshot_every``) go to the cache
+    directory, or to the resume directory when the cache is off.
+    Progress defaults to
     the stderr printer only when a cell actually has to run or more
     than one is requested (a single cached lookup stays quiet so helper
     calls don't chatter).
     """
-    cache = CellCache(setup.cache_dir) if getattr(setup, "cache_dir", None) else None
     cells = [replace(cell, batch_size=setup.batch_size) for cell in cells]
-    snapshot_every = getattr(setup, "snapshot_every", 0)
-    snapshot_dir = getattr(setup, "cache_dir", None)
-    if snapshot_every > 0 and snapshot_dir:
-        # Snapshots live next to the cache entries they protect; cells
-        # that pin their own cadence keep it.
+    if setup.snapshot_every > 0:
+        # Snapshots live next to the result entries they protect: in the
+        # cache, or in the resume directory when the cache is off (the
+        # setup rejects a cadence with neither).  Cells that pin their
+        # own cadence keep it.
+        snapshot_dir = setup.cache_dir or setup.resume
         cells = [
-            replace(cell, snapshot_every=snapshot_every, snapshot_dir=snapshot_dir)
+            replace(cell, snapshot_every=setup.snapshot_every, snapshot_dir=snapshot_dir)
             if cell.snapshot_every == 0
             else cell
             for cell in cells
         ]
     if progress is None and len(cells) <= 1:
         progress = False
-    resume = getattr(setup, "resume", None)
     return run_cells(
         cells,
-        jobs=getattr(setup, "jobs", 1),
-        cache=cache,
+        jobs=setup.jobs,
+        cache=CellCache(setup.cache_dir) if setup.cache_dir else None,
         progress=progress,
-        policy=getattr(setup, "failure", None),
-        resume=CellCache(resume) if resume else None,
+        policy=setup.failure,
+        resume=CellCache(setup.resume) if setup.resume else None,
     )

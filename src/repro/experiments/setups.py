@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from ..config import ScaledArrayConfig, TWLConfig
+from ..errors import ConfigError
 from ..exec.cells import DEFAULT_BATCH_SIZE
 from ..exec.policy import ON_ERROR_KEEP_GOING, FailurePolicy
 
@@ -125,13 +126,22 @@ class ExperimentSetup:
     #: Requests per stream chunk.  Execution knob by the chunk-identity
     #: contract — segmentation never changes the request sequence.
     chunk_size: int = 65536
-    #: Mid-run snapshot cadence in demand writes (0 = off).  When set
-    #: (and ``cache_dir`` is available to hold the snapshot files),
-    #: long cells periodically checkpoint engine state so a killed run
-    #: resumes sub-cell instead of from zero.  Execution knob by the
+    #: Mid-run snapshot cadence in demand writes (0 = off).  When set,
+    #: long cells periodically checkpoint engine state into
+    #: ``cache_dir`` (or ``resume`` when the cache is off; a cadence
+    #: with neither is a :class:`~repro.errors.ConfigError`) so a killed
+    #: run resumes sub-cell instead of from zero.  Execution knob by the
     #: sub-cell recovery contract: emission is inert and a resumed run
     #: is bit-identical to an uninterrupted one.
     snapshot_every: int = 0
+
+    def __post_init__(self) -> None:
+        if self.snapshot_every > 0 and not (self.cache_dir or self.resume):
+            raise ConfigError(
+                "snapshots need a directory to live in: a snapshot cadence "
+                "(--snapshot-every / REPRO_SNAPSHOT_EVERY) requires the cache "
+                "or a resume directory (--resume DIR / REPRO_RESUME)"
+            )
 
     @property
     def n_pages(self) -> int:
@@ -175,7 +185,8 @@ def active_setup() -> ExperimentSetup:
     ``REPRO_TRACE=path`` streams an on-disk trace instead of the FTL
     generator, ``REPRO_CHUNK_SIZE=N`` sets the stream chunk size, and
     ``REPRO_SNAPSHOT_EVERY=N`` emits a mid-run engine snapshot every N
-    demand writes so killed cells resume sub-cell.
+    demand writes so killed cells resume sub-cell (it needs
+    ``REPRO_CACHE_DIR`` or ``REPRO_RESUME`` to hold the snapshots).
     """
     if os.environ.get("REPRO_QUICK", "").strip() in ("1", "true", "yes"):
         setup = quick_setup()

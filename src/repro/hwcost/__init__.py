@@ -18,7 +18,6 @@ from .gates import (
 from .storage import (
     twl_storage_bits_per_page,
     twl_storage_overhead,
-    scheme_storage_bits,
     scheme_table_geometry,
     secded_check_bits,
     protection_bits_per_entry,
@@ -36,7 +35,6 @@ __all__ = [
     "feistel_rng_gates",
     "twl_storage_bits_per_page",
     "twl_storage_overhead",
-    "scheme_storage_bits",
     "scheme_table_geometry",
     "secded_check_bits",
     "protection_bits_per_entry",

@@ -49,52 +49,6 @@ def twl_storage_overhead(
     return bits_per_page / (pcm.page_bytes * 8)
 
 
-def scheme_storage_bits(
-    scheme_name: str,
-    pcm: PCMConfig = PAPER_PCM,
-    twl: TWLConfig = TWLConfig(),
-    bwl: BWLConfig = BWLConfig(),
-) -> Dict[str, int]:
-    """Per-structure storage bits of any scheme (comparison table).
-
-    Returns a mapping structure-name -> total bits across the device.
-    """
-    name = scheme_name.lower()
-    n = pcm.n_pages
-    address = _address_bits(n)
-    if name == "nowl":
-        return {}
-    if name == "startgap":
-        return {"start_register": address, "gap_register": address}
-    if name == "sr":
-        return {
-            "region_keys": 2 * address,
-            "refresh_pointer": address,
-            "write_counter": 16,
-        }
-    if name == "wrl":
-        return {
-            "remap_table": n * address,
-            "endurance_table": n * 27,
-            "write_number_table": n * 16,
-        }
-    if name == "bwl":
-        return {
-            "remap_table": n * address,
-            "endurance_table": n * 27,
-            "bloom_filters": 2 * bwl.bloom_bits * 8,
-            "coldhot_lists": 8 * max(1, int(bwl.hot_fraction * n)) * address,
-        }
-    if name in ("twl", "twl_swp", "twl_ap", "twl_random"):
-        return {
-            "remap_table": n * address,
-            "endurance_table": n * 27,
-            "pair_table": n * address,
-            "write_counter_table": n * twl.write_counter_bits,
-        }
-    raise ConfigError(f"no storage model for scheme {scheme_name!r}")
-
-
 def scheme_table_geometry(
     scheme_name: str,
     pcm: PCMConfig = PAPER_PCM,
@@ -104,12 +58,10 @@ def scheme_table_geometry(
     """Per-structure ``(n_entries, entry_bits)`` geometry of a scheme.
 
     The entry is the protection codeword unit: parity/SECDED check bits
-    are added per entry, so the geometry (not just the total bit count
-    of :func:`scheme_storage_bits`) determines the protection cost.
+    are added per entry, so the geometry (not just the total bit count,
+    ``n_entries * entry_bits``) determines the protection cost.
     Bit-array structures with no record substructure (Bloom filters,
-    lone registers) count as a single wide entry.  Consistent with
-    :func:`scheme_storage_bits`: ``n_entries * entry_bits`` sums to the
-    same totals.
+    lone registers) count as a single wide entry.
     """
     name = scheme_name.lower()
     n = pcm.n_pages

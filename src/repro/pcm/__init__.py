@@ -19,33 +19,21 @@ from .endurance import (
     norm_ppf,
     sample_gaussian_endurance,
     sample_tail_faithful,
-    expected_extreme_minimum,
 )
 from .array import PCMArray
 from .dcw import DataComparisonWriteModel
 from .faults import FirstFailure
 from .stats import gini_coefficient
-from .lines import (
-    LineWearConfig,
-    LineWearModel,
-    effective_page_endurance,
-    derating_factor,
-)
 from .softerrors import BitTarget, SoftErrorEvent, SoftErrorInjector
 
 __all__ = [
     "norm_ppf",
     "sample_gaussian_endurance",
     "sample_tail_faithful",
-    "expected_extreme_minimum",
     "PCMArray",
     "DataComparisonWriteModel",
     "FirstFailure",
     "gini_coefficient",
-    "LineWearConfig",
-    "LineWearModel",
-    "effective_page_endurance",
-    "derating_factor",
     "BitTarget",
     "SoftErrorEvent",
     "SoftErrorInjector",

@@ -322,15 +322,6 @@ class PCMArray:
         """Per-page wear as a fraction of endurance."""
         return self.writes / self.endurance.astype(np.float64)
 
-    def utilization(self) -> float:
-        """Fraction of total endurance capacity consumed so far.
-
-        A perfect PV-aware wear leveler reaches ~1.0 at first failure; the
-        paper's normalized lifetime is precisely this quantity at the
-        failure point (modulo swap-write overhead).
-        """
-        return float(self.writes.sum() / self.endurance.sum())
-
     def __repr__(self) -> str:
         return (
             f"PCMArray(n_pages={self.n_pages}, total_writes={self.total_writes}, "

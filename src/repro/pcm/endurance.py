@@ -70,18 +70,6 @@ def _blom_quantile(rank: int, population: int) -> float:
     return (rank - 0.375) / (population + 0.25)
 
 
-def expected_extreme_minimum(population: int, mean: float, sigma: float) -> float:
-    """Expected minimum endurance over ``population`` Gaussian draws.
-
-    For the paper's 8.4M pages this is ~0.44 of the mean — which is exactly
-    the normalized lifetime the paper reports for Security Refresh (whose
-    uniform randomization wears all pages evenly until the weakest dies).
-    """
-    if population < 1:
-        raise ValueError("population must be >= 1")
-    return mean + sigma * norm_ppf(_blom_quantile(1, population))
-
-
 def _clip_floor(values: np.ndarray, mean: float) -> np.ndarray:
     floor = max(1.0, ENDURANCE_FLOOR_FRACTION * mean)
     return np.maximum(values, floor)

@@ -12,7 +12,7 @@ used everywhere in the simulator.
 from .feistel import FeistelNetwork, FeistelRNG
 from .lfsr import GaloisLFSR, MAXIMAL_TAPS
 from .xorshift import XorShift32
-from .streams import derive_seed, make_generator, SeedSequenceFactory
+from .streams import derive_seed, make_generator
 
 __all__ = [
     "FeistelNetwork",
@@ -22,5 +22,4 @@ __all__ = [
     "XorShift32",
     "derive_seed",
     "make_generator",
-    "SeedSequenceFactory",
 ]

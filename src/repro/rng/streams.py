@@ -40,18 +40,3 @@ def make_generator(root_seed: int, *labels: Label) -> np.random.Generator:
     """A numpy Generator seeded from a derived stream."""
     return np.random.default_rng(derive_seed(root_seed, *labels))
 
-
-class SeedSequenceFactory:
-    """Factory deriving named, independent seeds from one root seed.
-
-    >>> factory = SeedSequenceFactory(2017)
-    >>> factory.seed("attack", "scan") == derive_seed(2017, "attack", "scan")
-    True
-    """
-
-    def __init__(self, root_seed: int) -> None:
-        self.root_seed = int(root_seed)
-
-    def seed(self, *labels: Label) -> int:
-        """Derived integer seed for the given label path."""
-        return derive_seed(self.root_seed, *labels)

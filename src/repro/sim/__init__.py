@@ -20,11 +20,7 @@ from .runner import (
     DEFAULT_SCALED,
 )
 from .metrics import measure_scheme_overheads, SchemeOverheads
-from .replicates import (
-    ReplicatedLifetime,
-    replicate_attack_lifetime,
-    replicate_trace_lifetime,
-)
+from .replicates import ReplicatedLifetime, replicate_attack_lifetime
 
 __all__ = [
     "WorkloadDriver",
@@ -41,5 +37,4 @@ __all__ = [
     "SchemeOverheads",
     "ReplicatedLifetime",
     "replicate_attack_lifetime",
-    "replicate_trace_lifetime",
 ]

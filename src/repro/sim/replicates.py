@@ -2,10 +2,10 @@
 
 The paper reports single runs; a reproduction should quantify run-to-run
 variance (endurance sampling, trace generation and the schemes' RNGs all
-move the result).  :func:`replicate_attack_lifetime` and
-:func:`replicate_trace_lifetime` rerun an experiment across derived
-seeds — every stochastic component re-derives its stream from the
-replicate seed — and summarize the lifetime-fraction distribution.
+move the result).  :func:`replicate_attack_lifetime` reruns an attack
+experiment across derived seeds — every stochastic component
+re-derives its stream from the replicate seed — and summarizes the
+lifetime-fraction distribution.
 
 Replicates are independent experiment cells, so they run through
 ``repro.exec``: pass ``jobs=N`` to fan them across worker processes
@@ -24,10 +24,9 @@ import numpy as np
 from ..config import ScaledArrayConfig
 from ..errors import SimulationError
 from ..exec.cache import CellCache
-from ..exec.cells import ExperimentCell, attack_cell, trace_cell
+from ..exec.cells import ExperimentCell, attack_cell
 from ..exec.executor import run_cells
 from ..rng.streams import derive_seed
-from ..traces.parsec import BenchmarkProfile
 from .lifetime import LifetimeResult
 from .runner import DEFAULT_SCALED
 
@@ -120,32 +119,3 @@ def replicate_attack_lifetime(
         )
     return _replicate_cells(cells, jobs, cache)
 
-
-def replicate_trace_lifetime(
-    scheme_name: str,
-    profile: BenchmarkProfile,
-    trace_writes: int,
-    n_replicates: int = 5,
-    scaled: ScaledArrayConfig = DEFAULT_SCALED,
-    seed: int = 2017,
-    scheme_kwargs: Optional[dict] = None,
-    jobs: int = 1,
-    cache: Optional[CellCache] = None,
-) -> ReplicatedLifetime:
-    """Benchmark lifetime across seeds (fresh trace + array per seed)."""
-    cells = []
-    for index in range(n_replicates):
-        replicate_seed = derive_seed(seed, "replicate", index)
-        cells.append(
-            trace_cell(
-                scheme_name,
-                profile.name,
-                trace_writes=trace_writes,
-                scaled=replace(scaled, seed=replicate_seed),
-                seed=replicate_seed,
-                scheme_kwargs=scheme_kwargs,
-                profile=profile,
-                label=f"replicate={index} seed={replicate_seed}",
-            )
-        )
-    return _replicate_cells(cells, jobs, cache)

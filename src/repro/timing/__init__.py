@@ -6,7 +6,7 @@
   model behind the Figure-9 reproduction.
 """
 
-from .latency import control_path_cycles, request_latency_cycles
+from .latency import control_path_cycles
 from .perf_model import PerfModelConfig, normalized_execution_time
 from .energy import (
     EnergyBreakdown,
@@ -14,24 +14,13 @@ from .energy import (
     energy_per_demand_write,
     nowl_baseline,
 )
-from .queue_model import (
-    QueueModelConfig,
-    QueueResult,
-    simulate_write_queue,
-    queue_normalized_execution_time,
-)
 
 __all__ = [
     "control_path_cycles",
-    "request_latency_cycles",
     "PerfModelConfig",
     "normalized_execution_time",
     "EnergyBreakdown",
     "EnergyModelConfig",
     "energy_per_demand_write",
     "nowl_baseline",
-    "QueueModelConfig",
-    "QueueResult",
-    "simulate_write_queue",
-    "queue_normalized_execution_time",
 ]

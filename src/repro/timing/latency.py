@@ -52,21 +52,3 @@ def control_path_cycles(
         return float(timing.table_cycles) + engine / twl_config.toss_up_interval
     raise ConfigError(f"no control-path model for scheme {scheme_name!r}")
 
-
-def request_latency_cycles(
-    is_write: bool,
-    extra_physical_writes: int,
-    scheme_name: str,
-    timing: TimingConfig = TimingConfig(),
-    twl_config: TWLConfig = TWLConfig(),
-) -> float:
-    """Latency of one request, including blocking migration writes.
-
-    ``extra_physical_writes`` counts migration writes serialized with the
-    request (0 for a plain access).
-    """
-    if extra_physical_writes < 0:
-        raise ValueError("extra writes must be non-negative")
-    control = control_path_cycles(scheme_name, timing, twl_config)
-    base = timing.write_cycles if is_write else timing.read_cycles
-    return control + base + extra_physical_writes * timing.write_cycles

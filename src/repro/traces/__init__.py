@@ -10,9 +10,9 @@ The workload pipeline is **streaming-first** (``docs/workloads.md``):
 :class:`TraceStream` is the canonical chunked, rewindable source;
 :class:`Trace` is its materialized adapter.  On-disk formats (monolithic
 ``.npz``, chunked ``.twt``, text, block-trace CSV) all open through
-:func:`open_trace_stream`; :func:`trace_info` peeks metadata without
-loading arrays; :func:`make_stream` builds registered dynamic
-generators (the FTL workload) sized to a scheme's address space.
+:func:`open_trace_stream`; :func:`make_stream` builds registered
+dynamic generators (the FTL workload) sized to a scheme's address
+space.
 """
 
 from .request import MemoryRequest, OP_READ, OP_WRITE
@@ -26,12 +26,9 @@ from .synth import (
     zipf_weights,
     zipf_alpha_for_concentration,
     make_zipf_trace,
-    make_uniform_trace,
-    make_sequential_trace,
-    make_single_address_trace,
 )
 from .parsec import BenchmarkProfile, PARSEC_TABLE2, get_profile, make_benchmark_trace
-from .io import TraceInfo, open_trace_stream, save_trace, load_trace, trace_info
+from .io import open_trace_stream, save_trace, load_trace
 from .chunked import ChunkedFileStream, ChunkedTraceWriter, save_chunked_trace
 from .text_format import TextTraceStream, load_text_trace, save_text_trace
 from .blocktrace import BlockTraceStream, load_block_trace
@@ -49,15 +46,10 @@ __all__ = [
     "zipf_weights",
     "zipf_alpha_for_concentration",
     "make_zipf_trace",
-    "make_uniform_trace",
-    "make_sequential_trace",
-    "make_single_address_trace",
     "BenchmarkProfile",
     "PARSEC_TABLE2",
     "get_profile",
     "make_benchmark_trace",
-    "TraceInfo",
-    "trace_info",
     "open_trace_stream",
     "save_trace",
     "load_trace",

@@ -175,7 +175,7 @@ class ChunkedTraceWriter:
         self.close()
 
 
-def save_chunked_trace(
+def save_chunked_trace(  # twl: allow(TWL011) reason=writer of the .twt format that --trace reads
     trace: Trace, path: str, chunk_size: int = DEFAULT_CHUNK_REQUESTS
 ) -> None:
     """Write ``trace`` as a ``.twt`` file in ``chunk_size`` pieces."""

@@ -11,10 +11,8 @@ Traces persist in three formats, all openable through one front door:
   CSV (:mod:`repro.traces.blocktrace`).
 
 :func:`open_trace_stream` sniffs the format and returns a
-:class:`~repro.traces.stream.TraceStream`; :func:`trace_info` peeks
-name/bandwidth/length metadata without decompressing any request
-arrays, for callers (CLIs, report tables) that never need the data;
-:func:`trace_digest` hashes a file's contents for cache fingerprints.
+:class:`~repro.traces.stream.TraceStream`; :func:`trace_digest` hashes
+a file's contents for cache fingerprints.
 """
 
 from __future__ import annotations
@@ -24,8 +22,6 @@ import json
 import os
 import zipfile
 import zlib
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -39,7 +35,7 @@ _FORMAT_VERSION = 1
 _ZIP_MAGIC = b"PK\x03\x04"
 
 
-def save_trace(trace: Trace, path: str) -> None:
+def save_trace(trace: Trace, path: str) -> None:  # twl: allow(TWL011) reason=writer of the .npz format that --trace reads
     """Write ``trace`` to ``path`` (npz format)."""
     metadata = {
         "version": _FORMAT_VERSION,
@@ -113,20 +109,6 @@ def load_trace(path: str) -> Trace:
         raise TraceError(f"invalid trace records in {path}: {error}") from None
 
 
-@dataclass(frozen=True)
-class TraceInfo:
-    """Workload metadata peeked from a trace file without loading it."""
-
-    path: str
-    #: ``"npz"``, ``"chunked"``, ``"text"`` or ``"csv"``.
-    format: str
-    name: str
-    write_bandwidth_mbps: Optional[float]
-    #: Total requests, when the format records it cheaply (``None`` for
-    #: text formats, which would need a full parse).
-    n_requests: Optional[int]
-
-
 def _sniff_format(path: str) -> str:
     """Classify a trace file by magic bytes, falling back to extension."""
     from .chunked import CHUNKED_MAGIC
@@ -142,102 +124,6 @@ def _sniff_format(path: str) -> str:
     if os.path.splitext(path)[1].lower() == ".csv":
         return "csv"
     return "text"
-
-
-def _npz_request_count(path: str) -> Optional[int]:
-    """Request count from the npy header of the ``ops`` member.
-
-    Reads ~100 bytes of the member stream — never the compressed array
-    data — so peeking a multi-gigabyte archive stays O(1).
-    """
-    try:
-        with zipfile.ZipFile(path) as archive:
-            with archive.open("ops.npy") as member:
-                version = np.lib.format.read_magic(member)
-                if version == (1, 0):
-                    shape, _, _ = np.lib.format.read_array_header_1_0(member)
-                elif version == (2, 0):
-                    shape, _, _ = np.lib.format.read_array_header_2_0(member)
-                else:
-                    return None
-    except (zipfile.BadZipFile, KeyError, ValueError, OSError) as error:
-        raise TraceError(
-            f"unreadable trace file {path}: cannot peek request count ({error})"
-        ) from None
-    return int(shape[0]) if shape else None
-
-
-def trace_info(path: str) -> TraceInfo:
-    """Fast metadata peek: name/bandwidth/length without array loads.
-
-    For ``.npz`` traces only the (tiny) metadata member and the npy
-    header of the ``ops`` member are read — the compressed ops/pages
-    arrays are never decompressed.  For chunked ``.twt`` traces the
-    header and the fixed-size chunk headers are read, seeking over every
-    payload.  Text formats report what the file can say without a full
-    parse.  Raises :class:`~repro.errors.TraceError` with the same
-    structured diagnostics as the full loaders.
-    """
-    kind = _sniff_format(path)
-    if kind == "chunked":
-        from .chunked import ChunkedFileStream
-
-        with ChunkedFileStream(path) as stream:
-            return TraceInfo(
-                path=path,
-                format=kind,
-                name=stream.name,
-                write_bandwidth_mbps=stream.write_bandwidth_mbps,
-                n_requests=stream.n_requests,
-            )
-    if kind == "npz":
-        try:
-            archive = np.load(path)
-        except (zipfile.BadZipFile, ValueError, OSError) as error:
-            raise TraceError(
-                f"unreadable trace file {path}: not a valid npz archive ({error})"
-            ) from None
-        with archive:
-            if "metadata" not in archive.files:
-                raise TraceError(
-                    f"malformed trace file {path}: missing record 'metadata'"
-                )
-            try:
-                raw = archive["metadata"]
-            except (zipfile.BadZipFile, zlib.error, ValueError, OSError, EOFError) as error:
-                raise TraceError(
-                    f"truncated trace file {path}: record 'metadata' is "
-                    f"unreadable ({error})"
-                ) from None
-            try:
-                metadata = json.loads(raw.tobytes().decode())
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                raise TraceError(
-                    f"malformed trace metadata in {path}: {error}"
-                ) from None
-        if not isinstance(metadata, dict):
-            raise TraceError(
-                f"malformed trace metadata in {path}: expected a JSON object, "
-                f"got {type(metadata).__name__}"
-            )
-        version = metadata.get("version")
-        if version != _FORMAT_VERSION:
-            raise TraceError(f"unsupported trace format version {version!r} in {path}")
-        return TraceInfo(
-            path=path,
-            format=kind,
-            name=metadata.get("name", "trace"),
-            write_bandwidth_mbps=metadata.get("write_bandwidth_mbps"),
-            n_requests=_npz_request_count(path),
-        )
-    # Text formats: nothing cheap beyond the filename.
-    return TraceInfo(
-        path=path,
-        format=kind,
-        name=os.path.splitext(os.path.basename(path))[0],
-        write_bandwidth_mbps=None,
-        n_requests=None,
-    )
 
 
 def trace_digest(path: str) -> str:

@@ -135,51 +135,3 @@ def make_zipf_trace(
         ops, pages, name=name, write_bandwidth_mbps=write_bandwidth_mbps
     )
 
-
-def make_uniform_trace(
-    n_pages: int,
-    n_writes: int,
-    rng: np.random.Generator,
-    name: str = "uniform",
-    write_bandwidth_mbps: Optional[float] = None,
-) -> Trace:
-    """Uniformly random write trace."""
-    if n_writes < 1:
-        raise TraceError("need at least one write")
-    pages = rng.integers(0, n_pages, size=n_writes)
-    return Trace.writes_only(
-        pages, name=name, write_bandwidth_mbps=write_bandwidth_mbps
-    )
-
-
-def make_sequential_trace(
-    n_pages: int,
-    n_writes: int,
-    name: str = "sequential",
-    start: int = 0,
-    write_bandwidth_mbps: Optional[float] = None,
-) -> Trace:
-    """Sequential scan trace (addresses ascend modulo the array size)."""
-    if n_writes < 1:
-        raise TraceError("need at least one write")
-    pages = (start + np.arange(n_writes)) % n_pages
-    return Trace.writes_only(
-        pages, name=name, write_bandwidth_mbps=write_bandwidth_mbps
-    )
-
-
-def make_single_address_trace(
-    page: int,
-    n_writes: int,
-    name: str = "repeat",
-    write_bandwidth_mbps: Optional[float] = None,
-) -> Trace:
-    """All writes to one fixed page."""
-    if n_writes < 1:
-        raise TraceError("need at least one write")
-    if page < 0:
-        raise TraceError("page must be non-negative")
-    pages = np.full(n_writes, page, dtype=np.int64)
-    return Trace.writes_only(
-        pages, name=name, write_bandwidth_mbps=write_bandwidth_mbps
-    )

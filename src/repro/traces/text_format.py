@@ -153,7 +153,7 @@ def load_text_trace(
             raise
 
 
-def save_text_trace(
+def save_text_trace(  # twl: allow(TWL011) reason=writer of the text format that --trace reads
     trace: Trace,
     path: str,
     page_bytes: int = PAPER_PAGE_BYTES,

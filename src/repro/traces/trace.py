@@ -58,21 +58,8 @@ class Trace:
         self.write_bandwidth_mbps = write_bandwidth_mbps
 
     # ------------------------------------------------------------------
-    # Construction
+    # Streaming adapter
     # ------------------------------------------------------------------
-
-    @classmethod
-    def writes_only(
-        cls,
-        pages,
-        name: str = "trace",
-        write_bandwidth_mbps: Optional[float] = None,
-    ) -> "Trace":
-        """Build an all-write trace from a page sequence."""
-        pages_array = np.asarray(pages, dtype=np.int64)
-        ops = np.full(pages_array.size, OP_WRITE, dtype=np.uint8)
-        return cls(ops, pages_array, name=name, write_bandwidth_mbps=write_bandwidth_mbps)
-
     def stream(self, chunk_size: Optional[int] = None) -> "MaterializedStream":
         """This trace as a chunked :class:`TraceStream` (zero-copy views)."""
         from .stream import DEFAULT_CHUNK_REQUESTS, MaterializedStream

@@ -3,11 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.extrapolate import (
-    fraction_to_full_scale_years,
-    targeted_attack_full_scale_seconds,
-)
-from repro.analysis.stats import geometric_mean, summarize
+from repro.analysis.extrapolate import targeted_attack_full_scale_seconds
+from repro.analysis.stats import geometric_mean
 from repro.analysis.tables import ResultTable, ascii_bar_chart, format_table
 from repro.config import PAPER_PCM
 
@@ -32,15 +29,6 @@ class TestGeometricMean:
     def test_between_min_and_max_property(self, values):
         gmean = geometric_mean(values)
         assert min(values) - 1e-9 <= gmean <= max(values) + 1e-9
-
-
-class TestSummarize:
-    def test_keys(self):
-        summary = summarize([1.0, 2.0, 3.0])
-        assert set(summary) == {"mean", "min", "max", "std", "gmean"}
-
-    def test_gmean_omitted_for_zeros(self):
-        assert "gmean" not in summarize([0.0, 1.0])
 
 
 class TestFormatTable:
@@ -108,11 +96,6 @@ class TestResultTable:
 
 
 class TestExtrapolation:
-    def test_fraction_to_years(self):
-        years = fraction_to_full_scale_years(0.5, 8e9)
-        full = fraction_to_full_scale_years(1.0, 8e9)
-        assert years == pytest.approx(full / 2)
-
     def test_targeted_attack_seconds_scale_free(self):
         # Same victim mechanism measured on different array sizes gives
         # the same absolute time: fraction scales as 1/n.
@@ -129,39 +112,9 @@ class TestExtrapolation:
 
     def test_rejects_negative_fraction(self):
         with pytest.raises(ValueError):
-            fraction_to_full_scale_years(-0.1, 1e9)
-        with pytest.raises(ValueError):
             targeted_attack_full_scale_seconds(-0.1, 100, 1e9)
 
     def test_rejects_bad_pages(self):
         with pytest.raises(ValueError):
             targeted_attack_full_scale_seconds(0.1, 0, 1e9)
 
-
-class TestGroupedBarChart:
-    def test_renders_groups_and_series(self):
-        from repro.analysis.tables import grouped_bar_chart
-
-        chart = grouped_bar_chart(
-            ["canneal", "vips"], {"twl": [0.6, 0.5], "sr": [0.3, 0.3]}
-        )
-        assert "canneal:" in chart
-        assert "twl" in chart and "sr" in chart
-
-    def test_scaling_relative_to_peak(self):
-        from repro.analysis.tables import grouped_bar_chart
-
-        chart = grouped_bar_chart(["g"], {"a": [1.0], "b": [0.5]}, width=10)
-        lines = [l for l in chart.splitlines() if "#" in l]
-        assert lines[0].count("#") == 2 * lines[1].count("#")
-
-    def test_validation(self):
-        import pytest
-        from repro.analysis.tables import grouped_bar_chart
-
-        with pytest.raises(ValueError):
-            grouped_bar_chart([], {})
-        with pytest.raises(ValueError):
-            grouped_bar_chart(["g"], {"a": [1.0, 2.0]})
-        with pytest.raises(ValueError):
-            grouped_bar_chart(["g"], {"a": [-1.0]})

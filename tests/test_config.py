@@ -8,7 +8,6 @@ from repro.config import (
     ScaledArrayConfig,
     SecurityRefreshConfig,
     StartGapConfig,
-    SimConfig,
     TimingConfig,
     TWLConfig,
     WRLConfig,
@@ -22,9 +21,6 @@ class TestPCMConfig:
     def test_paper_page_count(self):
         # 32 GiB / 4 KiB = 8M pages.
         assert PAPER_PCM.n_pages == 8 * 1024 * 1024
-
-    def test_lines_per_page(self):
-        assert PAPER_PCM.lines_per_page == 32
 
     def test_endurance_sigma(self):
         sigma = PAPER_PCM.endurance_mean * PAPER_PCM.endurance_sigma_fraction
@@ -119,7 +115,3 @@ class TestSchemeConfigs:
     def test_bwl_rejects_bad_cold_threshold(self):
         with pytest.raises(ConfigError):
             BWLConfig(cold_threshold=0)
-
-    def test_sim_config_rejects_bad_max_writes(self):
-        with pytest.raises(ConfigError):
-            SimConfig(max_writes=0)

@@ -8,7 +8,7 @@ from repro.attacks.scan import ScanWriteAttack
 from repro.engine import SimulationEngine
 from repro.pcm.array import PCMArray
 from repro.sim.drivers import AttackDriver
-from repro.traces.request import OP_READ
+from repro.traces.request import OP_READ, OP_WRITE
 from repro.traces.trace import Trace
 from repro.wearlevel.nowl import NoWearLeveling
 
@@ -48,7 +48,7 @@ class TestTraceEdges:
         assert list(trace.write_pages()) == []
 
     def test_repr_mentions_name(self):
-        assert "demo" in repr(Trace.writes_only([0], name="demo"))
+        assert "demo" in repr(Trace(np.full(1, OP_WRITE), [0], name="demo"))
 
 
 class TestArrayEdges:

@@ -6,7 +6,6 @@ from scipy import stats as scipy_stats
 
 from repro.errors import ConfigError
 from repro.pcm.endurance import (
-    expected_extreme_minimum,
     norm_ppf,
     sample_gaussian_endurance,
     sample_tail_faithful,
@@ -33,27 +32,6 @@ class TestNormPpf:
             norm_ppf(1.0)
 
 
-class TestExpectedExtremeMinimum:
-    def test_paper_scale_minimum_near_44_percent(self):
-        # The weakest of 8.4M pages at sigma = 11% of mean sits near the
-        # 0.42-0.44 of mean that pins the paper's SR result.
-        minimum = expected_extreme_minimum(8 * 1024 * 1024, 1e8, 1.1e7)
-        assert 0.40e8 < minimum < 0.46e8
-
-    def test_monotone_in_population(self):
-        small = expected_extreme_minimum(1000, 100.0, 10.0)
-        large = expected_extreme_minimum(1_000_000, 100.0, 10.0)
-        assert large < small
-
-    def test_population_one_is_near_mean(self):
-        value = expected_extreme_minimum(1, 100.0, 10.0)
-        assert abs(value - 100.0) < 5.0
-
-    def test_rejects_empty_population(self):
-        with pytest.raises(ValueError):
-            expected_extreme_minimum(0, 100.0, 10.0)
-
-
 class TestGaussianSampling:
     def test_shape_and_type(self, rng):
         sample = sample_gaussian_endurance(1000, 10_000, 0.11, rng)
@@ -78,7 +56,8 @@ class TestTailFaithful:
     def test_minimum_matches_reference_population(self, rng):
         reference = 8 * 1024 * 1024
         sample = sample_tail_faithful(1024, reference, 10_000, 0.11, rng)
-        expected = expected_extreme_minimum(reference, 10_000, 1100)
+        # Blom's plotting position for the weakest of ``reference`` pages.
+        expected = 10_000 + 1100 * scipy_stats.norm.ppf(0.625 / (reference + 0.25))
         assert sample.min() == pytest.approx(expected, rel=0.02)
 
     def test_maximum_mirrors_minimum(self, rng):

@@ -118,7 +118,7 @@ def _run_trace(scheme_name, batch_size):
     rng = np.random.default_rng(7)
     # Stay within the scheme's logical space (StartGap reserves a page).
     writes = rng.integers(0, scheme.logical_pages, size=5000)
-    trace = Trace.writes_only(writes, name="synthetic")
+    trace = Trace(np.full(writes.size, OP_WRITE), writes, name="synthetic")
     driver = StreamDriver(trace.stream(), scheme.logical_pages)
     result = run_to_failure(
         scheme,

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import repro
@@ -33,6 +34,7 @@ from repro.pcm.faults import FirstFailure
 from repro.sim.lifetime import LifetimeResult
 from repro.sim.replicates import replicate_attack_lifetime
 from repro.traces.chunked import save_chunked_trace
+from repro.traces.request import OP_WRITE
 from repro.traces.text_format import save_text_trace
 from repro.traces.trace import Trace
 
@@ -407,7 +409,8 @@ class TestTraceContentFingerprint:
 
     @staticmethod
     def _trace(pages):
-        return Trace.writes_only(list(pages) * 50, name="hot")
+        writes = list(pages) * 50
+        return Trace(np.full(len(writes), OP_WRITE), writes, name="hot")
 
     def test_rewritten_twt_trace_is_recomputed(self, tmp_path):
         path = str(tmp_path / "hot.twt")
@@ -595,6 +598,42 @@ class TestSetupWiring:
         results = run_setup_cells(cells, setup, progress=False)
         assert [engine.batch_size for engine in built_engines] == [setup_batch] * len(cells)
         assert results == run_cells(_grid(), jobs=1)
+
+    def test_no_cache_snapshots_live_in_the_resume_directory(self, monkeypatch, tmp_path):
+        import repro.exec.executor as executor
+        from repro.experiments.setups import ExperimentSetup
+
+        handed = []
+        monkeypatch.setattr(
+            executor, "run_cells", lambda cells, **kwargs: handed.extend(cells) or []
+        )
+        resume = str(tmp_path / "resume")
+        setup = ExperimentSetup(
+            scaled=SCALED,
+            benchmarks=(),
+            trace_writes=1,
+            overhead_writes=1,
+            resume=resume,
+            snapshot_every=20_000,
+        )
+        executor.run_setup_cells(_grid(), setup, progress=False)
+        assert [(c.snapshot_every, c.snapshot_dir) for c in handed] == [
+            (20_000, resume)
+        ] * len(_grid())
+
+    def test_snapshot_cadence_without_a_directory_is_a_usage_error(
+        self, monkeypatch, capsys
+    ):
+        from repro.cli import main
+        from repro.experiments.setups import active_setup
+
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.delenv("REPRO_RESUME", raising=False)
+        monkeypatch.setenv("REPRO_SNAPSHOT_EVERY", "5000")
+        with pytest.raises(ConfigError, match="snapshots need a directory"):
+            active_setup()
+        assert main(["table1", "--quick", "--no-cache", "--snapshot-every", "5000"]) == 2
+        assert "snapshots need a directory" in capsys.readouterr().err
 
     def test_replicates_parallel_identical(self):
         serial = replicate_attack_lifetime("sr", "scan", n_replicates=3, scaled=SCALED)

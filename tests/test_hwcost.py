@@ -13,7 +13,7 @@ from repro.hwcost.gates import (
     sequential_divider_gates,
 )
 from repro.hwcost.storage import (
-    scheme_storage_bits,
+    scheme_table_geometry,
     twl_storage_bits_per_page,
     twl_storage_overhead,
 )
@@ -63,13 +63,12 @@ class TestStorage:
 
     def test_scheme_storage_shapes(self):
         for scheme in ("nowl", "startgap", "sr", "wrl", "bwl", "twl"):
-            bits = scheme_storage_bits(scheme)
-            assert all(v >= 0 for v in bits.values())
-        assert scheme_storage_bits("nowl") == {}
+            geometry = scheme_table_geometry(scheme)
+            assert all(entries >= 1 and bits >= 1 for entries, bits in geometry.values())
+        assert scheme_table_geometry("nowl") == {}
 
     def test_twl_tables_complete(self):
-        bits = scheme_storage_bits("twl")
-        assert set(bits) == {
+        assert set(scheme_table_geometry("twl")) == {
             "remap_table",
             "endurance_table",
             "pair_table",
@@ -78,7 +77,7 @@ class TestStorage:
 
     def test_unknown_scheme(self):
         with pytest.raises(ConfigError):
-            scheme_storage_bits("mystery")
+            scheme_table_geometry("mystery")
 
     def test_rejects_bad_endurance_bits(self):
         with pytest.raises(ConfigError):
@@ -127,16 +126,6 @@ class TestProtectionBits:
 
         with pytest.raises(ConfigError):
             protection_bits_per_entry(23, "crc")
-
-    def test_geometry_consistent_with_storage_totals(self):
-        from repro.hwcost import scheme_storage_bits, scheme_table_geometry
-
-        for scheme in ("nowl", "startgap", "sr", "wrl", "bwl", "twl_swp"):
-            totals = scheme_storage_bits(scheme)
-            geometry = scheme_table_geometry(scheme)
-            assert set(totals) == set(geometry)
-            for structure, (entries, bits) in geometry.items():
-                assert entries * bits == totals[structure]
 
     def test_scheme_protection_overhead_ordering(self):
         from repro.hwcost import protection_storage_overhead

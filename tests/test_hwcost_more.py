@@ -6,8 +6,12 @@ from repro.hwcost.gates import (
     feistel_rng_gates,
     sequential_divider_gates,
 )
-from repro.hwcost.storage import scheme_storage_bits, twl_storage_bits_per_page
+from repro.hwcost.storage import scheme_table_geometry, twl_storage_bits_per_page
 from repro.hwcost.synthesis import twl_design_overhead
+
+
+def _total_bits(scheme):
+    return sum(entries * bits for entries, bits in scheme_table_geometry(scheme).values())
 
 
 class TestScaling:
@@ -36,20 +40,20 @@ class TestCrossSchemeComparison:
     def test_twl_total_storage_close_to_wrl(self):
         """TWL's per-page state is within 2x of WRL's (the paper argues
         the overhead is comparable to prior PV-aware schemes)."""
-        twl_bits = sum(scheme_storage_bits("twl").values())
-        wrl_bits = sum(scheme_storage_bits("wrl").values())
+        twl_bits = _total_bits("twl")
+        wrl_bits = _total_bits("wrl")
         assert twl_bits < 2 * wrl_bits
         assert wrl_bits < 2 * twl_bits
 
     def test_sr_is_registers_only(self):
-        sr_bits = sum(scheme_storage_bits("sr").values())
+        sr_bits = _total_bits("sr")
         # No per-page tables: total device storage is tens of bits.
         assert sr_bits < 256
 
     def test_startgap_cheapest(self):
-        startgap = sum(scheme_storage_bits("startgap").values())
+        startgap = _total_bits("startgap")
         others = [
-            sum(scheme_storage_bits(name).values())
+            _total_bits(name)
             for name in ("sr", "wrl", "bwl", "twl")
         ]
         assert all(startgap <= other for other in others)

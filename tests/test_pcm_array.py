@@ -137,10 +137,6 @@ class TestInspection:
         tiny_array.apply_batch([1] * 100)
         assert tiny_array.wear_fraction()[1] == pytest.approx(0.5)
 
-    def test_utilization(self, tiny_array):
-        tiny_array.apply_batch([7] * 360)  # total endurance = 3600
-        assert tiny_array.utilization() == pytest.approx(0.1)
-
     def test_repr(self, tiny_array):
         assert "PCMArray" in repr(tiny_array)
 

@@ -1,14 +1,16 @@
 """Tests for the scheme registry and the experiment runner helpers."""
 
+import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from repro.config import ScaledArrayConfig, TWLConfig
 from repro.core.twl import TossUpWearLeveling
 from repro.errors import ConfigError
 from repro.pcm.array import PCMArray
-from repro.pcm.endurance import expected_extreme_minimum
 from repro.sim.runner import build_array, measure_attack_lifetime, measure_trace_lifetime
-from repro.traces.synth import make_sequential_trace
+from repro.traces.request import OP_WRITE
+from repro.traces.trace import Trace
 from repro.wearlevel.registry import make_scheme, scheme_names
 
 
@@ -47,10 +49,12 @@ class TestBuildArray:
     def test_tail_faithful_default(self, small_scaled):
         array = build_array(small_scaled)
         assert array.n_pages == small_scaled.n_pages
-        expected_min = expected_extreme_minimum(
-            small_scaled.reference.n_pages,
-            small_scaled.endurance_mean,
-            small_scaled.endurance_mean * small_scaled.endurance_sigma_fraction,
+        # Blom's plotting position for the weakest of the reference pages.
+        population = small_scaled.reference.n_pages
+        expected_min = small_scaled.endurance_mean * (
+            1.0
+            + small_scaled.endurance_sigma_fraction
+            * scipy_stats.norm.ppf(0.625 / (population + 0.25))
         )
         assert array.endurance.min() == pytest.approx(expected_min, rel=0.05)
 
@@ -75,7 +79,8 @@ class TestMeasureHelpers:
         assert result.workload == "repeat"
 
     def test_trace_lifetime(self, small_scaled):
-        trace = make_sequential_trace(small_scaled.n_pages, 5000)
+        pages = np.arange(5000) % small_scaled.n_pages
+        trace = Trace(np.full(pages.size, OP_WRITE), pages, name="sequential")
         result = measure_trace_lifetime("sr", trace, scaled=small_scaled)
         assert result.failed
         assert 0.2 < result.lifetime_fraction < 0.6

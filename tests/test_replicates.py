@@ -4,11 +4,7 @@ import pytest
 
 from repro.config import ScaledArrayConfig
 from repro.errors import SimulationError
-from repro.sim.replicates import (
-    replicate_attack_lifetime,
-    replicate_trace_lifetime,
-)
-from repro.traces.parsec import get_profile
+from repro.sim.replicates import replicate_attack_lifetime
 
 SCALED = ScaledArrayConfig(n_pages=128, endurance_mean=1536.0)
 
@@ -40,17 +36,6 @@ class TestReplication:
         )
         assert summary.std == 0.0
         assert summary.confidence_halfwidth() == 0.0
-
-    def test_trace_replication(self):
-        summary = replicate_trace_lifetime(
-            "sr",
-            get_profile("vips"),
-            trace_writes=20_000,
-            n_replicates=3,
-            scaled=SCALED,
-        )
-        assert summary.workload == "vips"
-        assert summary.mean > 0.1
 
     def test_rejects_zero_replicates(self):
         with pytest.raises(SimulationError):

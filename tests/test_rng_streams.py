@@ -1,6 +1,6 @@
 """Tests for deterministic seed derivation."""
 
-from repro.rng.streams import SeedSequenceFactory, derive_seed, make_generator
+from repro.rng.streams import derive_seed, make_generator
 
 
 class TestDeriveSeed:
@@ -35,13 +35,3 @@ class TestGenerators:
         a = make_generator(11, "x")
         b = make_generator(11, "x")
         assert float(a.random()) == float(b.random())
-
-    def test_factory_matches_free_function(self):
-        factory = SeedSequenceFactory(11)
-        assert factory.seed("x") == derive_seed(11, "x")
-
-    def test_factory_generators_independent(self):
-        factory = SeedSequenceFactory(3)
-        a = make_generator(factory.seed("one"))
-        b = make_generator(factory.seed("two"))
-        assert float(a.random()) != float(b.random())

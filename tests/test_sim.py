@@ -12,6 +12,7 @@ from repro.pcm.array import PCMArray
 from repro.sim.drivers import AttackDriver, StreamDriver
 from repro.sim.lifetime import LifetimeResult, run_to_failure
 from repro.sim.metrics import measure_scheme_overheads
+from repro.traces.request import OP_WRITE
 from repro.traces.trace import Trace
 from repro.wearlevel.nowl import NoWearLeveling
 from repro.wearlevel.security_refresh import SecurityRefresh
@@ -22,7 +23,7 @@ class TestTraceDriver:
 
     @staticmethod
     def _engine(scheme, pages, n_pages=8):
-        driver = StreamDriver(Trace.writes_only(pages).stream(), n_pages)
+        driver = StreamDriver(Trace(np.full(len(pages), OP_WRITE), pages).stream(), n_pages)
         return SimulationEngine(scheme, driver)
 
     def test_loops_trace(self):

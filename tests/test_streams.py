@@ -1,9 +1,8 @@
 """The streaming workload pipeline: TraceStream protocol + formats.
 
 Covers the chunked ``.twt`` on-disk format (round-trip, append,
-every truncation/corruption ``TraceError`` path), the ``trace_info``
-metadata peek across formats, the text and block-trace streaming
-readers, the FTL dynamic workload generator (determinism, chunk-size
+every truncation/corruption ``TraceError`` path), the text and
+block-trace streaming readers, the FTL dynamic workload generator (determinism, chunk-size
 invariance, rewind), the stream registry, and ``StreamDriver``
 (short batches at chunk boundaries, loop counting, error paths).
 
@@ -39,7 +38,6 @@ from repro.traces import (
     save_text_trace,
     save_trace,
     stream_names,
-    trace_info,
 )
 from repro.traces.chunked import CHUNKED_MAGIC, _CHUNK_HEADER
 from repro.wearlevel.base import WearLeveler
@@ -298,44 +296,6 @@ class TestChunkedCorruption:
             stream.rewind()
 
 
-class TestTraceInfo:
-    def test_npz_peek(self, tmp_path):
-        trace = _mixed_trace(n_requests=123)
-        path = str(tmp_path / "trace.npz")
-        save_trace(trace, path)
-        info = trace_info(path)
-        assert info.format == "npz"
-        assert info.name == "mixed"
-        assert info.write_bandwidth_mbps == 120.0
-        assert info.n_requests == 123
-
-    def test_chunked_peek(self, tmp_path):
-        path = str(tmp_path / "trace.twt")
-        save_chunked_trace(_mixed_trace(n_requests=90), path, chunk_size=16)
-        info = trace_info(path)
-        assert info.format == "chunked"
-        assert info.name == "mixed"
-        assert info.n_requests == 90
-
-    def test_text_peek_reports_format_only(self, tmp_path):
-        path = str(tmp_path / "workload.txt")
-        save_text_trace(_mixed_trace(), path)
-        info = trace_info(path)
-        assert info.format == "text"
-        assert info.name == "workload"
-        assert info.n_requests is None
-
-    def test_csv_classified_by_extension(self, tmp_path):
-        path = str(tmp_path / "msr.csv")
-        with open(path, "w") as handle:
-            handle.write("128166372003061629,hm,1,Write,0,4096,1339\n")
-        assert trace_info(path).format == "csv"
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(TraceError, match="not found"):
-            trace_info(str(tmp_path / "absent.npz"))
-
-
 class TestOpenTraceStream:
     """One front door; format sniffed by magic bytes, not extension."""
 
@@ -506,7 +466,7 @@ def _gather_n(stream, n_requests):
 
 class TestStreamDriver:
     def test_short_batches_at_chunk_boundaries(self):
-        trace = Trace.writes_only(np.arange(10), name="seq")
+        trace = Trace(np.full(10, OP_WRITE), np.arange(10), name="seq")
         driver = StreamDriver(trace.stream(chunk_size=4), n_pages=16)
         sizes = [driver.next_batch(8).size for _ in range(4)]
         # Chunks of 4/4/2 writes: each batch serves only from the
@@ -517,7 +477,7 @@ class TestStreamDriver:
 
     def test_serves_the_looped_write_sequence(self):
         writes = np.array([3, 1, 4, 1, 5], dtype=np.int64)
-        trace = Trace.writes_only(writes, name="seq")
+        trace = Trace(np.full(writes.size, OP_WRITE), writes, name="seq")
         driver = StreamDriver(trace.stream(chunk_size=2), n_pages=8)
         out = []
         while len(out) < 12:
@@ -539,7 +499,7 @@ class TestStreamDriver:
             driver.next_batch(1)
 
     def test_out_of_bounds_write_rejected(self):
-        trace = Trace.writes_only(np.array([1, 99]), name="oob")
+        trace = Trace(np.full(2, OP_WRITE), np.array([1, 99]), name="oob")
         driver = StreamDriver(trace.stream(8), n_pages=8)
         with pytest.raises(SimulationError, match="touches page 99"):
             driver.next_batch(2)

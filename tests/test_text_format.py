@@ -1,8 +1,10 @@
 """Tests for the plain-text trace format."""
 
+import numpy as np
 import pytest
 
 from repro.errors import TraceError
+from repro.traces.request import OP_WRITE
 from repro.traces.text_format import load_text_trace, save_text_trace
 from repro.traces.trace import Trace
 
@@ -75,7 +77,7 @@ class TestLoad:
 
 class TestRoundtrip:
     def test_save_then_load(self, tmp_path):
-        original = Trace.writes_only([0, 7, 3], name="rt", write_bandwidth_mbps=5.0)
+        original = Trace(np.full(3, OP_WRITE), [0, 7, 3], name="rt", write_bandwidth_mbps=5.0)
         path = str(tmp_path / "rt.trace")
         save_text_trace(original, path)
         loaded = load_text_trace(str(path), write_bandwidth_mbps=5.0)
@@ -84,6 +86,6 @@ class TestRoundtrip:
 
     def test_saved_file_is_readable_text(self, tmp_path):
         path = str(tmp_path / "x.trace")
-        save_text_trace(Trace.writes_only([1]), path)
+        save_text_trace(Trace(np.full(1, OP_WRITE), [1]), path)
         content = open(path).read()
         assert "W 0x1000" in content

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.config import TimingConfig, TWLConfig
+from repro.config import TWLConfig
 from repro.errors import ConfigError
 from repro.sim.metrics import SchemeOverheads
-from repro.timing.latency import control_path_cycles, request_latency_cycles
+from repro.timing.latency import control_path_cycles
 from repro.timing.perf_model import (
     PerfModelConfig,
     normalized_execution_time,
@@ -44,21 +44,6 @@ class TestControlPath:
     def test_unknown_scheme(self):
         with pytest.raises(ConfigError):
             control_path_cycles("mystery")
-
-    def test_request_latency_components(self):
-        timing = TimingConfig()
-        plain = request_latency_cycles(True, 0, "nowl", timing)
-        assert plain == timing.write_cycles
-        blocked = request_latency_cycles(True, 2, "nowl", timing)
-        assert blocked == timing.write_cycles * 3
-
-    def test_read_latency(self):
-        timing = TimingConfig()
-        assert request_latency_cycles(False, 0, "nowl", timing) == timing.read_cycles
-
-    def test_rejects_negative_extra(self):
-        with pytest.raises(ValueError):
-            request_latency_cycles(True, -1, "nowl")
 
 
 class TestPerfModel:

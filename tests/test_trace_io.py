@@ -5,12 +5,13 @@ import pytest
 
 from repro.errors import TraceError
 from repro.traces.io import load_trace, save_trace
+from repro.traces.request import OP_WRITE
 from repro.traces.trace import Trace
 
 
 class TestTraceIO:
     def test_roundtrip(self, tmp_path):
-        trace = Trace.writes_only([1, 5, 5, 2], name="demo", write_bandwidth_mbps=42.0)
+        trace = Trace(np.full(4, OP_WRITE), [1, 5, 5, 2], name="demo", write_bandwidth_mbps=42.0)
         path = str(tmp_path / "demo.npz")
         save_trace(trace, path)
         loaded = load_trace(path)
@@ -20,7 +21,7 @@ class TestTraceIO:
         assert (loaded.ops == trace.ops).all()
 
     def test_roundtrip_without_bandwidth(self, tmp_path):
-        trace = Trace.writes_only([0])
+        trace = Trace(np.full(1, OP_WRITE), [0])
         path = str(tmp_path / "nb.npz")
         save_trace(trace, path)
         assert load_trace(path).write_bandwidth_mbps is None
@@ -37,7 +38,7 @@ class TestTraceIO:
 
     def test_creates_directories(self, tmp_path):
         path = str(tmp_path / "deep" / "nested" / "t.npz")
-        save_trace(Trace.writes_only([3]), path)
+        save_trace(Trace(np.full(1, OP_WRITE), [3]), path)
         assert load_trace(path).n_writes == 1
 
     def test_version_checked(self, tmp_path):
@@ -58,7 +59,7 @@ class TestCorruptTraceFiles:
 
     def _save(self, tmp_path, name="t.npz"):
         path = str(tmp_path / name)
-        save_trace(Trace.writes_only([1, 2, 3], name="demo"), path)
+        save_trace(Trace(np.full(3, OP_WRITE), [1, 2, 3], name="demo"), path)
         return path
 
     def test_not_an_archive(self, tmp_path):

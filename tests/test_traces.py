@@ -8,9 +8,6 @@ from repro.errors import TraceError
 from repro.traces.request import MemoryRequest, OP_READ, OP_WRITE
 from repro.traces.synth import (
     concentration_of_alpha,
-    make_sequential_trace,
-    make_single_address_trace,
-    make_uniform_trace,
     make_zipf_trace,
     zipf_alpha_for_concentration,
     zipf_weights,
@@ -37,14 +34,14 @@ class TestMemoryRequest:
 
 class TestTrace:
     def test_writes_only_constructor(self):
-        trace = Trace.writes_only([1, 2, 2, 3])
+        trace = Trace(np.full(4, OP_WRITE), [1, 2, 2, 3])
         assert trace.n_requests == 4
         assert trace.n_writes == 4
         assert trace.write_fraction == 1.0
         assert trace.footprint_pages == 3
 
     def test_requests_iterator(self):
-        trace = Trace.writes_only([4, 5])
+        trace = Trace(np.full(2, OP_WRITE), [4, 5])
         requests = list(trace.requests())
         assert all(r.is_write for r in requests)
         assert [r.logical_page for r in requests] == [4, 5]
@@ -108,23 +105,6 @@ class TestGenerators:
         trace = make_zipf_trace(64, 3000, 0.5, rng, write_fraction=0.5)
         assert trace.write_fraction == pytest.approx(0.5, abs=0.02)
 
-    def test_uniform_trace(self, rng):
-        trace = make_uniform_trace(32, 6400, rng)
-        histogram = np.bincount(trace.write_pages(), minlength=32)
-        assert histogram.min() > 100
-
-    def test_sequential_trace(self):
-        trace = make_sequential_trace(8, 20, start=6)
-        assert list(trace.pages[:4]) == [6, 7, 0, 1]
-
-    def test_single_address_trace(self):
-        trace = make_single_address_trace(3, 10)
-        assert (trace.pages == 3).all()
-
     def test_rejects_zero_writes(self, rng):
         with pytest.raises(TraceError):
-            make_uniform_trace(8, 0, rng)
-        with pytest.raises(TraceError):
-            make_sequential_trace(8, 0)
-        with pytest.raises(TraceError):
-            make_single_address_trace(0, 0)
+            make_zipf_trace(8, 0, 0.5, rng)
