@@ -33,7 +33,6 @@ from .errors import (
     ReproError,
     ConfigError,
     AddressError,
-    PageWornOutError,
     TableError,
     TraceError,
     SimulationError,
@@ -118,7 +117,6 @@ __all__ = [
     "ReproError",
     "ConfigError",
     "AddressError",
-    "PageWornOutError",
     "TableError",
     "TraceError",
     "SimulationError",

@@ -37,7 +37,7 @@ block-trace CSV, auto-detected).  ``--chunk-size N`` sets the stream
 chunk granularity; like ``--batch-size`` it cannot change results.
 
 Determinism tooling (``docs/invariants.md``): ``twl-repro lint`` runs
-the static determinism/purity pass (rules TWL001–TWL007) over the
+the static determinism/purity pass (rules TWL001–TWL011) over the
 package tree and exits non-zero on any violation; ``--sanitize`` (or
 ``REPRO_SANITIZE=1``) arms the runtime sanitizer, making any
 global-RNG call inside engine/sim execution raise

@@ -968,7 +968,8 @@ def _dead_api_violations(
     linted tree or the reference trees except the definition itself,
     imports and ``__all__`` lists; an annotation is a load, so a class
     named in a used signature is used.  Listing a name in a package
-    ``__all__`` does not keep it: only a caller does.  Dunders,
+    ``__all__`` does not keep it: only a caller does.  A dead class is
+    reported once, at its class line, without its members.  Dunders,
     ``visit_*`` methods of ``ast.NodeVisitor`` subclasses and
     console-script entry points are exempt.
     """
@@ -1017,11 +1018,14 @@ def _dead_api_violations(
         violations.append(Violation(path, node.lineno, node.col_offset, "TWL011", message))
 
     for path, module, tree in sources:
+        dead: Set[str] = set()
         for node in _unused_defs(tree.body, uses):
             if f"{module}.{node.name}" not in exempt:
                 flag(path, node, node.name, member=False)
+                dead.add(node.name)
         for statement in tree.body:
-            if not isinstance(statement, ast.ClassDef):
+            if not isinstance(statement, ast.ClassDef) or statement.name in dead:
+                # A dead class is one finding: its members go with it.
                 continue
             visitor = any(
                 chain[-1] == "NodeVisitor"

@@ -114,9 +114,7 @@ class SimulationEngine:
     snapshots:
         Optional :class:`repro.engine.snapshot.SnapshotPlan`.  With a
         demand cadence (``every``), steps are clamped so snapshots land
-        on exact absolute demand indices; with a time cadence
-        (``seconds`` plus an injected clock) they land at whatever step
-        boundary the interval elapses.  Emission is inert: it never
+        on exact absolute demand indices.  Emission is inert: it never
         changes what a run computes, only when its state hits disk.
     """
 
@@ -151,11 +149,6 @@ class SimulationEngine:
         self._snapshots = snapshots
         #: Snapshot files emitted by this engine instance.
         self.snapshots_written = 0
-        self._last_snapshot_clock: Optional[float] = (
-            snapshots.clock()
-            if snapshots is not None and snapshots.clock is not None
-            else None
-        )
 
     # ------------------------------------------------------------------
     # Observer management
@@ -228,8 +221,7 @@ class SimulationEngine:
             step = PER_WRITE_STEP
         write_cycles = float(self.timing.write_cycles)
         served_total = 0
-        plan = self._snapshots
-        cadence = plan.every if plan is not None else None
+        cadence = self._snapshots.every if self._snapshots is not None else None
         kill_at = interrupt.armed_kill_at()
         while served_total < max_demand and not array.failed:
             quota = max_demand - served_total
@@ -282,17 +274,8 @@ class SimulationEngine:
                     scheme=scheme,
                 )
                 self._notify("on_batch", snapshot)
-            if plan is not None:
-                due = (
-                    cadence is not None and self.demand_served % cadence == 0
-                )
-                if not due and plan.seconds is not None:
-                    now = plan.clock()
-                    if now - self._last_snapshot_clock >= plan.seconds:
-                        self._last_snapshot_clock = now  # twl: allow(TWL008) reason=wall-clock cadence register; restarts from the resume-time clock by design
-                        due = True
-                if due:
-                    self.emit_snapshot()
+            if cadence is not None and self.demand_served % cadence == 0:
+                self.emit_snapshot()
             if kill_at is not None and self.demand_served >= kill_at:
                 # The snapshot (if due at this boundary) is already on
                 # disk: a crash-consistent process death.
@@ -353,7 +336,7 @@ class SimulationEngine:
         plan = self._snapshots
         if plan is None:
             raise SimulationError("engine has no snapshot plan")
-        write_snapshot(plan.path, self.snapshot_state(), meta=plan.meta)
+        write_snapshot(plan.path, self.snapshot_state())
         self.snapshots_written += 1  # twl: allow(TWL008) reason=per-process emission counter, not resumable simulation state
         return plan.path
 

@@ -29,9 +29,7 @@ the format honest about what is state and what is derivation.
 
 Snapshot cadence is an **execution knob**: which snapshots exist can
 never change a run's results, so ``snapshot_every`` is excluded from
-cache fingerprints exactly like ``batch_size`` (rule TWL003).  The
-wall-clock cadence uses an injected clock callable — this module never
-reads the clock itself (rule TWL002).
+cache fingerprints exactly like ``batch_size`` (rule TWL003).
 """
 
 from __future__ import annotations
@@ -42,15 +40,15 @@ import os
 import struct
 import threading
 import zlib
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from ..errors import SnapshotError
 
 SNAPSHOT_MAGIC = b"TWLSNAP1"
-SNAPSHOT_FORMAT_VERSION = 1
+SNAPSHOT_FORMAT_VERSION = 2
 
 #: Fixed-size fields after the magic: format version, header length,
 #: compressed payload length, CRC32 of header+payload.
@@ -145,10 +143,8 @@ def atomic_write(path: str, *chunks: bytes) -> None:
         raise
 
 
-def write_snapshot(
-    path: str, state: Dict[str, Any], meta: Optional[Dict[str, Any]] = None
-) -> None:
-    """Atomically write ``state`` (plus ``meta``) as a snapshot at ``path``.
+def write_snapshot(path: str, state: Dict[str, Any]) -> None:
+    """Atomically write ``state`` as a snapshot at ``path``.
 
     The write goes through :func:`atomic_write`, so a crash mid-write
     can never leave a partial container under the target name.
@@ -160,7 +156,6 @@ def write_snapshot(
             {"dtype": array.dtype.str, "shape": list(array.shape)}
             for array in arrays
         ],
-        "meta": _pack(meta or {}, []),
         "state": skeleton,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -177,8 +172,8 @@ def write_snapshot(
     )
 
 
-def read_snapshot(path: str) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """Read and validate a snapshot; returns ``(meta, state)``.
+def read_snapshot(path: str) -> Dict[str, Any]:
+    """Read and validate a snapshot; returns its state tree.
 
     Raises :class:`SnapshotError` on a bad magic, unknown version,
     truncation, CRC mismatch or malformed header — never returns a
@@ -226,13 +221,12 @@ def read_snapshot(path: str) -> Tuple[Dict[str, Any], Dict[str, Any]]:
                 np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
             )
             offset += nbytes
-        meta = _unpack(header["meta"], [])
         state = _unpack(header["state"], arrays)
     except SnapshotError:
         raise
     except (KeyError, TypeError, ValueError, zlib.error) as error:
         raise SnapshotError(f"{path!r} is malformed: {error}") from error
-    return meta, state
+    return state
 
 
 def discard_snapshot(path: str) -> None:
@@ -268,24 +262,17 @@ class SnapshotPlan:
 
     ``every`` is a demand-write cadence: the engine clamps its step
     quota so emission lands on exact multiples, making snapshot instants
-    a pure function of the cadence.  ``seconds`` is a wall-clock cadence
-    evaluated at step boundaries via the injected ``clock`` callable
-    (the engine itself never reads the clock, rule TWL002).  Both are
-    execution knobs — results are bit-identical with or without them.
+    a pure function of the cadence.  It is an execution knob — results
+    are bit-identical with or without it.
 
     ``resume=True`` makes the run restore from an existing snapshot at
-    ``path`` before serving any demand; a corrupt snapshot raises
-    :class:`SnapshotError` unless ``strict=False``, in which case it is
-    discarded and the run starts from scratch.
+    ``path`` before serving any demand; a corrupt snapshot is discarded
+    and the run starts from scratch.
     """
 
     path: str
     every: Optional[int] = None
-    seconds: Optional[float] = None
-    clock: Optional[Callable[[], float]] = None
     resume: bool = True
-    strict: bool = True
-    meta: Optional[Dict[str, Any]] = field(default=None)
 
     def __post_init__(self) -> None:
         if not self.path:
@@ -294,15 +281,6 @@ class SnapshotPlan:
             raise SnapshotError(
                 f"snapshot cadence must be >= 1 demand, got {self.every}"
             )
-        if self.seconds is not None:
-            if self.seconds <= 0:
-                raise SnapshotError(
-                    f"snapshot period must be positive, got {self.seconds}"
-                )
-            if self.clock is None:
-                raise SnapshotError(
-                    "a wall-clock cadence needs an injected clock callable"
-                )
 
 
 __all__ = [

@@ -23,23 +23,6 @@ class AddressError(ReproError):
     """A logical or physical address is out of range."""
 
 
-class PageWornOutError(ReproError):
-    """A write was issued to a page whose endurance is exhausted.
-
-    The simulator normally stops at first failure before this can happen;
-    the exception guards direct users of :class:`repro.pcm.PCMArray`.
-    """
-
-    def __init__(self, physical_page: int, writes: int, endurance: int) -> None:
-        self.physical_page = physical_page
-        self.writes = writes
-        self.endurance = endurance
-        super().__init__(
-            f"physical page {physical_page} is worn out "
-            f"({writes} writes >= endurance {endurance})"
-        )
-
-
 class TableError(ReproError):
     """A hardware-table invariant was violated (bad entry, wrong width)."""
 
@@ -73,9 +56,9 @@ class InvariantViolation(SimulationError):
     soft errors (:mod:`repro.pcm.softerrors`) corrupted controller state
     without protection.  Carries the scheme name, the engine step index
     and the offending structure so campaign logs can name the failure
-    precisely.  Like :class:`PageWornOutError` this has a multi-argument
-    constructor; the executor wraps it into a single-string
-    :class:`CellExecutionError` before it crosses a pool boundary.
+    precisely.  It has a multi-argument constructor, so the executor
+    wraps it into a single-string :class:`CellExecutionError` before it
+    crosses a pool boundary.
     """
 
     def __init__(
@@ -98,7 +81,7 @@ class CellExecutionError(SimulationError):
     Always constructed with a single message string so it survives
     pickling across :class:`concurrent.futures.ProcessPoolExecutor`
     boundaries (exceptions with multi-argument constructors, such as
-    :class:`PageWornOutError`, cannot be unpickled by the pool).
+    :class:`InvariantViolation`, cannot be unpickled by the pool).
     """
 
 

@@ -377,12 +377,7 @@ def _snapshot_plan(cell: ExperimentCell) -> Optional[SnapshotPlan]:
     if path is None or cell.kind == KIND_OVERHEADS:
         return None
     os.makedirs(cell.snapshot_dir, exist_ok=True)  # type: ignore[arg-type]
-    # strict=False: a torn snapshot (the atomic-rename protocol makes
-    # this mean disk corruption, not a crashed writer) falls back to a
-    # fresh run instead of permanently wedging the cell.
-    return SnapshotPlan(
-        path=path, every=cell.snapshot_every, resume=True, strict=False
-    )
+    return SnapshotPlan(path=path, every=cell.snapshot_every, resume=True)
 
 
 def _run_cell_inner(cell: ExperimentCell) -> CellResult:

@@ -11,9 +11,8 @@ grew a server on top.
 :class:`CellDeadline` replaces the alarm with a mechanism that works on
 any thread and any platform with CPython:
 
-* a daemon **watchdog thread** sleeps until a monotonic deadline
-  (``clock()`` is injected, defaulting to ``time.monotonic`` — rule
-  TWL002 keeps wall-clock reads inside :mod:`repro.exec`);
+* a daemon **watchdog thread** waits out the budget on a cancellation
+  event (``Event.wait`` times out on the monotonic clock);
 * on expiry it injects :class:`DeadlineReached` into the *executing*
   thread via ``PyThreadState_SetAsyncExc`` — the same CPython C-API
   hook ``KeyboardInterrupt`` delivery uses, raised at the next bytecode
@@ -26,8 +25,7 @@ any thread and any platform with CPython:
 The injection lands at a bytecode boundary, so a single very long C
 call (a giant ``numpy`` batch, an uninterruptible ``time.sleep``)
 defers delivery until it returns.  Engine batches are bounded, and the
-fault harness's ``hang`` mode sleeps in slices for exactly this reason
-— in practice expiry is detected within one watchdog tick.
+fault harness's ``hang`` mode sleeps in slices for exactly this reason.
 
 On interpreters without the C-API hook (the ``ctypes.pythonapi``
 probe fails) arming degrades to the historical warn-and-run behaviour
@@ -38,17 +36,11 @@ from __future__ import annotations
 
 import ctypes
 import threading
-import time
 import warnings
 from types import TracebackType
 from typing import Callable, Optional, Type
 
 __all__ = ["CellDeadline", "DeadlineReached"]
-
-#: Watchdog re-check tick (seconds).  The watchdog sleeps on an event in
-#: slices of at most this length before re-reading the injected clock,
-#: so a test-supplied fake clock is honoured within one tick.
-_WATCHDOG_TICK = 0.05
 
 
 class DeadlineReached(BaseException):
@@ -95,44 +87,27 @@ class CellDeadline:
     yet.  The enter/exit window is the only region where
     :class:`DeadlineReached` can surface, but callers should still keep
     an outer ``except DeadlineReached`` for the closing race (a cell
-    finishing in the same tick its budget expires): expiry always means
+    finishing in the instant its budget expires): expiry always means
     the budget was genuinely exceeded.
     """
 
-    def __init__(
-        self,
-        seconds: float,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, seconds: float) -> None:
         if seconds <= 0:
             raise ValueError(f"deadline must be positive, got {seconds}")
         self.seconds = seconds
-        self._clock = clock
         self._cancel = threading.Event()
         self._watchdog: Optional[threading.Thread] = None
         self._target_thread: Optional[int] = None
         self._fired = False
 
-    @property
-    def fired(self) -> bool:
-        """Whether the watchdog injected an expiry (for diagnostics)."""
-        return self._fired
-
-    def _watch(self, deadline: float) -> None:
-        while not self._cancel.is_set():
-            remaining = deadline - self._clock()
-            if remaining <= 0:
-                # Re-check cancellation one last time so a disarm that
-                # raced the expiry wins: the cell finished in budget.
-                if self._cancel.is_set():
-                    return
-                self._fired = True
-                if _INJECT is not None and self._target_thread is not None:
-                    pending = _INJECT(self._target_thread, DeadlineReached)
-                    if pending > 1:  # pragma: no cover - defensive
-                        _INJECT(self._target_thread, None)
-                return
-            self._cancel.wait(min(remaining, _WATCHDOG_TICK))
+    def _watch(self) -> None:
+        if self._cancel.wait(self.seconds):
+            return  # disarmed in budget
+        self._fired = True
+        if _INJECT is not None and self._target_thread is not None:
+            pending = _INJECT(self._target_thread, DeadlineReached)
+            if pending > 1:  # pragma: no cover - defensive
+                _INJECT(self._target_thread, None)
 
     def arm(self) -> bool:
         """Start enforcement against the calling thread.
@@ -154,7 +129,6 @@ class CellDeadline:
         self._target_thread = threading.get_ident()
         self._watchdog = threading.Thread(
             target=self._watch,
-            args=(self._clock() + self.seconds,),
             name="cell-deadline-watchdog",
             daemon=True,
         )

@@ -17,7 +17,7 @@ across a :class:`concurrent.futures.ProcessPoolExecutor` when
   :class:`~repro.errors.CellExecutionError` naming the failing cell
   (``cell twl_swp×scan seed=3: …``) — both because a bare pool
   traceback is useless at 40 cells, and because multi-argument
-  exceptions like ``PageWornOutError`` do not survive unpickling
+  exceptions like ``InvariantViolation`` do not survive unpickling
   across the pool boundary.
 * **Partial progress is never lost.**  Results are written to the
   cache and the resume directory *as they complete*, before any
@@ -40,7 +40,7 @@ before the shared cache and written whether or not caching is on
 With ``jobs > 1`` the cells run on a
 :class:`~repro.exec.pool.PoolSupervisor`.  A worker killed outright
 (OOM, SIGKILL) breaks the pool; the supervisor rebuilds it, at half the
-width once it has broken more than ``max_pool_rebuilds`` times, and the
+width once it has broken more than :data:`MAX_POOL_REBUILDS` times, and the
 cells the break interrupted are resubmitted.  The resubmission is free
 unless the pool that broke had one worker: that worker runs its cells
 in submission order, so the oldest interrupted cell is the one it died
@@ -77,11 +77,16 @@ from .cells import CellResult, ExperimentCell, cell_snapshot_path, run_cell
 from .deadline import CellDeadline, DeadlineReached
 from .faults import maybe_inject
 from .hashing import cell_fingerprint
-from .policy import DEFAULT_FAILURE_POLICY, CellFailure, FailurePolicy
+from .policy import DEFAULT_FAILURE_POLICY, CellFailure, FailurePolicy, retry_delay
 from .pool import PoolSupervisor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..experiments.setups import ExperimentSetup
+
+#: Pool rebuilds at full width after worker crashes; each later rebuild
+#: halves the pool (floor 1).  A crash counts as a failed attempt only
+#: when the pool had one worker (:mod:`repro.exec.pool`).
+MAX_POOL_REBUILDS = 2
 
 #: ``progress=False`` silences output; ``None`` selects the default
 #: stderr printer; a callable receives each formatted line.
@@ -257,7 +262,7 @@ def execute_cells(
         attempts[index] = count
         if count > policy.max_retries:
             return False
-        delay = policy.retry_delay(fingerprints[index], count)
+        delay = retry_delay(fingerprints[index], count)
         note(
             f"[retry] {cells[index].describe()} attempt "
             f"{count + 1}/{policy.max_retries + 1} in {delay:.2f}s: {error}"
@@ -292,7 +297,7 @@ def execute_cells(
                     break
 
     def run_pool(indices: Sequence[int]) -> None:
-        supervisor = PoolSupervisor(min(jobs, len(indices)), policy.max_pool_rebuilds)
+        supervisor = PoolSupervisor(min(jobs, len(indices)), MAX_POOL_REBUILDS)
         futures: Dict[Future, Tuple[int, ProcessPoolExecutor]] = {}
 
         def submit(index: int) -> None:
@@ -347,7 +352,7 @@ def execute_cells(
                         f"[warning] worker pool broke (crashed worker?); "
                         f"rebuilding at {supervisor.workers} worker(s)"
                         f"{', degraded' if supervisor.degraded else ''} "
-                        f"(rebuild {supervisor.rebuilds}/{policy.max_pool_rebuilds})"
+                        f"(rebuild {supervisor.rebuilds}/{MAX_POOL_REBUILDS})"
                     )
                     for index in orphans:
                         submit(index)

@@ -3,35 +3,30 @@
 The full setup runs every cell of every figure at the default scaled
 array (1024 pages, endurance-to-footprint ratio matching the paper's
 full-scale memory).  The quick setup shrinks the array and subsamples
-the benchmark list for CI/tests; set the environment variable
-``REPRO_QUICK=1`` to make every benchmark target use it.
+the benchmark list for CI/tests (``twl-repro --quick``; the benchmark
+harness picks it with ``REPRO_QUICK=1``).
 
 Execution knobs ride along on the setup: ``jobs`` fans the experiment
 grids out across worker processes (``repro.exec``), ``cache_dir``
 enables the on-disk result cache, ``failure`` carries the
 :class:`~repro.exec.FailurePolicy` (retries, per-cell timeout,
 fail-fast vs keep-going) and ``resume`` points at the campaign's own
-result directory.  ``active_setup`` reads them from ``REPRO_JOBS`` /
-``REPRO_CACHE_DIR`` / ``REPRO_BATCH_SIZE`` / ``REPRO_RETRIES`` /
-``REPRO_CELL_TIMEOUT`` / ``REPRO_KEEP_GOING`` / ``REPRO_RESUME`` /
-``REPRO_TRACE`` / ``REPRO_CHUNK_SIZE`` / ``REPRO_SNAPSHOT_EVERY`` so
-the benchmark harness can be hardened without touching code.  The CLI
-does not go through the environment: it builds its setup directly from
-``--jobs`` / ``--cache-dir`` / ``--no-cache`` / ``--batch-size`` /
-``--retries`` / ``--cell-timeout`` / ``--keep-going`` / ``--resume`` /
-``--trace`` / ``--chunk-size`` / ``--snapshot-every``.
+result directory.  The CLI is their one front door: it builds the
+setup from ``--jobs`` / ``--cache-dir`` / ``--no-cache`` /
+``--batch-size`` / ``--retries`` / ``--cell-timeout`` /
+``--keep-going`` / ``--resume`` / ``--trace`` / ``--chunk-size`` /
+``--snapshot-every``.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..config import ScaledArrayConfig, TWLConfig
 from ..errors import ConfigError
 from ..exec.cells import DEFAULT_BATCH_SIZE
-from ..exec.policy import ON_ERROR_KEEP_GOING, FailurePolicy
+from ..exec.policy import FailurePolicy
 
 #: Figure-6/8 scheme sets, in the paper's plotting order.
 FIG6_SCHEMES: Tuple[str, ...] = ("bwl", "sr", "twl_ap", "twl_swp", "nowl")
@@ -139,8 +134,8 @@ class ExperimentSetup:
         if self.snapshot_every > 0 and not (self.cache_dir or self.resume):
             raise ConfigError(
                 "snapshots need a directory to live in: a snapshot cadence "
-                "(--snapshot-every / REPRO_SNAPSHOT_EVERY) requires the cache "
-                "or a resume directory (--resume DIR / REPRO_RESUME)"
+                "(--snapshot-every) requires the cache or a resume "
+                "directory (--resume DIR)"
             )
 
     @property
@@ -167,61 +162,3 @@ def quick_setup() -> ExperimentSetup:
         trace_writes=60_000,
         overhead_writes=40_000,
     )
-
-
-def active_setup() -> ExperimentSetup:
-    """Setup selected by the ``REPRO_*`` environment variables.
-
-    ``REPRO_QUICK=1`` picks the reduced scale; ``REPRO_JOBS=N`` fans
-    experiment grids across N worker processes; ``REPRO_CACHE_DIR=path``
-    enables the on-disk result cache there; ``REPRO_BATCH_SIZE=N``
-    sets the demand writes per engine step for every cell (default
-    :data:`~repro.exec.cells.DEFAULT_BATCH_SIZE`, the batched write
-    protocol; ``1`` selects the per-write oracle path).  Resilience knobs:
-    ``REPRO_RETRIES=N`` retries failed cells, ``REPRO_CELL_TIMEOUT=S``
-    bounds each cell's wall clock, ``REPRO_KEEP_GOING=1`` finishes the
-    campaign past failures, and ``REPRO_RESUME=dir`` stores results in
-    (and resumes from) a result directory there.  Streaming knobs:
-    ``REPRO_TRACE=path`` streams an on-disk trace instead of the FTL
-    generator, ``REPRO_CHUNK_SIZE=N`` sets the stream chunk size, and
-    ``REPRO_SNAPSHOT_EVERY=N`` emits a mid-run engine snapshot every N
-    demand writes so killed cells resume sub-cell (it needs
-    ``REPRO_CACHE_DIR`` or ``REPRO_RESUME`` to hold the snapshots).
-    """
-    if os.environ.get("REPRO_QUICK", "").strip() in ("1", "true", "yes"):
-        setup = quick_setup()
-    else:
-        setup = default_setup()
-    jobs = os.environ.get("REPRO_JOBS", "").strip()
-    if jobs:
-        setup = replace(setup, jobs=max(1, int(jobs)))
-    cache_dir = os.environ.get("REPRO_CACHE_DIR", "").strip()
-    if cache_dir:
-        setup = replace(setup, cache_dir=cache_dir)
-    batch_size = os.environ.get("REPRO_BATCH_SIZE", "").strip()
-    if batch_size:
-        setup = replace(setup, batch_size=max(1, int(batch_size)))
-    failure = setup.failure
-    retries = os.environ.get("REPRO_RETRIES", "").strip()
-    if retries:
-        failure = replace(failure, max_retries=max(0, int(retries)))
-    cell_timeout = os.environ.get("REPRO_CELL_TIMEOUT", "").strip()
-    if cell_timeout:
-        failure = replace(failure, timeout=float(cell_timeout))
-    if os.environ.get("REPRO_KEEP_GOING", "").strip() in ("1", "true", "yes"):
-        failure = replace(failure, on_error=ON_ERROR_KEEP_GOING)
-    if failure is not setup.failure:
-        setup = replace(setup, failure=failure)
-    resume = os.environ.get("REPRO_RESUME", "").strip()
-    if resume:
-        setup = replace(setup, resume=resume)
-    stream_trace = os.environ.get("REPRO_TRACE", "").strip()
-    if stream_trace:
-        setup = replace(setup, stream_trace=stream_trace)
-    chunk_size = os.environ.get("REPRO_CHUNK_SIZE", "").strip()
-    if chunk_size:
-        setup = replace(setup, chunk_size=max(1, int(chunk_size)))
-    snapshot_every = os.environ.get("REPRO_SNAPSHOT_EVERY", "").strip()
-    if snapshot_every:
-        setup = replace(setup, snapshot_every=max(0, int(snapshot_every)))
-    return setup

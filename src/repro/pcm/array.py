@@ -37,7 +37,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..errors import AddressError, ConfigError, PageWornOutError
+from ..errors import AddressError, ConfigError
 from .faults import FirstFailure
 
 
@@ -47,14 +47,12 @@ class PCMArray:
     Parameters
     ----------
     endurance:
-        Per-page endurance values (positive integers).
-    fail_fast:
-        If true (default), the first write that exhausts a page raises
-        :class:`PageWornOutError`; simulations normally check
-        :attr:`first_failure` instead and stop cleanly.
+        Per-page endurance values (positive integers).  The first write
+        that exhausts a page is recorded as :attr:`first_failure`; the
+        simulator checks it and stops cleanly.
     """
 
-    def __init__(self, endurance: Sequence[int], fail_fast: bool = False):
+    def __init__(self, endurance: Sequence[int]):
         endurance_array = np.asarray(endurance, dtype=np.int64)
         if endurance_array.ndim != 1 or endurance_array.size < 1:
             raise ConfigError("endurance must be a non-empty 1-D sequence")
@@ -69,7 +67,6 @@ class PCMArray:
         #: Canonical per-page write counts.  Owned by the write paths
         #: below; treat as read-only from outside.
         self.writes = np.zeros(self.n_pages, dtype=np.int64)
-        self.fail_fast = fail_fast
         self.total_writes = 0
         #: Fast-path failure flag (plain attribute so hot loops avoid a
         #: property call per write).
@@ -81,9 +78,9 @@ class PCMArray:
     # ------------------------------------------------------------------
 
     @classmethod
-    def uniform(cls, n_pages: int, endurance: int, fail_fast: bool = False) -> "PCMArray":
+    def uniform(cls, n_pages: int, endurance: int) -> "PCMArray":
         """Array with identical endurance on every page (no PV)."""
-        return cls(np.full(n_pages, endurance, dtype=np.int64), fail_fast=fail_fast)
+        return cls(np.full(n_pages, endurance, dtype=np.int64))
 
     # ------------------------------------------------------------------
     # Write paths
@@ -93,8 +90,7 @@ class PCMArray:
 
         Records the first failure the moment a page's write count reaches
         its endurance.  Writes to already-failed pages keep counting (the
-        simulator stops at first failure; direct users get the exception
-        when ``fail_fast`` is set).
+        simulator stops at first failure).
         """
         writes = self.writes
         if not 0 <= physical_page < self.n_pages:
@@ -111,10 +107,6 @@ class PCMArray:
                 device_writes=self.total_writes,
                 page_endurance=int(self.endurance[physical_page]),
             )
-            if self.fail_fast:
-                raise PageWornOutError(
-                    physical_page, count, int(self.endurance[physical_page])
-                )
 
     def apply_batch(
         self, physical_sequence: Sequence[int], all_or_nothing: bool = False
@@ -151,8 +143,10 @@ class PCMArray:
                 f"physical page {bad} out of range [0, {self.n_pages})"
             )
         if self._first_failure is None and seq.size * 8 < self.n_pages:
-            # Small chunks (an adaptive segment's TWL span is a few dozen
-            # writes against thousands of pages): touch only the
+            # Small chunks (a ``_serve_segments`` segment of an adaptive
+            # run is a few dozen writes against thousands of pages;
+            # TWL's short spans commit through apply_write_counts
+            # instead): touch only the
             # affected entries instead of materializing full-array
             # counts.  Falls through to the general machinery on
             # duplicates or whenever a crossing is possible, so
@@ -202,10 +196,6 @@ class PCMArray:
             device_writes=self.total_writes - int(applied.size) + fail_pos + 1,
             page_endurance=int(self.endurance[winner]),
         )
-        if self.fail_fast:
-            raise PageWornOutError(
-                winner, int(self.writes[winner]), int(self.endurance[winner])
-            )
         return int(applied.size)
 
     def apply_write_counts(self, per_page_writes: Mapping[int, int]) -> bool:

@@ -17,6 +17,7 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
+from ..exec.executor import MAX_POOL_REBUILDS
 from .loadgen import Address, default_grid, run_loadgen, verify_bit_identity
 from .server import CampaignServer, ServerConfig
 
@@ -53,7 +54,7 @@ def _serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--retries", type=int, default=2,
                         help="retries per request after its worker dies "
                         "in a one-worker pool")
-    parser.add_argument("--max-pool-rebuilds", type=int, default=2)
+    parser.add_argument("--max-pool-rebuilds", type=int, default=MAX_POOL_REBUILDS)
     parser.add_argument("--health-interval", type=float, default=5.0)
     parser.add_argument("--idle-timeout", type=float, default=60.0)
     parser.add_argument("--drain-grace", type=float, default=30.0)

@@ -25,7 +25,7 @@ every robustness mechanism the executor stack already has:
   floor 1), and every later response carries ``degraded: true``.  The
   cells a break interrupts are resubmitted; the break counts against a
   request's ``max_retries`` (with deterministic backoff,
-  :meth:`FailurePolicy.retry_delay`) only when the pool that broke had
+  :func:`~repro.exec.policy.retry_delay`) only when the pool that broke had
   one worker, so a sibling's crash never fails an innocent request.  A
   periodic health probe detects silently dead pools between requests.
 * **Duplicate coalescing.**  Submissions of an already-in-flight
@@ -64,9 +64,9 @@ from typing import Any, Callable, Dict, FrozenSet, Optional, Set
 from ..errors import CellExecutionError, CellTimeoutError, ConfigError, ReproError
 from ..exec.cache import CellCache, encode_result
 from ..exec.cells import CellResult, ExperimentCell
-from ..exec.executor import _execute_one
+from ..exec.executor import MAX_POOL_REBUILDS, _execute_one
 from ..exec.hashing import cell_fingerprint
-from ..exec.policy import FailurePolicy
+from ..exec.policy import retry_delay
 from ..exec.pool import PoolSupervisor
 from .protocol import (
     ERROR_DEADLINE,
@@ -129,7 +129,7 @@ class ServerConfig:
     #: a one-worker pool (deterministic backoff).
     max_retries: int = 2
     #: Pool rebuilds at full concurrency before degrading to half.
-    max_pool_rebuilds: int = 2
+    max_pool_rebuilds: int = MAX_POOL_REBUILDS
     #: Seconds between pool health probes (0 disables the probe loop).
     health_interval: float = 5.0
     #: Close connections idle this long with nothing in flight.
@@ -236,10 +236,6 @@ class CampaignServer:
             CellCache(os.path.join(config.state_dir, "cache"))
             if config.cache
             else None
-        )
-        # Used only for its deterministic retry_delay schedule.
-        self._retry_policy = FailurePolicy(
-            max_retries=config.max_retries, backoff_base=0.05
         )
         # Spawn, never fork: the server process runs an event loop plus
         # watchdog threads (fork is undefined behavior there), and forked
@@ -869,6 +865,6 @@ class CampaignServer:
                     raise
             # Worker-loss retry: back off outside the gate (the slot
             # belongs to the rebuilt pool's fresh gate).
-            delay = self._retry_policy.retry_delay(fingerprint, attempt)
+            delay = retry_delay(fingerprint, attempt)
             if delay > 0:
                 await asyncio.sleep(delay)

@@ -136,10 +136,11 @@ def run_to_failure(
     demand_before = scheme.demand_writes
     if snapshots is not None and snapshots.resume and os.path.exists(snapshots.path):
         try:
-            _meta, saved = read_snapshot(snapshots.path)
+            saved = read_snapshot(snapshots.path)
         except SnapshotError:
-            if snapshots.strict:
-                raise
+            # A torn snapshot (the atomic-rename protocol makes this mean
+            # disk corruption, not a crashed writer) falls back to a
+            # fresh run instead of permanently wedging the cell.
             saved = None
         if saved is not None:
             engine.restore_state(saved)

@@ -10,7 +10,6 @@ class TestHierarchy:
         for name in (
             "ConfigError",
             "AddressError",
-            "PageWornOutError",
             "TableError",
             "TraceError",
             "SimulationError",
@@ -21,14 +20,6 @@ class TestHierarchy:
     def test_single_except_catches_everything(self):
         with pytest.raises(errors.ReproError):
             raise errors.TraceError("x")
-
-    def test_page_worn_out_carries_context(self):
-        error = errors.PageWornOutError(7, 101, 100)
-        assert error.physical_page == 7
-        assert error.writes == 101
-        assert error.endurance == 100
-        assert "7" in str(error)
-        assert "101" in str(error)
 
     def test_repro_error_not_caught_as_value_error(self):
         # Library errors are distinct from builtin families.

@@ -192,7 +192,7 @@ class TestCache:
         assert fresh.hits == 1
 
     def test_lifetime_payload_is_pinned(self):
-        # Cache entries and checkpoint journals store this payload; any
+        # Cache entries and resume directories store this payload; any
         # drift (a renamed key, an int turned float) orphans them all.
         kind, payload = encode_result(_FAULTED)
         expected = {
@@ -565,15 +565,6 @@ class TestSetupWiring:
         assert setup.batch_size == DEFAULT_BATCH_SIZE
         assert attack_cell("sr", "scan").batch_size == DEFAULT_BATCH_SIZE
 
-    def test_active_setup_reads_env(self, monkeypatch):
-        from repro.experiments.setups import active_setup
-
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/twl-cache")
-        setup = active_setup()
-        assert setup.jobs == 3
-        assert setup.cache_dir == "/tmp/twl-cache"
-
     @pytest.mark.parametrize(
         "cell_batch, setup_batch", [(DEFAULT_BATCH_SIZE, 1), (1, DEFAULT_BATCH_SIZE)]
     )
@@ -621,17 +612,18 @@ class TestSetupWiring:
             (20_000, resume)
         ] * len(_grid())
 
-    def test_snapshot_cadence_without_a_directory_is_a_usage_error(
-        self, monkeypatch, capsys
-    ):
+    def test_snapshot_cadence_without_a_directory_is_a_usage_error(self, capsys):
         from repro.cli import main
-        from repro.experiments.setups import active_setup
+        from repro.experiments.setups import ExperimentSetup
 
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        monkeypatch.delenv("REPRO_RESUME", raising=False)
-        monkeypatch.setenv("REPRO_SNAPSHOT_EVERY", "5000")
         with pytest.raises(ConfigError, match="snapshots need a directory"):
-            active_setup()
+            ExperimentSetup(
+                scaled=SCALED,
+                benchmarks=(),
+                trace_writes=1,
+                overhead_writes=1,
+                snapshot_every=5000,
+            )
         assert main(["table1", "--quick", "--no-cache", "--snapshot-every", "5000"]) == 2
         assert "snapshots need a directory" in capsys.readouterr().err
 

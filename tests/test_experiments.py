@@ -7,7 +7,6 @@ from repro.experiments.setups import (
     ATTACKS,
     BENCHMARKS,
     ExperimentSetup,
-    active_setup,
     default_setup,
     quick_setup,
 )
@@ -32,12 +31,6 @@ class TestSetups:
 
     def test_quick_is_smaller(self):
         assert quick_setup().n_pages < default_setup().n_pages
-
-    def test_active_setup_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_QUICK", "1")
-        assert active_setup().n_pages == quick_setup().n_pages
-        monkeypatch.delenv("REPRO_QUICK")
-        assert active_setup().n_pages == default_setup().n_pages
 
 
 class TestTable1:

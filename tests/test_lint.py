@@ -35,7 +35,8 @@ from repro.devtools.lint import (
 )
 from repro.engine import BatchSnapshot, EngineObserver, SimulationEngine
 from repro.errors import DeterminismViolation
-from repro.exec import FailurePolicy, attack_cell, run_cell, run_cells
+from repro.exec import attack_cell, run_cell, run_cells
+from repro.exec.policy import retry_delay
 from repro.pcm.array import PCMArray
 from repro.sim.drivers import AttackDriver
 from repro.wearlevel.registry import make_scheme
@@ -556,6 +557,16 @@ class TestProjectPass:
             (10, "public class 'Orphan'"),
         ]
 
+    def test_twl011_dead_class_is_one_finding_without_its_members(self, tmp_path):
+        module = (
+            "class Orphan:\n    @classmethod\n    def make(cls):\n"
+            "        return cls()\n"
+        )
+        out = self._api_lint(tmp_path, module)
+        assert [(v.line, v.message.split(" has")[0]) for v in out] == [
+            (1, "public class 'Orphan'"),
+        ]
+
     def test_twl011_class_used_only_in_a_called_annotation_is_kept(self, tmp_path):
         module = (
             "class Shape:\n    pass\n\n\n"
@@ -649,9 +660,8 @@ class TestSanitizer:
         assert 0.0 <= random.random() < 1.0
 
     def test_exec_backoff_allowed_under_sanitizer(self, armed_sanitizer):
-        policy = FailurePolicy(max_retries=2)
-        delay = policy.retry_delay("fingerprint", 1)
-        assert delay == policy.retry_delay("fingerprint", 1)
+        delay = retry_delay("fingerprint", 1)
+        assert delay == retry_delay("fingerprint", 1)
 
     def test_cell_run_is_protected(self, armed_sanitizer, monkeypatch):
         cell = attack_cell("nowl", "scan", scaled=SCALED, seed=11)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import AddressError, ConfigError, PageWornOutError
+from repro.errors import AddressError, ConfigError
 from repro.pcm.array import PCMArray
 
 
@@ -48,13 +48,6 @@ class TestScalarWrites:
         for _ in range(200):
             tiny_array.write(1)
         assert tiny_array.first_failure.physical_page == 0
-
-    def test_fail_fast_raises(self):
-        array = PCMArray(np.array([3, 3]), fail_fast=True)
-        array.write(0)
-        array.write(0)
-        with pytest.raises(PageWornOutError):
-            array.write(0)
 
     def test_out_of_range(self, tiny_array):
         with pytest.raises(AddressError):
@@ -201,13 +194,8 @@ class TestApplyBatch:
         assert tiny_array.apply_batch([]) == 0
         assert tiny_array.total_writes == 0
 
-    def test_fail_fast_raises_on_batch_failure(self):
-        array = PCMArray(np.array([2, 50]), fail_fast=True)
-        with pytest.raises(PageWornOutError):
-            array.apply_batch([0, 0, 1])
-
     def test_all_or_nothing_applies_nothing_on_a_crossing(self):
-        array = PCMArray(np.array([3, 100]), fail_fast=True)
+        array = PCMArray(np.array([3, 100]))
         assert array.apply_batch([1, 0, 0, 1], all_or_nothing=True) == 4
         # Page 0's third write would wear it out: nothing lands.
         assert array.apply_batch([1, 0, 1], all_or_nothing=True) == 0
