@@ -33,11 +33,16 @@ typecheck:
 		echo "typecheck: mypy not installed, skipping (pip install -e .[dev])"; \
 	fi
 
+# Both bench targets time computation, not cache reads: each run gets
+# a fresh, empty result cache (a plain `pytest benchmarks/` serves from
+# the default one, which an earlier run may have filled).
 bench:
-	pytest benchmarks/ --benchmark-only
+	CACHE=$$(mktemp -d) && TWL_REPRO_CACHE_DIR=$$CACHE pytest benchmarks/ --benchmark-only; \
+	status=$$?; rm -rf "$$CACHE"; exit $$status
 
 bench-quick:
-	REPRO_QUICK=1 pytest benchmarks/ --benchmark-only
+	CACHE=$$(mktemp -d) && TWL_REPRO_CACHE_DIR=$$CACHE REPRO_QUICK=1 pytest benchmarks/ --benchmark-only; \
+	status=$$?; rm -rf "$$CACHE"; exit $$status
 
 # Smoke the parallel executor path end-to-end (also covered by
 # tests/test_exec.py so it stays green under tier-1).

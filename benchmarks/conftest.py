@@ -5,7 +5,11 @@ default scale (set ``REPRO_QUICK=1`` for the quick scale of
 ``twl-repro --quick``) and the on-disk result cache at
 ``default_cache_dir()`` (``$TWL_REPRO_CACHE_DIR`` relocates it).  A
 campaign run first, e.g. ``twl-repro all --jobs N``, fills that cache
-in parallel and the harness then serves its cells from it.
+in parallel and the harness then serves its cells from it.  So a plain
+``pytest benchmarks/`` serves from the default cache, and once that
+cache is warm its timings measure cache reads; ``make bench`` and
+``make bench-quick`` point ``$TWL_REPRO_CACHE_DIR`` at a fresh
+temporary directory so that they time computation.
 
 Each reproduced table is recorded under ``benchmarks/results/`` so runs
 can be diffed against EXPERIMENTS.md; quick runs record under the

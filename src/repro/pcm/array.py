@@ -143,15 +143,15 @@ class PCMArray:
                 f"physical page {bad} out of range [0, {self.n_pages})"
             )
         if self._first_failure is None and seq.size * 8 < self.n_pages:
-            # Small chunks (a ``_serve_segments`` segment of an adaptive
-            # run is a few dozen writes against thousands of pages;
-            # TWL's short spans commit through apply_write_counts
-            # instead): touch only the
-            # affected entries instead of materializing full-array
-            # counts.  Falls through to the general machinery on
-            # duplicates or whenever a crossing is possible, so
-            # attribution stays exact.  (A sorted adjacent-compare beats
-            # np.unique's fixed overhead at these sizes.)
+            # Small chunks (a ``_serve_segments`` batch of an adaptive
+            # run is one segment of a few dozen writes against
+            # thousands of pages; TWL's short spans commit through
+            # apply_write_counts instead): touch only the affected
+            # entries instead of materializing full-array counts.  Falls
+            # through to the general machinery on duplicates or whenever
+            # a crossing is possible, so attribution stays exact.  (A
+            # sorted adjacent-compare beats np.unique's fixed overhead
+            # at these sizes.)
             s = np.sort(seq)
             if seq.size < 2 or not (s[1:] == s[:-1]).any():
                 before = self.writes[seq]

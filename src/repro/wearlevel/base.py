@@ -151,11 +151,13 @@ class WearLeveler(abc.ABC):
     ) -> np.ndarray:
         """The batch path of a scheme whose remaps fire on write counts.
 
-        The batch is served as event-free segments of demand writes,
-        each one :meth:`~repro.pcm.array.PCMArray.apply_batch` call,
-        and a segment may end at an event (a refresh, swap phase, phase
-        boundary or gap move) that the scheme runs in scalar code.  The
-        scheme supplies four hooks:
+        The batch is planned as event-free segments of demand writes,
+        each of which may end at an event (a refresh, swap phase, phase
+        boundary or gap move) that the scheme runs in scalar code, and
+        is then committed guard-then-commit: the frames of every segment
+        and event go to the device in one
+        ``PCMArray.apply_batch(..., all_or_nothing=True)``.  The scheme
+        supplies four hooks:
 
         * ``_plan_segments(seq)`` — per-batch data, passed to the other
           hooks as ``plan`` (default ``None``);
@@ -164,16 +166,18 @@ class WearLeveler(abc.ABC):
           ``seq[start:stop]`` (``stop > start``) and ``event`` whether
           ``seq[stop - 1]`` fires the event;
         * ``_commit_segment(seq, start, end, frames, plan)`` — scheme
-          state for the applied prefix ``seq[start:end]``;
+          state for the planned segment ``seq[start:end]``;
         * ``_segment_event(logical)`` — the event's scalar step, which
-          returns its physical writes.
+          writes no device page and returns the physical frames it
+          wrote, in order (its cost is how many there are).
 
-        The loop keeps :meth:`write_batch`'s contract.  A segment cut
-        short by a failure ends the batch at the failing write; a
-        segment whose last write wears a page out still runs its event,
-        as serial :meth:`write` completes before the drive loop sees the
-        failure.  ``stop_at`` ends the batch after the first request
-        that costs that much.
+        No hook reads the device's wear, so planning never waits for
+        the commit.  ``stop_at`` ends the batch after the first request
+        that costs that much.  When the commit is rejected (some page
+        would reach its endurance), the scheme state and the base
+        counters taken before planning are restored and the per-write
+        loop serves the batch, ending it at the failing write: once per
+        run, in the batch that wears a page out.
         """
         seq = np.asarray(addresses, dtype=np.int64)
         if stop_at is not None and stop_at <= 1:
@@ -183,23 +187,38 @@ class WearLeveler(abc.ABC):
         if array.failed:
             return np.zeros(0, dtype=np.int64)
         self.check_logical_batch(seq)
+        undo = (self._snapshot_state(), self.demand_writes, self.swap_writes, self.swap_events)
         out = np.ones(seq.size, dtype=np.int64)
         plan = self._plan_segments(seq)
+        pending: List[np.ndarray] = []
+        moved: List[int] = []
         total = int(seq.size)
         start = 0
         while start < total:
             stop, frames, event = self._next_segment(seq, start, plan)
-            applied = array.apply_batch(frames)
-            self.demand_writes += applied
-            self._commit_segment(seq, start, start + applied, frames[:applied], plan)
-            if applied < stop - start:
-                return out[: start + applied]
+            self._commit_segment(seq, start, stop, frames, plan)
+            pending.append(frames)
             if event:
-                out[stop - 1] += self._segment_event(int(seq[stop - 1]))
-            if array.failed or (stop_at is not None and out[stop - 1] >= stop_at):
-                return out[:stop]
+                written = self._segment_event(int(seq[stop - 1]))
+                moved += written
+                out[stop - 1] += len(written)
             start = stop
-        return out
+            if stop_at is not None and out[stop - 1] >= stop_at:
+                break
+        self.demand_writes += start
+        pending.append(np.array(moved, dtype=np.int64))
+        if start and not array.apply_batch(np.concatenate(pending), all_or_nothing=True):
+            state, self.demand_writes, self.swap_writes, self.swap_events = undo
+            self._restore_state(state)
+            return WearLeveler.write_batch(self, seq, stop_at)
+        return out[:start]
+
+    def _issue(self, frames: Sequence[int]) -> int:
+        """Write an event's frames to the device in order; its cost."""
+        write = self.array.write
+        for frame in frames:
+            write(frame)
+        return len(frames)
 
     def _plan_segments(self, seq: np.ndarray) -> object:
         """Per-batch data for :meth:`_serve_segments`'s hooks (none)."""

@@ -147,7 +147,7 @@ class BloomWearLeveling(WearLeveler):
                 self._cold_set.add(logical)
 
         if self._should_swap():
-            writes += self._swap_phase()
+            writes += self._issue(self._swap_phase())
         return writes
 
     def write_batch(
@@ -160,12 +160,11 @@ class BloomWearLeveling(WearLeveler):
         the inserts before it.  :meth:`_next_segment` therefore computes
         a whole window's estimates, hot-list adds and swap predicates as
         arrays and commits the heuristic state up to the first swap
-        trigger; :meth:`_serve_segments` issues the trigger-free prefix
-        as one :meth:`~repro.pcm.array.PCMArray.apply_batch` call plus a
-        bincount into the frame-write counters, and runs the swap phase
-        at the trigger.  Heuristic state scanned ahead of a mid-segment
-        failure is post-failure drift only — the run is over, and
-        nothing observable (stats, wear, result) reads it.
+        trigger; :meth:`_serve_segments` plans the trigger-free prefix
+        as one segment (a bincount into the frame-write counters), runs
+        the swap phase at the trigger, and commits the whole batch's
+        demand and migration writes in one
+        :meth:`~repro.pcm.array.PCMArray.apply_batch` call.
         """
         return self._serve_segments(addresses, stop_at)
 
@@ -239,7 +238,7 @@ class BloomWearLeveling(WearLeveler):
     def _commit_segment(self, seq, start, end, frames, plan) -> None:
         self._frame_writes += np.bincount(frames, minlength=self._frame_writes.size)
 
-    def _segment_event(self, logical: int) -> int:
+    def _segment_event(self, logical: int) -> List[int]:
         return self._swap_phase()
 
     def _snapshot_state(self):
@@ -265,13 +264,14 @@ class BloomWearLeveling(WearLeveler):
         self._detection_writes = int(state["detection_writes"])
         self.swap_phases_completed = int(state["swap_phases_completed"])
         # Rebind fresh containers (_next_segment aliases them per window and
-        # _swap_phase replaces them): sets are rebuilt from the lists.
+        # _swap_phase replaces them): sets are rebuilt from the lists.  A
+        # queued page that turned hot has left the cold set, not the queue.
         self._hot_list = [int(la) for la in state["hot_list"]]
         self._hot_set = set(self._hot_list)
         self._cold_queue = deque(
             (int(la) for la in state["cold_queue"]), maxlen=4 * self._target_hot
         )
-        self._cold_set = set(self._cold_queue)
+        self._cold_set = set(self._cold_queue) - self._hot_set
 
     def _should_swap(self) -> bool:
         """Swap when enough hot pages are known, bounded by phase length.
@@ -316,15 +316,19 @@ class BloomWearLeveling(WearLeveler):
         """Swap ``logical`` onto ``target_frame``.
 
         Appends the swap's two page writes to ``frames`` (none when the
-        page already sits there) for :meth:`_swap_phase` to issue.
+        page already sits there).
         """
         current = self.remap.lookup(logical)
         if current != target_frame:
             self.remap.swap_physical(current, target_frame)
             frames += (current, target_frame)
 
-    def _swap_phase(self) -> int:
-        """Hot pages to high-remaining-life frames, cold to low."""
+    def _swap_phase(self) -> List[int]:
+        """Hot pages to high-remaining-life frames, cold to low.
+
+        Returns the migration's page writes in order, for the caller to
+        issue; the controller's frame-write counters already hold them.
+        """
         frames: List[int] = []
         remaining = self.remaining_life()
         order = np.argsort(remaining, kind="stable")
@@ -350,17 +354,9 @@ class BloomWearLeveling(WearLeveler):
                 continue
             self._migrate(cold[cold_index], target, frames)
             cold_index += 1
-        cost = len(frames)
-        if cost:
-            # Nothing in the phase reads wear, so its migration writes
-            # go to the device at once, in order.  Past a failure they
-            # keep counting, as serial writes do.
-            issued = np.array(frames, dtype=np.int64)
-            applied = self.array.apply_batch(issued)
-            if applied < cost:
-                self.array.apply_batch(issued[applied:])
-            self._frame_writes += np.bincount(issued, minlength=self._frame_writes.size)
-            self._count_swap(cost)
+        if frames:
+            self._frame_writes += np.bincount(frames, minlength=self._frame_writes.size)
+            self._count_swap(len(frames))
         self.swap_phases_completed += 1
         # New detection phase (wear state persists).
         self.hot_filter.clear()
@@ -369,4 +365,4 @@ class BloomWearLeveling(WearLeveler):
         self._cold_queue.clear()
         self._cold_set = set()
         self._detection_writes = 0
-        return cost
+        return frames

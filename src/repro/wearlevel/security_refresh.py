@@ -35,7 +35,7 @@ about 44% of ideal — under *every* workload, attack or benign.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,7 +81,7 @@ class SecurityRefresh(WearLeveler):
         self._count_demand()
         writes = 1
         if self._trigger_rng.next_below(self.config.refresh_interval) == 0:
-            writes += self._refresh_step(logical)
+            writes += self._issue(self._refresh_step(logical))
         return writes
 
     def write_batch(
@@ -92,16 +92,17 @@ class SecurityRefresh(WearLeveler):
         The trigger stream and the victim stream come from *separate*
         xorshift instances, so the batch can pre-draw one trigger word
         per request (exactly the draws the serial loop would make) and
-        serve each trigger-free run of demand writes as one segment of
+        plan each trigger-free run of demand writes as one segment of
         :meth:`_serve_segments`, stepping the scalar
         :meth:`_refresh_step` only at trigger positions.  With the
         default refresh interval that is one scalar step per ~interval
-        writes; everything else is vectorized.
+        writes; everything else is vectorized, and the whole batch's
+        demand and refresh writes reach the device in one commit.
 
         Each segment's commit sets the trigger RNG to the word of the
-        last request it served, so a batch that a failure or ``stop_at``
-        ends early leaves the RNG where the serial loop would: the words
-        drawn past that request belong to requests not yet served.
+        last request it served, so a batch that ``stop_at`` ends early
+        leaves the RNG where the serial loop would: the words drawn past
+        that request belong to requests not yet served.
         """
         return self._serve_segments(addresses, stop_at)
 
@@ -118,7 +119,7 @@ class SecurityRefresh(WearLeveler):
     def _commit_segment(self, seq, start, end, frames, plan) -> None:
         self._trigger_rng.state = int(plan[0][end - 1])
 
-    def _segment_event(self, logical: int) -> int:
+    def _segment_event(self, logical: int) -> Tuple[int, ...]:
         return self._refresh_step(logical)
 
     def _snapshot_state(self):
@@ -135,20 +136,21 @@ class SecurityRefresh(WearLeveler):
         self._trigger_rng.restore(state["trigger_rng"])
         self._victim_rng.restore(state["victim_rng"])
 
-    def _refresh_step(self, logical: int) -> int:
-        """Swap the written page's frame with a uniformly random frame."""
+    def _refresh_step(self, logical: int) -> Tuple[int, ...]:
+        """Swap the written page's frame with a uniformly random frame.
+
+        Returns the two frames the swap writes, for the caller to issue.
+        """
         n = self.remap.n_pages
         victim = self._victim_rng.next_below(n)
         other = self.remap.inverse(victim)
         if other == logical:
-            return 0
+            return ()
         frame_a = self.remap.lookup(logical)
-        self.array.write(frame_a)
-        self.array.write(victim)
         self.remap.swap_logical(logical, other)
         self.refresh_steps += 1
         self._count_swap(2)
-        return 2
+        return frame_a, victim
 
 
 class _XorLevel:

@@ -15,7 +15,7 @@ process variation.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -87,7 +87,7 @@ class StartGap(WearLeveler):
         self._writes_since_move += 1
         if self._writes_since_move >= self.config.gap_move_interval:
             self._writes_since_move = 0
-            writes += self._move_gap()
+            writes += self._issue(self._move_gap())
         return writes
 
     def write_batch(self, addresses, stop_at: Optional[int] = None) -> np.ndarray:  # twl: allow(TWL009) reason=batch path materializes the lazy seed-derived randomize table the scalar path builds on first miss; contents are identical either way
@@ -104,12 +104,12 @@ class StartGap(WearLeveler):
         first-failure attribution, so the array applies the batch's
         combined counts only if no page would reach its endurance under
         them (``PCMArray.apply_batch(..., all_or_nothing=True)``); if
-        one would, :meth:`_serve_segments` replays the serial
-        interleaving instead, one segment per gap move (including the
-        move a failing boundary write still performs).  The guard
-        triggers at most once per run — the batch that contains the
-        failure.  A stop-bounded batch is served as segments too, so it
-        ends at the gap move whose cost reaches ``stop_at``.
+        one would, the per-write loop replays the serial interleaving
+        and stops at the failing write.  The guard triggers at most once
+        per run — the batch that contains the failure.  A stop-bounded
+        batch is planned as segments of :meth:`_serve_segments`, one
+        per gap move, so it ends at the gap move whose cost reaches
+        ``stop_at``.
         """
         if stop_at is not None:
             return self._serve_segments(addresses, stop_at)
@@ -151,7 +151,7 @@ class StartGap(WearLeveler):
         if not array.apply_batch(
             np.concatenate((physical, move_frames)), all_or_nothing=True
         ):
-            return self._serve_segments(seq, None)
+            return WearLeveler.write_batch(self, seq)
         out = np.ones(m, dtype=np.int64)
         if total_moves:
             # Move j fires right after demand write (j+1)*interval-wsm0-1
@@ -184,7 +184,7 @@ class StartGap(WearLeveler):
             self._writes_since_move + end - start
         ) % self.config.gap_move_interval
 
-    def _segment_event(self, logical: int) -> int:
+    def _segment_event(self, logical: int) -> Tuple[int, ...]:
         return self._move_gap()
 
     def _snapshot_state(self):
@@ -259,14 +259,17 @@ class StartGap(WearLeveler):
             self._randomize_table = values  # twl: allow(TWL008) reason=lazy cache of the seed-derived address permutation; a rebuild after restore is bit-identical
         return self._randomize_table
 
-    def _move_gap(self) -> int:
-        """Advance the gap by one frame (costs one migration write)."""
+    def _move_gap(self) -> Tuple[int, ...]:
+        """Advance the gap by one frame (costs one migration write).
+
+        Returns the frame the move writes, for the caller to issue.
+        """
         if self._gap == 0:
             self._gap = self._n_logical
             self._start = (self._start + 1) % self._n_logical
-            return 0  # the wrap itself moves no data
+            return ()  # the wrap itself moves no data
         # Copy frame gap-1 into the gap frame.
-        self.array.write(self._gap)
+        gap = self._gap
         self._gap -= 1
         self._count_swap(1)
-        return 1
+        return (gap,)

@@ -25,7 +25,7 @@ wear-rate (closest to death) frame and can then be hammered.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -83,7 +83,7 @@ class WearRateLeveling(WearLeveler):
         self._phase_writes += 1
         if self._phase_writes >= self._phase_length:
             self._phase_writes = 0
-            writes += self._segment_event(logical)
+            writes += self._issue(self._segment_event(logical))
         return writes
 
     @property
@@ -100,12 +100,12 @@ class WearRateLeveling(WearLeveler):
 
         Between phase boundaries the data path is a pure gather through
         the remapping table, so each boundary-free run of demand writes
-        is one segment of :meth:`_serve_segments`: one
-        :meth:`~repro.pcm.array.PCMArray.apply_batch` call plus a
-        bincount into the frame-write counters and (in the prediction
-        phase) one batched WNT update.  The scalar phase step runs only
-        at boundaries — once per ``prediction_length``/``running_length``
-        writes.
+        is one segment of :meth:`_serve_segments`: a bincount into the
+        frame-write counters and (in the prediction phase) one batched
+        WNT update.  The scalar phase step runs only at boundaries —
+        once per ``prediction_length``/``running_length`` writes — and
+        the whole batch reaches the device in one
+        :meth:`~repro.pcm.array.PCMArray.apply_batch` call.
         """
         return self._serve_segments(addresses, stop_at)
 
@@ -123,12 +123,15 @@ class WearRateLeveling(WearLeveler):
         # count wraps to 0 for the next phase.
         self._phase_writes = (self._phase_writes + end - start) % self._phase_length
 
-    def _segment_event(self, logical: int) -> int:
-        """End the phase: prediction -> swap -> running -> prediction."""
+    def _segment_event(self, logical: int) -> List[int]:
+        """End the phase: prediction -> swap -> running -> prediction.
+
+        Returns the frames the phase step writes (the swap's migration).
+        """
         if self.phase == PHASE_RUNNING:
             self.wnt.clear()
             self.phase = PHASE_PREDICTION
-            return 0
+            return []
         cost = self._swap_phase()
         self.phase = PHASE_RUNNING
         return cost
@@ -198,7 +201,7 @@ class WearRateLeveling(WearLeveler):
         """Per-frame wear rate: accumulated writes / tested endurance."""
         return self._frame_writes / self._endurance
 
-    def _swap_phase(self) -> int:
+    def _swap_phase(self) -> List[int]:
         """Migrate data so predicted-hot pages sit on low-wear-rate frames.
 
         Builds the desired LA -> PA permutation, applies it through the
@@ -206,6 +209,7 @@ class WearRateLeveling(WearLeveler):
         receives new data (the migration is staged through the
         controller's page buffer, so frames that transiently participate
         in swaps but end with their original data never hit PCM).
+        Returns those frames, for the caller to issue.
         """
         hot_first = self.wnt.hottest_first()
         fresh_first = np.argsort(self.wear_rates(), kind="stable")
@@ -224,11 +228,9 @@ class WearRateLeveling(WearLeveler):
         changed_frames = [
             after[la] for la in range(self.remap.n_pages) if after[la] != before[la]
         ]
-        for frame in changed_frames:
-            self.array.write(frame)
-            self._frame_writes[frame] += 1
-        cost = len(changed_frames)
-        if cost:
-            self._count_swap(cost)
+        # Each logical page ends on its own frame, so the frames differ.
+        self._frame_writes[changed_frames] += 1
+        if changed_frames:
+            self._count_swap(len(changed_frames))
         self.swap_phases_completed += 1
-        return cost
+        return changed_frames

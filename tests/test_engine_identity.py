@@ -300,15 +300,14 @@ def test_bwl_generated_configs_identical_to_serial(
     config, attack_name, batch_size, endurance
 ):
     """A generated BWL config under a non-adaptive attack equals the
-    ``batch_size=1`` oracle: result, wear, stats and, when no page
-    wore out, the whole controller state."""
+    ``batch_size=1`` oracle: result, wear, stats and the whole
+    controller state, after a failure too."""
     oracle = _run_bwl(config, attack_name, endurance, 1)
     batched = _run_bwl(config, attack_name, endurance, batch_size)
     assert batched[0] == oracle[0]
     assert np.array_equal(batched[1], oracle[1])
     assert batched[2] == oracle[2]
-    if not oracle[0].failed:
-        assert batched[3] == oracle[3]
+    assert batched[3] == oracle[3]
 
 
 # --- generated TWL windows with same-pair events ---------------------

@@ -1,10 +1,15 @@
 """Tests for the WearLeveler base class contract."""
 
+import numpy as np
 import pytest
 
 from repro.errors import AddressError
 from repro.pcm.array import PCMArray
 from repro.wearlevel.base import SWAP_VISIBLE_THRESHOLD, WearLeveler
+from repro.wearlevel.bwl import BloomWearLeveling
+from repro.wearlevel.security_refresh import SecurityRefresh
+from repro.wearlevel.start_gap import StartGap
+from repro.wearlevel.wrl import WearRateLeveling
 
 
 class _Dummy(WearLeveler):
@@ -89,3 +94,79 @@ class TestBaseContract:
     def test_repr_contains_counts(self, dummy):
         dummy.write(0)
         assert "demand_writes=1" in repr(dummy)
+
+
+class TestGuardedSegments:
+    """``_serve_segments`` plans a batch and commits it in one
+    all-or-nothing apply; only a rejected commit reaches ``write()``."""
+
+    SCHEMES = {
+        "sr": SecurityRefresh,
+        "bwl": BloomWearLeveling,
+        "wrl": WearRateLeveling,
+        "startgap": StartGap,
+    }
+
+    def _run(self, monkeypatch, name, stop_at, endurance):
+        batched = self.SCHEMES[name](PCMArray(endurance), seed=5)
+        serial = self.SCHEMES[name](PCMArray(endurance), seed=5)
+        events = []
+        real_apply, real_write = batched.array.apply_batch, batched.write
+
+        def apply_batch(frames, all_or_nothing=False):
+            applied = real_apply(frames, all_or_nothing=all_or_nothing)
+            events.append(("commit", all_or_nothing, bool(applied)))
+            return applied
+
+        monkeypatch.setattr(batched.array, "apply_batch", apply_batch)
+        monkeypatch.setattr(
+            batched, "write", lambda logical: events.append("write") or real_write(logical)
+        )
+        n = batched.logical_pages
+        addresses = np.random.default_rng(11).integers(0, n, size=400_000)
+        start = batches = 0
+        while not batched.array.failed and start < addresses.size:
+            events.clear()
+            chunk = addresses[start : start + 300]
+            counts = batched.write_batch(chunk, stop_at)
+            assert counts.tolist() == WearLeveler.write_batch(serial, chunk, stop_at).tolist()
+            start += counts.size
+            batches += 1
+            if not batched.array.failed:
+                assert events == [("commit", True, True)]
+        assert batched.array.failed
+        # The failing batch: one rejected commit, then the per-write loop.
+        assert events[0] == ("commit", True, False)
+        assert len(events) > 1 and events[1:] == ["write"] * (len(events) - 1)
+        assert batched.array.first_failure == serial.array.first_failure
+        assert _equal_trees(batched.snapshot(), serial.snapshot())
+        assert batched.array.write_counts().tolist() == serial.array.write_counts().tolist()
+        return batches
+
+    @pytest.mark.parametrize("stop_at", [None, 2])
+    @pytest.mark.parametrize("name", ["sr", "bwl", "wrl", "startgap"])
+    def test_per_write_runs_only_in_the_failing_batch(self, monkeypatch, name, stop_at):
+        endurance = np.random.default_rng(4).integers(1500, 4500, size=15)
+        assert self._run(monkeypatch, name, stop_at, endurance) > 20
+
+    @pytest.mark.parametrize("stop_at", [None, 2])
+    def test_failing_write_is_an_event_migration(self, monkeypatch, stop_at):
+        """Start-Gap's first gap move writes the spare frame, which no
+        demand write reaches first: with an endurance of 1 there, the
+        move's migration write is the one that fails."""
+        endurance = np.full(15, 10**6)
+        endurance[-1] = 1
+        self._run(monkeypatch, "startgap", stop_at, endurance)
+
+
+def _equal_trees(left, right):
+    """Structural equality of two state trees that hold numpy arrays."""
+    if isinstance(left, dict):
+        return left.keys() == right.keys() and all(
+            _equal_trees(left[key], right[key]) for key in left
+        )
+    if isinstance(left, (list, tuple)):
+        return len(left) == len(right) and all(map(_equal_trees, left, right))
+    if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
+        return np.array_equal(left, right)
+    return left == right
