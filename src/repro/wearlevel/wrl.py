@@ -228,8 +228,8 @@ class WearRateLeveling(WearLeveler):
         changed_frames = [
             after[la] for la in range(self.remap.n_pages) if after[la] != before[la]
         ]
-        # Each logical page ends on its own frame, so the frames differ.
-        self._frame_writes[changed_frames] += 1
+        for frame in changed_frames:
+            self._frame_writes[frame] += 1
         if changed_frames:
             self._count_swap(len(changed_frames))
         self.swap_phases_completed += 1

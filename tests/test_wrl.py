@@ -88,3 +88,20 @@ class TestWearRates:
         scheme.write(0)
         rates = scheme.wear_rates()
         assert rates[scheme.translate(0)] > 0
+
+    def test_frame_writes_match_the_device_under_a_corrupted_rt(self):
+        # A flipped RT entry (the 'rt' soft-error target with no
+        # protection) leaves two logical pages on one frame, so a swap
+        # phase can migrate onto the same frame twice; each of those
+        # device writes is one controller-side frame write.
+        rng = np.random.default_rng(1)
+        array, scheme = _make(endurance=rng.integers(1000, 9000, 8))
+        victim, twin = (int(page) for page in rng.choice(8, 2, replace=False))
+        scheme.remap.poke_entry(victim, scheme.remap.lookup(twin))
+        swap_phase = scheme._swap_phase
+        migrations = []
+        scheme._swap_phase = lambda: migrations.append(swap_phase()) or migrations[-1]
+        for step in range(64):
+            scheme.write(int(rng.integers(0, 8)) if step % 3 else victim)
+        assert any(len(set(frames)) < len(frames) for frames in migrations)
+        np.testing.assert_array_equal(scheme._frame_writes, array.write_counts())
