@@ -581,13 +581,12 @@ class TossUpWearLeveling(WearLeveler):
 
         The planned writes are applied all or nothing — the short walk's
         tally by one sparse :meth:`PCMArray.apply_write_counts`, the
-        event walk's frames by one ``apply_batch(...,
-        all_or_nothing=True)`` — so one pass over the counts both decides
-        the span and commits it.  When some frame would reach its
-        endurance, the walk is undone — the RT swaps replayed in reverse,
-        the SWPT and both RNG registers restored — and False is returned,
-        with the statistics untouched; the caller writes the counters
-        only after a commit.
+        event walk's frames by one :meth:`PCMArray.apply_batch` — so one
+        pass over the counts both decides the span and commits it.  When
+        some frame would reach its endurance, the walk is undone — the RT
+        swaps replayed in reverse, the SWPT and both RNG registers
+        restored — and False is returned, with the statistics untouched;
+        the caller writes the counters only after a commit.
         """
         log.gather(cut)
         array = self.array
@@ -597,7 +596,7 @@ class TossUpWearLeveling(WearLeveler):
             pieces = log.pieces
             if log.migrations:
                 pieces.append(np.array(log.migrations, dtype=np.int64))
-            applied = array.apply_batch(np.concatenate(pieces), all_or_nothing=True)
+            applied = array.apply_batch(np.concatenate(pieces))
         if not applied:
             for page, other in reversed(log.swapped):
                 log.swap_logical(page, other)

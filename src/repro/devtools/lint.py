@@ -200,8 +200,8 @@ _DATETIME_CLOCK_FNS = frozenset({"now", "utcnow", "today"})
 #: state lives in numpy arrays, and a per-element Python loop over one
 #: (``for x in arr.tolist(): ...``) silently reintroduces the scalar
 #: cost the batch protocol exists to avoid.  Intentional scalar tails
-#: (exact failure attribution, fault-corrupted-state fallbacks) carry a
-#: reasoned ``# twl: allow(TWL006)`` pragma.
+#: (the per-write fallback, TWL's short walk, BWL's cold-queue replay)
+#: carry a reasoned ``# twl: allow(TWL006)`` pragma.
 _HOT_PATH_PREFIXES = ("repro.pcm", "repro.tables", "repro.wearlevel", "repro.core")
 
 #: Module prefixes that must stay constant-memory with respect to

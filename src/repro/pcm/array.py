@@ -14,21 +14,19 @@ in-place mutation raises immediately instead of silently corrupting the
 run.  The scalar accessors (:meth:`page_writes`, :meth:`page_endurance`)
 are thin views over the same arrays.
 
-Three write paths are provided:
+One write path and two commits are provided:
 
-* :meth:`write` — single page, exact failure detection (used inside
-  scheme hot loops);
-* :meth:`apply_batch` — an *ordered* batch of single-page writes with
-  exact first-failure attribution, bit-identical to issuing the same
-  sequence through :meth:`write` (the batched-protocol substrate).  The
-  common no-failure case is a single vectorized accumulate; the ordered
-  scalar scan only runs when some page can actually cross its endurance
-  within the batch.  With ``all_or_nothing`` an unordered batch is
-  applied only if no page can cross, and not at all otherwise;
-* :meth:`apply_write_counts` — a sparse ``{page: writes}`` tally (the
-  commit of TWL's short walk), all or nothing like
-  ``apply_batch(all_or_nothing=True)``, checked and applied entry by
-  entry.
+* :meth:`write` — one page write, and the one place a failure is
+  attributed (page and device-write index);
+* :meth:`apply_batch` — a dense batch of single-page writes, in any
+  order, committed all or nothing: applied whole if no page would reach
+  its endurance under it, not at all otherwise;
+* :meth:`apply_write_counts` — the same commit for a sparse
+  ``{page: writes}`` tally (TWL's short walk).
+
+A rejected commit leaves the array untouched, and the caller replays the
+batch through :meth:`write`, which stops at the failing write.  A failed
+array refuses every commit.
 """
 
 from __future__ import annotations
@@ -108,109 +106,62 @@ class PCMArray:
                 page_endurance=int(self.endurance[physical_page]),
             )
 
-    def apply_batch(
-        self, physical_sequence: Sequence[int], all_or_nothing: bool = False
-    ) -> int:
-        """Apply an *ordered* batch of single-page writes.
+    def apply_batch(self, physical_sequence: Sequence[int]) -> bool:
+        """Commit a batch of single-page writes, all or nothing.
 
-        ``physical_sequence`` lists one physical page per write, in
-        request order.  The batch is bit-identical to issuing the same
-        sequence through :meth:`write`: if some write in the sequence
-        wears out a page, the failure is attributed to that exact write
-        (page and device-write index), application stops there, and the
-        number of writes actually applied is returned — the contract the
-        batched write protocol and the ``repro.exec`` cache rely on.
-
-        When no page can cross its endurance within the batch (the
-        steady-state case), the whole batch is one vectorized
-        accumulate; the per-occurrence attribution scan runs only when a
-        crossing is actually possible.
-
-        With ``all_or_nothing`` the sequence need not be in request
-        order: before the first failure, a batch in which some page would
-        reach its endurance is not applied at all and 0 is returned, so
-        a caller whose order is unobservable short of a failure learns
-        from the same counts that it must replay the writes in order.
+        ``physical_sequence`` lists one physical page per write, in any
+        order.  If no page would reach its endurance under the batch's
+        counts, the whole batch is applied and True is returned.
+        Otherwise nothing is applied and False is returned: the order of
+        a batch's writes is observable only through its first failure,
+        so the caller replays them in order through :meth:`write`.  A
+        failed array refuses every batch.
         """
         seq = np.asarray(physical_sequence, dtype=np.int64)
         if seq.ndim != 1:
             raise ConfigError("physical_sequence must be 1-D")
-        if seq.size == 0:
-            return 0
         if (seq < 0).any() or (seq >= self.n_pages).any():
             bad = int(seq[(seq < 0) | (seq >= self.n_pages)][0])
             raise AddressError(
                 f"physical page {bad} out of range [0, {self.n_pages})"
             )
-        if self._first_failure is None and seq.size * 8 < self.n_pages:
+        if self.failed:
+            return False
+        if seq.size * 8 < self.n_pages:
             # Small chunks (a ``_serve_segments`` batch of an adaptive
             # run is one segment of a few dozen writes against
             # thousands of pages; TWL's short spans commit through
             # apply_write_counts instead): touch only the affected
             # entries instead of materializing full-array counts.  Falls
-            # through to the general machinery on duplicates or whenever
-            # a crossing is possible, so attribution stays exact.  (A
-            # sorted adjacent-compare beats np.unique's fixed overhead
-            # at these sizes.)
+            # through to the full-array counts on duplicates.  (A sorted
+            # adjacent-compare beats np.unique's fixed overhead at these
+            # sizes.)
             s = np.sort(seq)
             if seq.size < 2 or not (s[1:] == s[:-1]).any():
                 before = self.writes[seq]
-                if (before + 1 < self.endurance[seq]).all():
-                    self.writes[seq] = before + 1
-                    self.total_writes += int(seq.size)
-                    return int(seq.size)
+                if not (before + 1 < self.endurance[seq]).all():
+                    return False
+                self.writes[seq] = before + 1
+                self.total_writes += int(seq.size)
+                return True
         counts = np.bincount(seq, minlength=self.n_pages)
-        if self._first_failure is not None:
-            # Past first failure every write just keeps counting.
-            self.writes += counts
-            self.total_writes += int(seq.size)
-            return int(seq.size)
-        remaining = self.endurance - self.writes
-        # No failure recorded => every page is strictly below its
-        # endurance, so remaining >= 1 everywhere.
-        crossing = np.flatnonzero(counts >= remaining)
-        if not crossing.size:
-            self.writes += counts
-            self.total_writes += int(seq.size)
-            return int(seq.size)
-        if all_or_nothing:
-            return 0
-        # Some page reaches its endurance inside this batch: find the
-        # earliest exhausting write in request order.
-        fail_pos = seq.size
-        winner = -1
-        for page in crossing.tolist():  # twl: allow(TWL006) reason=exact failure attribution tail
-            # The remaining[page]-th occurrence of `page` in the
-            # sequence is the write that exhausts it.
-            position = int(
-                np.flatnonzero(seq == page)[int(remaining[page]) - 1]
-            )
-            if position < fail_pos:
-                fail_pos, winner = position, page
-        applied = seq[: fail_pos + 1]
-        self.writes += np.bincount(applied, minlength=self.n_pages)
-        self.total_writes += int(applied.size)
-        self.failed = True
-        self._first_failure = FirstFailure(
-            physical_page=winner,
-            device_writes=self.total_writes - int(applied.size) + fail_pos + 1,
-            page_endurance=int(self.endurance[winner]),
-        )
-        return int(applied.size)
+        if (counts >= self.endurance - self.writes).any():
+            return False
+        self.writes += counts
+        self.total_writes += int(seq.size)
+        return True
 
     def apply_write_counts(self, per_page_writes: Mapping[int, int]) -> bool:
-        """Apply a sparse ``{page: writes}`` tally, all or nothing.
+        """Commit a sparse ``{page: writes}`` tally, all or nothing.
 
         The commit of TWL's short walk: a span of a few dozen writes
         touches a handful of pages, so the tally is checked and applied
         entry by entry rather than through full-array counts.  Every key
-        is range-checked and every count must be non-negative.  Before
-        the first failure, as with ``apply_batch(...,
-        all_or_nothing=True)``, a tally that would bring some page to its
-        endurance is not applied at all and False is returned: the
-        caller must replay those writes in order.  After the first
-        failure the writes just keep counting.  Returns whether the
-        tally was applied.
+        is range-checked and every count must be non-negative.  As with
+        :meth:`apply_batch`, a tally that would bring some page to its
+        endurance is not applied at all and False is returned (the
+        caller replays those writes in order), and a failed array
+        refuses every tally.  Returns whether the tally was applied.
         """
         n_pages = self.n_pages
         total = 0
@@ -220,12 +171,13 @@ class PCMArray:
             if count < 0:
                 raise ConfigError(f"write count {count} of page {page} is negative")
             total += count
+        if self.failed:
+            return False
         writes = self.writes
-        if self._first_failure is None:
-            endurance = self.endurance
-            for page, count in per_page_writes.items():
-                if writes[page] + count >= endurance[page]:
-                    return False
+        endurance = self.endurance
+        for page, count in per_page_writes.items():
+            if writes[page] + count >= endurance[page]:
+                return False
         for page, count in per_page_writes.items():
             writes[page] += count
         self.total_writes += total

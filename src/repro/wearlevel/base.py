@@ -155,9 +155,8 @@ class WearLeveler(abc.ABC):
         each of which may end at an event (a refresh, swap phase, phase
         boundary or gap move) that the scheme runs in scalar code, and
         is then committed guard-then-commit: the frames of every segment
-        and event go to the device in one
-        ``PCMArray.apply_batch(..., all_or_nothing=True)``.  The scheme
-        supplies four hooks:
+        and event go to the device in one all-or-nothing
+        ``PCMArray.apply_batch``.  The scheme supplies four hooks:
 
         * ``_plan_segments(seq)`` — per-batch data, passed to the other
           hooks as ``plan`` (default ``None``);
@@ -207,7 +206,7 @@ class WearLeveler(abc.ABC):
                 break
         self.demand_writes += start
         pending.append(np.array(moved, dtype=np.int64))
-        if start and not array.apply_batch(np.concatenate(pending), all_or_nothing=True):
+        if start and not array.apply_batch(np.concatenate(pending)):
             state, self.demand_writes, self.swap_writes, self.swap_events = undo
             self._restore_state(state)
             return WearLeveler.write_batch(self, seq, stop_at)

@@ -32,14 +32,17 @@ class NoWearLeveling(WearLeveler):
 
     def write_batch(self, addresses, stop_at: Optional[int] = None) -> np.ndarray:
         # Identity mapping: the logical sequence *is* the physical
-        # sequence, so the whole batch lands in one apply_batch call.
-        # Every request costs one write, so only stop_at <= 1 stops it.
+        # sequence, so the whole batch is one all-or-nothing commit; a
+        # rejected one goes to the per-write loop, which stops at the
+        # failing write.  Every request costs one write, so only
+        # stop_at <= 1 stops it.
         seq = np.asarray(addresses, dtype=np.int64)
         if stop_at is not None and stop_at <= 1:
             seq = seq[:1]
         if self.array.failed:
             return np.zeros(0, dtype=np.int64)
         self.check_logical_batch(seq)
-        applied = self.array.apply_batch(seq)
-        self.demand_writes += applied
-        return np.ones(applied, dtype=np.int64)
+        if not self.array.apply_batch(seq):
+            return WearLeveler.write_batch(self, seq, stop_at)
+        self.demand_writes += int(seq.size)
+        return np.ones(seq.size, dtype=np.int64)

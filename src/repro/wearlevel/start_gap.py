@@ -103,9 +103,9 @@ class StartGap(WearLeveler):
         Device-write *order* inside the batch is observable only through
         first-failure attribution, so the array applies the batch's
         combined counts only if no page would reach its endurance under
-        them (``PCMArray.apply_batch(..., all_or_nothing=True)``); if
-        one would, the per-write loop replays the serial interleaving
-        and stops at the failing write.  The guard triggers at most once
+        them (``PCMArray.apply_batch`` commits all or nothing); if one
+        would, the per-write loop replays the serial interleaving and
+        stops at the failing write.  The guard triggers at most once
         per run — the batch that contains the failure.  A stop-bounded
         batch is planned as segments of :meth:`_serve_segments`, one
         per gap move, so it ends at the gap move whose cost reaches
@@ -148,9 +148,7 @@ class StartGap(WearLeveler):
         nonwrap = gap_at_move != 0
         move_frames = gap_at_move[nonwrap]
 
-        if not array.apply_batch(
-            np.concatenate((physical, move_frames)), all_or_nothing=True
-        ):
+        if not array.apply_batch(np.concatenate((physical, move_frames))):
             return WearLeveler.write_batch(self, seq)
         out = np.ones(m, dtype=np.int64)
         if total_moves:

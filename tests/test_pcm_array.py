@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import AddressError, ConfigError
 from repro.pcm.array import PCMArray
+from repro.wearlevel.nowl import NoWearLeveling
 
 
 class TestConstruction:
@@ -77,7 +78,7 @@ class TestBulkApply:
         assert not array.failed and array.first_failure is None
 
     def test_rejected_tally_leaves_writes_and_total_untouched(self, tiny_array):
-        tiny_array.apply_batch([0, 1, 1, 7])
+        assert tiny_array.apply_batch([0, 1, 1, 7])
         before = tiny_array.writes.copy()
         assert not tiny_array.apply_write_counts({2: 4, 7: 799, 3: 1})
         assert tiny_array.writes.tolist() == before.tolist()
@@ -85,14 +86,35 @@ class TestBulkApply:
 
     def test_counting_goes_on_after_the_first_failure(self):
         array = PCMArray(np.array([2, 1000]))
-        array.apply_batch([0, 0])
+        array.write(0)
+        array.write(0)
         assert array.failed
         failure = array.first_failure
-        # Past the first failure nothing is refused: writes just count.
-        assert array.apply_write_counts({0: 5, 1: 3})
+        # Past the first failure ``write`` just counts; only the bulk
+        # commits refuse (test_failed_array_refuses_both_commits).
+        for page in [0] * 5 + [1] * 3:
+            array.write(page)
         assert array.write_counts().tolist() == [7, 3]
         assert array.total_writes == 10
         assert array.first_failure == failure
+
+    def test_failed_array_refuses_both_commits(self):
+        array = PCMArray(np.array([2, 1000]))
+        array.write(1)
+        array.write(0)
+        array.write(0)
+        failure = array.first_failure
+        assert failure.device_writes == 3
+        for commit in (
+            lambda: array.apply_batch([1, 1]),
+            lambda: array.apply_batch([]),
+            lambda: array.apply_write_counts({1: 2}),
+            lambda: array.apply_write_counts({}),
+        ):
+            assert not commit()
+            assert array.write_counts().tolist() == [2, 1]
+            assert array.total_writes == 3
+            assert array.first_failure == failure
 
     def test_empty_tally(self, uniform_array):
         assert uniform_array.apply_write_counts({})
@@ -135,50 +157,52 @@ class TestInspection:
 
 
 class TestApplyBatch:
-    """Ordered-batch application with exact first-failure attribution."""
+    """The dense commit is all or nothing; ``write`` attributes a failure.
+
+    A batch in which some page would reach its endurance is refused
+    whole, and NOWL's batch path hands it to the per-write loop, which
+    stops at the exact failing write.
+    """
 
     def test_matches_serial_writes_exactly(self, tiny_array):
         serial = PCMArray(tiny_array.endurance.copy())
         sequence = [0, 1, 2, 0, 1, 0, 7, 7, 3]
         for page in sequence:
             serial.write(page)
-        applied = tiny_array.apply_batch(sequence)
-        assert applied == len(sequence)
+        assert tiny_array.apply_batch(sequence)
         assert np.array_equal(tiny_array.write_counts(), serial.write_counts())
         assert tiny_array.total_writes == serial.total_writes
 
     def test_failure_attributed_to_exact_write(self):
-        array = PCMArray(np.array([3, 100]))
-        # Page 0's 3rd write (position 4, device write 5) is the failure.
-        applied = array.apply_batch([0, 1, 0, 1, 0, 1, 1])
-        assert applied == 5  # application truncates at the failing write
-        assert array.failed
-        assert array.first_failure.physical_page == 0
-        assert array.first_failure.device_writes == 5
-        assert array.total_writes == 5
+        endurance, sequence = [3, 100], [0, 1, 0, 1, 0, 1, 1]
+        assert not PCMArray(np.array(endurance)).apply_batch(sequence)
+        for array, served in (_serial(endurance, sequence), _nowl(endurance, sequence)):
+            # Page 0's 3rd write (position 4, device write 5) is the
+            # failure, and serving stops there.
+            assert served == 5
+            assert array.failed
+            assert array.first_failure.physical_page == 0
+            assert array.first_failure.device_writes == 5
+            assert array.total_writes == 5
 
     def test_earliest_crossing_wins(self):
-        array = PCMArray(np.array([2, 2]))
+        endurance, sequence = [2, 2], [0, 1, 1, 0]
         # Both pages cross in this batch; page 1 crosses first (pos 2).
-        array.apply_batch([0, 1, 1, 0])
-        assert array.first_failure.physical_page == 1
-        assert array.first_failure.device_writes == 3
+        for array, served in (_serial(endurance, sequence), _nowl(endurance, sequence)):
+            assert served == 3
+            assert array.first_failure.physical_page == 1
+            assert array.first_failure.device_writes == 3
 
     def test_identical_to_serial_at_failure(self, rng):
-        endurance = rng.integers(20, 60, size=16)
+        endurance = rng.integers(20, 60, size=16).tolist()
         sequence = rng.integers(0, 16, size=2000).tolist()
-        serial = PCMArray(endurance.copy())
-        for page in sequence:
-            serial.write(page)
-            if serial.failed:
-                break
-        batched = PCMArray(endurance.copy())
-        position = 0
-        while position < len(sequence) and not batched.failed:
-            batched.apply_batch(sequence[position : position + 37])
-            position += 37
-        assert batched.failed == serial.failed
+        serial, served = _serial(endurance, sequence)
+        batched, batched_served = _nowl(endurance, sequence, batch=37)
+        assert serial.failed and batched.failed
+        assert batched_served == served
         assert batched.first_failure == serial.first_failure
+        assert batched.write_counts().tolist() == serial.write_counts().tolist()
+        assert batched.total_writes == serial.total_writes
 
     def test_rejects_out_of_range(self, tiny_array):
         with pytest.raises(AddressError):
@@ -191,16 +215,50 @@ class TestApplyBatch:
             tiny_array.apply_batch(np.zeros((2, 2), dtype=np.int64))
 
     def test_empty_batch_is_noop(self, tiny_array):
-        assert tiny_array.apply_batch([]) == 0
+        assert tiny_array.apply_batch([])
+        assert tiny_array.total_writes == 0
+        assert NoWearLeveling(tiny_array).write_batch([]).size == 0
         assert tiny_array.total_writes == 0
 
     def test_all_or_nothing_applies_nothing_on_a_crossing(self):
         array = PCMArray(np.array([3, 100]))
-        assert array.apply_batch([1, 0, 0, 1], all_or_nothing=True) == 4
+        assert array.apply_batch([1, 0, 0, 1])
         # Page 0's third write would wear it out: nothing lands.
-        assert array.apply_batch([1, 0, 1], all_or_nothing=True) == 0
+        assert not array.apply_batch([1, 0, 1])
         assert array.write_counts().tolist() == [2, 2]
         assert array.total_writes == 4 and not array.failed
+        # The small-chunk branch (few distinct writes against many
+        # pages) refuses the same way.
+        wide = PCMArray(np.array([3] + [100] * 63))
+        assert wide.apply_batch([0, 0])
+        assert not wide.apply_batch([5, 0])
+        assert wide.total_writes == 2 and not wide.failed
+
+
+def _serial(endurance, sequence):
+    """Serve ``sequence`` through ``PCMArray.write`` up to the first
+    failure; return the array and the number of writes served."""
+    array = PCMArray(np.array(endurance))
+    served = 0
+    for page in sequence:
+        array.write(page)
+        served += 1
+        if array.failed:
+            break
+    return array, served
+
+
+def _nowl(endurance, sequence, batch=None):
+    """Serve ``sequence`` through NOWL's batch path, ``batch`` writes at
+    a time (all at once by default), up to the first failure."""
+    array = PCMArray(np.array(endurance))
+    scheme = NoWearLeveling(array)
+    batch = batch or len(sequence)
+    served = 0
+    while served < len(sequence) and not array.failed:
+        served += scheme.write_batch(sequence[served : served + batch]).size
+    assert scheme.demand_writes == served
+    return array, served
 
 
 class TestCanonicalState:

@@ -7,6 +7,7 @@ from repro.errors import AddressError
 from repro.pcm.array import PCMArray
 from repro.wearlevel.base import SWAP_VISIBLE_THRESHOLD, WearLeveler
 from repro.wearlevel.bwl import BloomWearLeveling
+from repro.wearlevel.nowl import NoWearLeveling
 from repro.wearlevel.security_refresh import SecurityRefresh
 from repro.wearlevel.start_gap import StartGap
 from repro.wearlevel.wrl import WearRateLeveling
@@ -97,10 +98,12 @@ class TestBaseContract:
 
 
 class TestGuardedSegments:
-    """``_serve_segments`` plans a batch and commits it in one
-    all-or-nothing apply; only a rejected commit reaches ``write()``."""
+    """``_serve_segments`` (and NOWL's identity batch) plans a batch and
+    commits it in one all-or-nothing apply; only a rejected commit
+    reaches ``write()``."""
 
     SCHEMES = {
+        "nowl": lambda array, seed: NoWearLeveling(array),
         "sr": SecurityRefresh,
         "bwl": BloomWearLeveling,
         "wrl": WearRateLeveling,
@@ -113,9 +116,9 @@ class TestGuardedSegments:
         events = []
         real_apply, real_write = batched.array.apply_batch, batched.write
 
-        def apply_batch(frames, all_or_nothing=False):
-            applied = real_apply(frames, all_or_nothing=all_or_nothing)
-            events.append(("commit", all_or_nothing, bool(applied)))
+        def apply_batch(frames):
+            applied = real_apply(frames)
+            events.append(("commit", applied))
             return applied
 
         monkeypatch.setattr(batched.array, "apply_batch", apply_batch)
@@ -133,10 +136,10 @@ class TestGuardedSegments:
             start += counts.size
             batches += 1
             if not batched.array.failed:
-                assert events == [("commit", True, True)]
+                assert events == [("commit", True)]
         assert batched.array.failed
         # The failing batch: one rejected commit, then the per-write loop.
-        assert events[0] == ("commit", True, False)
+        assert events[0] == ("commit", False)
         assert len(events) > 1 and events[1:] == ["write"] * (len(events) - 1)
         assert batched.array.first_failure == serial.array.first_failure
         assert _equal_trees(batched.snapshot(), serial.snapshot())
@@ -144,7 +147,7 @@ class TestGuardedSegments:
         return batches
 
     @pytest.mark.parametrize("stop_at", [None, 2])
-    @pytest.mark.parametrize("name", ["sr", "bwl", "wrl", "startgap"])
+    @pytest.mark.parametrize("name", ["nowl", "sr", "bwl", "wrl", "startgap"])
     def test_per_write_runs_only_in_the_failing_batch(self, monkeypatch, name, stop_at):
         endurance = np.random.default_rng(4).integers(1500, 4500, size=15)
         assert self._run(monkeypatch, name, stop_at, endurance) > 20
